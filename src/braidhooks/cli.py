@@ -48,10 +48,6 @@ def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
     return words.make_word(letters, rank)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -127,7 +123,7 @@ def _verify_braid_hooks(args) -> dict:
     return {
         "theorem": "braid-hooks",
         "shape": args.shape,
-        "expected_hooks": _fraction_str(value),
+        "expected_hooks": str(value),
         "pass": value == 1,
     }
 
@@ -142,7 +138,7 @@ def _verify_half_right(args) -> dict:
     return {
         "theorem": "half-right",
         "shape": spec,
-        "expected_hooks": _fraction_str(value),
+        "expected_hooks": str(value),
         "strong_condition": strong,
         "pass": ok,
     }
@@ -183,8 +179,6 @@ def _verify_poset_edges(args) -> dict:
     if args.poset:
         with open(args.poset) as handle:
             poset = posets.poset_from_lines(handle.read())
-        if args.ideal is None:
-            return {"theorem": "poset-edges", "pass": False, "error": "--ideal required"}
         ideal = posets.parse_ideal(poset, args.ideal)
         report = posets.verify_edges(poset, ideal, args.cap)
         return {
@@ -192,7 +186,7 @@ def _verify_poset_edges(args) -> dict:
             "lhs": report["lhs"],
             "rhs": report["rhs"],
             "per_orbit": [
-                {"size": o["size"], "average": _fraction_str(o["average"])}
+                {"size": o["size"], "average": str(o["average"])}
                 for o in report["per_orbit"]
             ],
             "pass": report["ok"],
@@ -201,7 +195,7 @@ def _verify_poset_edges(args) -> dict:
     checked = 0
     for _ in range(args.count):
         poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size))
-        for ideal in posets.order_ideals(poset):
+        for ideal in posets.order_ideals(poset, args.cap):
             if not ideal or len(ideal) == poset.size:
                 continue
             checked += 1
@@ -237,6 +231,9 @@ def cmd_verify(args) -> int:
     if args.theorem in NEEDS_SHAPE and not args.shape:
         print(f"verify {args.theorem} needs --shape", file=sys.stderr)
         return EXIT_USAGE
+    if args.theorem == "poset-edges" and args.poset and args.ideal is None:
+        print("verify poset-edges --poset needs --ideal", file=sys.stderr)
+        return EXIT_USAGE
     result = verifier(args)
     _emit(
         result,
@@ -254,7 +251,7 @@ def _orbit_report_payload(report: dict) -> dict:
         "orbits": [
             {
                 "size": o["size"],
-                "average": _fraction_str(o["average"]),
+                "average": str(o["average"]),
                 "representative": _serialise(o["representative"]),
             }
             for o in report["orbits"]
@@ -272,6 +269,9 @@ def _scan_chunk(task) -> dict | None:
 
 
 def cmd_orbits(args) -> int:
+    if args.threads < 1:
+        print("--threads must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.poset:
         with open(args.poset) as handle:
             poset = posets.poset_from_lines(handle.read())
@@ -288,6 +288,9 @@ def cmd_orbits(args) -> int:
                 "samples above 1000 need --long-running", file=sys.stderr
             )
             return EXIT_USAGE
+        if args.stat != "braid-hooks":
+            print("--sample counts braid hooks; --stat must be braid-hooks", file=sys.stderr)
+            return EXIT_USAGE
         hit = _sampled_search(args)
         payload = {
             "mode": args.group,
@@ -299,7 +302,7 @@ def cmd_orbits(args) -> int:
             payload["orbit"] = {
                 "seed": hit["seed"],
                 "size": hit["orbit_size"],
-                "average": _fraction_str(hit["average"]),
+                "average": str(hit["average"]),
                 "representative": _serialise(hit["representative"]),
             }
         _emit(payload, args.format, csv_rows=[tuple(payload.keys()), tuple(payload.values())],
@@ -350,15 +353,16 @@ def cmd_orbits(args) -> int:
 
 
 def _sampled_search(args):
-    if args.threads > 1:
+    threads = min(args.threads, os.cpu_count() or 1)
+    if threads > 1:
         from multiprocessing import Pool
 
-        chunk = (args.sample + args.threads - 1) // args.threads
+        chunk = (args.sample + threads - 1) // threads
         tasks = [
             (args.shape, start, min(start + chunk, args.sample), args.seed, args.group)
             for start in range(0, args.sample, chunk)
         ]
-        with Pool(args.threads) as pool:
+        with Pool(threads) as pool:
             hits = [h for h in pool.map(_scan_chunk, tasks) if h is not None]
         return min(hits, key=lambda h: h["seed"]) if hits else None
     shape = parse_shape(args.shape)
@@ -450,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_cap = os.environ.get("BRAIDHOOKS_CAP")
-    if args.cap is not None:
-        os.environ["BRAIDHOOKS_CAP"] = str(args.cap)
+    if args.cap is not None and args.cap < 1:
+        print("--cap must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ExplosionGuardError as exc:
@@ -461,12 +465,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if args.cap is not None:
-            if saved_cap is None:
-                os.environ.pop("BRAIDHOOKS_CAP", None)
-            else:
-                os.environ["BRAIDHOOKS_CAP"] = saved_cap
 
 
 if __name__ == "__main__":

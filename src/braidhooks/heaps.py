@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import QuadraticRuleError, ShapeMismatchError
+from .posets import transitive_reduction
 from .tableaux import Shape, Tableau
 from .words import Word, make_word
 
@@ -53,9 +54,10 @@ class LinearExtensionLabel:
     labels: tuple[int, ...]
 
 
-def _drop(word: Word) -> tuple[list[tuple[int, int]], list[int]]:
+def _drop(word: Word) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Simulate the drops; return (column, height) per element in drop order,
-    plus each element's stack position within its column."""
+    each element's stack position within its column, and the drop indices
+    in canonical (column, stack position) order."""
     tops: dict[int, int] = {}
     counts: dict[int, int] = {}
     placed: list[tuple[int, int]] = []
@@ -74,36 +76,12 @@ def _drop(word: Word) -> tuple[list[tuple[int, int]], list[int]]:
         counts[letter] = counts.get(letter, 0) + 1
         placed.append((letter, height))
         positions.append(counts[letter])
-    return placed, positions
-
-
-def _reduce_covers(n: int, relations: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Transitive reduction of an acyclic relation given as index pairs."""
-    above: dict[int, set[int]] = {i: set() for i in range(n)}
-    for lo, hi in relations:
-        above[lo].add(hi)
-    reach: dict[int, set[int]] = {}
-
-    def reachable(i: int) -> set[int]:
-        if i not in reach:
-            acc: set[int] = set()
-            for j in above[i]:
-                acc.add(j)
-                acc |= reachable(j)
-            reach[i] = acc
-        return reach[i]
-
-    reduced = set()
-    for lo, hi in relations:
-        if not any(hi in reachable(mid) for mid in above[lo] if mid != hi):
-            reduced.add((lo, hi))
-    return frozenset(reduced)
-
-
-def heap_poset(word: Word) -> HeapPoset:
-    """The heap of a word, with covers between adjacent columns only."""
-    placed, positions = _drop(word)
     order = sorted(range(len(placed)), key=lambda i: (placed[i][0], positions[i]))
+    return placed, positions, order
+
+
+def _heap(placed: list[tuple[int, int]], positions: list[int],
+          order: list[int]) -> HeapPoset:
     rank_of = {drop_idx: canon for canon, drop_idx in enumerate(order)}
     columns = tuple(placed[i][0] for i in order)
     stack_pos = tuple(positions[i] for i in order)
@@ -119,13 +97,18 @@ def heap_poset(word: Word) -> HeapPoset:
                 if other_height > height:
                     relations.add((rank_of[drop_idx], rank_of[other_idx]))
                     break
-    return HeapPoset(columns, stack_pos, _reduce_covers(len(placed), relations))
+    covers, _ = transitive_reduction(len(placed), relations)
+    return HeapPoset(columns, stack_pos, covers)
+
+
+def heap_poset(word: Word) -> HeapPoset:
+    """The heap of a word, with covers between adjacent columns only."""
+    return _heap(*_drop(word))
 
 
 def build_order_extension(word: Word) -> LinearExtensionLabel:
     """Label each canonical heap element with its drop step (1 = rightmost)."""
-    placed, positions = _drop(word)
-    order = sorted(range(len(placed)), key=lambda i: (placed[i][0], positions[i]))
+    _, _, order = _drop(word)
     return LinearExtensionLabel(tuple(drop_idx + 1 for drop_idx in order))
 
 
@@ -159,17 +142,15 @@ def shape_poset(shape: Shape) -> HeapPoset:
 
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells."""
-    heap = heap_poset(word)
-    target = shape_poset(shape)
-    if heap != target:
+    placed, positions, order = _drop(word)
+    if _heap(placed, positions, order) != shape_poset(shape):
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )
     cells, _, _ = _diagonal_layout(shape)
-    labels = build_order_extension(word).labels
     pos: list[tuple[int, int] | None] = [None] * shape.size
-    for cell, label in zip(cells, labels):
-        pos[label - 1] = cell
+    for cell, drop_idx in zip(cells, order):
+        pos[drop_idx] = cell
     return Tableau(shape, tuple(pos))
 
 

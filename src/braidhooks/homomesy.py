@@ -2,8 +2,12 @@
 
 The odd and even operators apply every ``tau_i`` of one parity at once;
 they are involutions, so together they generate a dihedral group.  They
-act on anything with a ``tau(i)`` method and a ``size``: tableaux, words,
-and linear extensions.  All averages are exact fractions.
+act on any carrier of the toggle group: tableaux, words and linear
+extensions, all linear extensions of a poset (the shape poset, the heap
+poset, or a general one).  A carrier has a ``size`` and ``taus(indices)``,
+which applies a whole tau word in one pass and holds the carrier's one
+commute test; ``tau(i)`` is the one-letter word.  All averages are exact
+fractions.
 """
 
 from __future__ import annotations
@@ -46,10 +50,7 @@ def tau_parity(x, parity: str):
     """Apply every tau_i with i of the given parity (they commute)."""
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
-    start = 1 if parity == "odd" else 2
-    for i in range(start, x.size, 2):
-        x = x.tau(i)
-    return x
+    return x.taus(range(1 if parity == "odd" else 2, x.size, 2))
 
 
 def tau_odd(x):
@@ -93,6 +94,20 @@ class Orbit:
         return self.members[0]
 
 
+def _closure(start, generators: list[Callable]) -> set:
+    """The orbit of ``start`` under the generators."""
+    members = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = g(x)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
 def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
     """Partition a finite carrier into orbits; deterministic order."""
     generators = _generators(mode)
@@ -102,15 +117,7 @@ def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
     for start in pool:
         if start in seen:
             continue
-        members = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = g(x)
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        members = _closure(start, generators)
         seen |= members
         orbits.append(Orbit(tuple(sorted(members)), mode))
     return orbits
@@ -253,15 +260,7 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
         start = random_standard_tableau(shape, rng)
         if start in visited:
             continue
-        members = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = g(x)
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        members = _closure(start, generators)
         visited |= members
         average = Fraction(sum(len(braid_hooks(t)) for t in members), len(members))
         if average != 1:

@@ -2,8 +2,11 @@
 
 Elements are arbitrary hashable names; covers are (lower, upper) pairs and
 are reduced to the transitive reduction at construction.  A linear
-extension carries the same ``tau(i)``/``size`` interface as words and
-tableaux, so the even/odd orbit machinery applies unchanged.
+extension is a carrier of the toggle group, like a word or a tableau: it
+has a ``size``, ``taus(indices)`` applying a whole tau word in one pass
+(tau_i swaps labels i and i+1 when the two elements are incomparable),
+and ``tau(i)``, the one-letter word.  The even/odd orbit machinery in
+``homomesy`` uses only this interface.
 """
 
 from __future__ import annotations
@@ -36,13 +39,50 @@ __all__ = [
     "poset_from_lines",
     "parse_ideal",
     "heap_as_poset",
+    "transitive_reduction",
 ]
+
+
+def transitive_reduction(
+    n: int, relations: Iterable[tuple[int, int]]
+) -> tuple[frozenset[tuple[int, int]], list[set[int]]]:
+    """Covers and strict up-sets of the order a relation on 0..n-1 generates.
+
+    A topological sort (which raises ``ValueError`` on a cycle) is followed
+    by one sweep in reverse order that builds each up-set from those of its
+    successors; a pair (a, b) is a cover when b is not above another
+    successor of a.
+    """
+    above: list[set[int]] = [set() for _ in range(n)]
+    for a, b in relations:
+        above[a].add(b)
+    indegree = [0] * n
+    for targets in above:
+        for b in targets:
+            indegree[b] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for a in order:
+        for b in above[a]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    if len(order) < n:
+        raise ValueError("cover relation has a cycle")
+    up: list[set[int]] = [set() for _ in range(n)]
+    covers = set()
+    for a in reversed(order):
+        reach = up[a]
+        for b in above[a]:
+            reach |= up[b]
+        covers.update((a, b) for b in above[a] if b not in reach)
+        reach |= above[a]
+    return frozenset(covers), up
 
 
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_above", "_leq")
+    __slots__ = ("elements", "covers", "_index", "_below", "_above", "_up")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -50,51 +90,29 @@ class Poset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        pairs = {(self._index[a], self._index[b]) for a, b in covers}
-        closure = self._close(pairs)
-        if any((i, i) in closure for i in range(len(self.elements))):
-            raise ValueError("cover relation has a cycle")
-        reduced = {
-            (a, b)
-            for a, b in pairs
-            if not any(
-                (a, m) in closure and (m, b) in closure
-                for m in range(len(self.elements))
-                if m != a and m != b
-            )
-        }
+        n = len(self.elements)
+        reduced, self._up = transitive_reduction(
+            n, ((self._index[a], self._index[b]) for a, b in covers)
+        )
         self.covers = frozenset(
             (self.elements[a], self.elements[b]) for a, b in reduced
         )
-        self._leq = closure | {(i, i) for i in range(len(self.elements))}
-        self._above = {i: set() for i in range(len(self.elements))}
-        self._below = {i: set() for i in range(len(self.elements))}
+        self._above = {i: set() for i in range(n)}
+        self._below = {i: set() for i in range(n)}
         for a, b in reduced:
             self._above[a].add(b)
             self._below[b].add(a)
-
-    @staticmethod
-    def _close(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-        closure = set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        return closure
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def less(self, a: Hashable, b: Hashable) -> bool:
-        return a != b and (self._index[a], self._index[b]) in self._leq
+        return self._index[b] in self._up[self._index[a]]
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
-        return (self._index[a], self._index[b]) in self._leq
+        i, j = self._index[a], self._index[b]
+        return i == j or j in self._up[i]
 
     def covers_of(self, a: Hashable) -> set[Hashable]:
         return {self.elements[i] for i in self._above[self._index[a]]}
@@ -126,7 +144,24 @@ class LinearExtension:
         return self.seq[label - 1]
 
     def tau(self, i: int) -> "LinearExtension":
-        return tau_on_extension(self, i)
+        if not 1 <= i < self.size:
+            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
+        return self.taus((i,))
+
+    def taus(self, indices: Iterable[int]) -> "LinearExtension":
+        """Apply a tau word in one pass (right action, left factor first).
+
+        tau_i swaps labels i and i+1 when the two elements are incomparable;
+        every index lies in 1..size-1.
+        """
+        index = self.poset._index
+        up = self.poset._up
+        seq = list(self.seq)
+        for i in indices:
+            a, b = index[seq[i - 1]], index[seq[i]]
+            if b not in up[a] and a not in up[b]:
+                seq[i - 1], seq[i] = seq[i], seq[i - 1]
+        return LinearExtension(self.poset, tuple(seq))
 
     def __lt__(self, other: "LinearExtension") -> bool:
         return self._key() < other._key()
@@ -144,7 +179,7 @@ class LinearExtension:
 
 def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtension]:
     """All linear extensions, in lexicographic element-index order."""
-    cap = cap or default_cap()
+    cap = default_cap() if cap is None else cap
     n = poset.size
     below = poset._below
     placed: list[int] = []
@@ -173,7 +208,7 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
 
 def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
     """All downward-closed subsets, from the empty set to the whole poset."""
-    cap = cap or default_cap()
+    cap = default_cap() if cap is None else cap
     n = poset.size
     below = poset._below
     ideals = {frozenset()}
@@ -208,22 +243,7 @@ def descents(extension: LinearExtension, ideal: frozenset) -> set:
 
 def tau_on_extension(extension: LinearExtension, i: int) -> LinearExtension:
     """Swap labels i and i+1 when the two elements are incomparable."""
-    if not 1 <= i < extension.size:
-        raise IndexError(f"tau index {i} outside 1..{extension.size - 1}")
-    a = extension.seq[i - 1]
-    b = extension.seq[i]
-    if extension.poset.less(a, b) or extension.poset.less(b, a):
-        return extension
-    seq = list(extension.seq)
-    seq[i - 1], seq[i] = b, a
-    return LinearExtension(extension.poset, tuple(seq))
-
-
-def _tau_oi(extension: LinearExtension, i: int) -> LinearExtension:
-    start = 1 if i % 2 == 1 else 2
-    for j in range(start, extension.size, 2):
-        extension = extension.tau(j)
-    return extension
+    return extension.tau(i)
 
 
 def _require_bounds_and_proper(poset: Poset, ideal: frozenset) -> None:
@@ -235,21 +255,25 @@ def _require_bounds_and_proper(poset: Poset, ideal: frozenset) -> None:
 
 def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> LinearExtension:
     """Phi(p, L) = L.tau_{o(L(p))} ... tau_{o(1)} for a descent p of L."""
+    from .homomesy import _tau_oi
+
     _require_bounds_and_proper(extension.poset, ideal)
     if p not in descents(extension, ideal):
         raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {set(ideal)}")
     for j in range(extension.label(p), 0, -1):
-        extension = _tau_oi(extension, j)
+        extension = _tau_oi(j)(extension)
     return extension
 
 
 def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Hashable, LinearExtension]:
     """Scan M, M.tau_{o(1)}, ... for the unique step leaving the ideal."""
+    from .homomesy import _tau_oi
+
     _require_bounds_and_proper(extension.poset, ideal)
     current = extension
     previous_element = current.seq[0]
     for k in range(2, extension.size + 1):
-        moved = _tau_oi(current, k - 1)
+        moved = _tau_oi(k - 1)(current)
         element = moved.seq[k - 1]
         if previous_element in ideal and element not in ideal:
             return previous_element, moved

@@ -36,7 +36,6 @@ __all__ = [
     "random_standard_tableau",
     "braid_hooks",
     "tau",
-    "apply_taus",
     "partial_promotion",
     "partial_inverse_promotion",
     "promotion",
@@ -240,7 +239,22 @@ class Tableau:
         ]
 
     def tau(self, i: int) -> "Tableau":
-        return tau(self, i)
+        if not 1 <= i < self.size:
+            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
+        return self.taus((i,))
+
+    def taus(self, indices: Iterable[int]) -> "Tableau":
+        """Apply a tau word in one pass (right action, left factor first).
+
+        tau_i swaps entries i and i+1 when they share neither row nor column;
+        every index lies in 1..size-1.
+        """
+        pos = list(self.pos)
+        for i in indices:
+            a, b = pos[i - 1], pos[i]
+            if a[0] != b[0] and a[1] != b[1]:
+                pos[i - 1], pos[i] = b, a
+        return Tableau(self.shape, tuple(pos), _checked=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,19 +277,19 @@ class Tableau:
         return "\n".join(" ".join(str(v) for v in row) for row in self.row_values())
 
 
+def _prerequisites(shape: Shape) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """The left and upper neighbours each cell waits for before it is addable."""
+    return {
+        (r, c): tuple(nb for nb in ((r, c - 1), (r - 1, c)) if nb in shape.cell_set)
+        for r, c in shape.cells
+    }
+
+
 def standard_tableaux(shape: Shape) -> list[Tableau]:
     """All standard fillings, sorted lexicographically by row-reading word."""
     cells = shape.cells
-    cell_set = shape.cell_set
     n = len(cells)
-    prereq = {
-        cell: tuple(
-            nb
-            for nb in ((cell[0], cell[1] - 1), (cell[0] - 1, cell[1]))
-            if nb in cell_set
-        )
-        for cell in cells
-    }
+    prereq = _prerequisites(shape)
     filled: set[tuple[int, int]] = set()
     pos: list[tuple[int, int]] = []
     out: list[Tableau] = []
@@ -301,15 +315,7 @@ def standard_tableaux(shape: Shape) -> list[Tableau]:
 
 def random_standard_tableau(shape: Shape, rng) -> Tableau:
     """A standard filling sampled by choosing a random addable cell each step."""
-    cell_set = shape.cell_set
-    prereq = {
-        cell: tuple(
-            nb
-            for nb in ((cell[0], cell[1] - 1), (cell[0] - 1, cell[1]))
-            if nb in cell_set
-        )
-        for cell in shape.cells
-    }
+    prereq = _prerequisites(shape)
     filled: set[tuple[int, int]] = set()
     pos: list[tuple[int, int]] = []
     while len(pos) < shape.size:
@@ -338,40 +344,21 @@ def braid_hooks(t: Tableau) -> list[int]:
 
 def tau(t: Tableau, i: int) -> Tableau:
     """Swap entries i and i+1 when they share neither row nor column."""
-    if not 1 <= i < t.size:
-        raise IndexError(f"tau index {i} outside 1..{t.size - 1}")
-    a = t.pos[i - 1]
-    b = t.pos[i]
-    if a[0] == b[0] or a[1] == b[1]:
-        return t
-    pos = list(t.pos)
-    pos[i - 1], pos[i] = b, a
-    return Tableau(t.shape, tuple(pos), _checked=True)
-
-
-def apply_taus(t: Tableau, indices: Iterable[int]) -> Tableau:
-    """Apply a whole tau word in one pass (right action, left factor first)."""
-    pos = list(t.pos)
-    for i in indices:
-        a = pos[i - 1]
-        b = pos[i]
-        if a[0] != b[0] and a[1] != b[1]:
-            pos[i - 1], pos[i] = b, a
-    return Tableau(t.shape, tuple(pos), _checked=True)
+    return t.tau(i)
 
 
 def partial_promotion(t: Tableau, k: int) -> Tableau:
     """d_k = tau_k tau_{k+1} ... tau_{N-1}; k = N is the identity."""
     if not 1 <= k <= t.size:
         raise IndexError(f"k {k} outside 1..{t.size}")
-    return apply_taus(t, range(k, t.size))
+    return t.taus(range(k, t.size))
 
 
 def partial_inverse_promotion(t: Tableau, k: int) -> Tableau:
     """d*_k = tau_{k-1} tau_{k-2} ... tau_1; k = 1 is the identity."""
     if not 1 <= k <= t.size:
         raise IndexError(f"k {k} outside 1..{t.size}")
-    return apply_taus(t, range(k - 1, 0, -1))
+    return t.taus(range(k - 1, 0, -1))
 
 
 def promotion_via_taus(t: Tableau) -> Tableau:
@@ -538,19 +525,13 @@ def phi_inverse(t: Tableau) -> tuple[int, Tableau]:
     if len(found) != 1 or found[0].direction != "RtoL":
         raise ValueError(f"expected a unique crossing, found {found}")
     k = found[0].k
-    n = t.size
-    undone = apply_taus(t, range(n - 1, k - 1, -1))  # d_k inverse
-    undone = apply_taus(undone, range(1, k))  # d*_k inverse
+    undone = t.taus([*range(t.size - 1, k - 1, -1), *range(1, k)])  # d_k^-1, d*_k^-1
     if k not in braid_hooks(undone):
         raise AssertionError(f"crossing k={k} did not unwind to a braid hook")
     return k, undone
 
 
-def psi(k: int, t: Tableau) -> Tableau:
-    """Same operator as phi, on half-right-justified tableaux."""
-    if k not in braid_hooks(t):
-        raise NotABraidHookError(f"{k} is not a braid hook of\n{t!r}")
-    return partial_promotion(partial_inverse_promotion(t, k), k)
+psi = phi  # the same operator, applied to half-right-justified tableaux
 
 
 def evacuation(t: Tableau) -> Tableau:
@@ -558,7 +539,7 @@ def evacuation(t: Tableau) -> Tableau:
     seq: list[int] = []
     for top in range(t.size - 1, 0, -1):
         seq.extend(range(1, top + 1))
-    return apply_taus(t, seq)
+    return t.taus(seq)
 
 
 def dual_evacuation(t: Tableau) -> Tableau:
@@ -566,7 +547,7 @@ def dual_evacuation(t: Tableau) -> Tableau:
     seq: list[int] = []
     for low in range(1, t.size):
         seq.extend(range(t.size - 1, low - 1, -1))
-    return apply_taus(t, seq)
+    return t.taus(seq)
 
 
 def conjugate(t: Tableau) -> Tableau:

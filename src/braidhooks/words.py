@@ -141,14 +141,22 @@ class Word:
         entry swap of ``N-i`` and ``N-i+1``, so the odd/even products agree
         with the tableau-side ones up to a parity flip when N is odd.
         """
-        n = len(self.letters)
-        if not 1 <= i < n:
-            raise IndexError(f"tau index {i} outside 1..{n - 1}")
-        a, b = self.letters[i - 1], self.letters[i]
-        if abs(a - b) < 2:
-            return self
-        swapped = self.letters[: i - 1] + (b, a) + self.letters[i + 1 :]
-        return Word(swapped, self.rank)
+        if not 1 <= i < self.size:
+            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
+        return self.taus((i,))
+
+    def taus(self, indices: Iterable[int]) -> "Word":
+        """Apply a tau word in one pass (right action, left factor first).
+
+        tau_i swaps the letters at positions i and i+1 when they commute;
+        every index lies in 1..size-1.
+        """
+        letters = list(self.letters)
+        for i in indices:
+            a, b = letters[i - 1], letters[i]
+            if abs(a - b) >= 2:
+                letters[i - 1], letters[i] = b, a
+        return Word(tuple(letters), self.rank)
 
     def permutation(self) -> Permutation:
         return word_to_permutation(self.letters, self.rank)
@@ -295,7 +303,7 @@ def _bfs_closure(start: Word, kinds: tuple[str, ...], cap: int) -> list[Word]:
 
 def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """All words reachable by commutation moves only, lexicographically sorted."""
-    return _bfs_closure(word, (COMMUTATION,), cap or default_cap())
+    return _bfs_closure(word, (COMMUTATION,), default_cap() if cap is None else cap)
 
 
 def _first_reduced_word(perm: Permutation) -> Word:
@@ -316,7 +324,7 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     """The complete set Red(perm), via move closure from one reduced word."""
     start = _first_reduced_word(perm)
     return _bfs_closure(
-        start, (COMMUTATION, BRAID_UP, BRAID_DOWN), cap or default_cap()
+        start, (COMMUTATION, BRAID_UP, BRAID_DOWN), default_cap() if cap is None else cap
     )
 
 

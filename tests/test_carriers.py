@@ -1,0 +1,58 @@
+"""The three carriers of the toggle group toggle alike.
+
+A standard filling of a shape, the word ``nu_inverse`` reads from it and
+the linear extension of the shape's cell poset it defines are one object,
+and ``tau_i`` (swap labels i and i+1 when the two elements are
+incomparable) must act on all three in the same way.  Each carrier holds
+its own commute test, so this pins down that the three tests agree.
+"""
+
+import pytest
+
+from braidhooks.heaps import _diagonal_layout, nu_inverse, shape_poset
+from braidhooks.homomesy import tau_parity
+from braidhooks.posets import LinearExtension, heap_as_poset
+from braidhooks.tableaux import Shape, standard_tableaux, tau
+
+from helpers import partitions, skew_test_shapes, strict_partitions
+
+MAX_CELLS = 9
+
+SHAPES = {
+    "right": [Shape.right(p) for n in range(1, MAX_CELLS + 1) for p in partitions(n)],
+    "half-right": [
+        Shape.half_right(p) for n in range(1, MAX_CELLS + 1) for p in strict_partitions(n)
+    ],
+    # the helper bounds the outer shape, and its nonempty inner partition
+    # removes at least one cell
+    "skew": skew_test_shapes(MAX_CELLS + 1),
+}
+
+
+def _one_at_a_time(x, parity: str):
+    for i in range(1 if parity == "odd" else 2, x.size, 2):
+        x = x.tau(i)
+    return x
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_carriers_toggle_alike(family):
+    for shape in SHAPES[family]:
+        cells, _, _ = _diagonal_layout(shape)
+        element = {cell: k for k, cell in enumerate(cells)}
+        poset = heap_as_poset(shape_poset(shape))
+        n = shape.size
+
+        def extension(t):
+            return LinearExtension(poset, tuple(element[cell] for cell in t.pos))
+
+        for t in standard_tableaux(shape):
+            ext = extension(t)
+            word = nu_inverse(t)
+            for i in range(1, n):
+                moved = tau(t, i)
+                assert extension(moved) == ext.tau(i), (shape, t, i)
+                assert nu_inverse(moved) == word.tau(n - i), (shape, t, i)
+            for x in (t, word, ext):
+                for parity in ("odd", "even"):
+                    assert tau_parity(x, parity) == _one_at_a_time(x, parity), (x, parity)

@@ -1,6 +1,8 @@
 """Command line front end: flags, formats, exit codes."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -73,6 +75,32 @@ class TestVerify:
         code = main(["--cap", "3", "verify", "commutation-class", "--n", "6"])
         assert code == EXIT_CAP
 
+    def test_zero_cap_is_usage_error(self, capsys):
+        assert main(["--cap", "0", "verify", "commutation-class", "--n", "4"]) == EXIT_USAGE
+        assert "--cap" in capsys.readouterr().err
+
+    def test_cap_leaves_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "5")
+        before = dict(os.environ)
+        assert main(["--cap", "100", "verify", "commutation-class", "--n", "5"]) == EXIT_PASS
+        assert dict(os.environ) == before
+        monkeypatch.delenv("BRAIDHOOKS_CAP")
+        assert main(["--cap", "3", "verify", "commutation-class", "--n", "6"]) == EXIT_CAP
+        assert "BRAIDHOOKS_CAP" not in os.environ
+
+    def test_cap_reaches_order_ideals(self, capsys):
+        # a bounded poset of 3 or more elements has at least 3 order ideals
+        code = main(["--cap", "2", "verify", "poset-edges", "--count", "1", "--seed", "1"])
+        assert code == EXIT_CAP
+
+    def test_poset_without_ideal_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "diamond.txt"
+        path.write_text("bot < left\nbot < right\nleft < top\nright < top\n")
+        assert main(["verify", "poset-edges", "--poset", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--ideal" in captured.err
+        assert captured.out == ""
+
     def test_poset_file(self, tmp_path, capsys):
         path = tmp_path / "diamond.txt"
         path.write_text("bot < left\nbot < right\nleft < top\nright < top\n")
@@ -120,6 +148,48 @@ class TestOrbits:
              "--stat", "braid-hooks", "--sample", "5", "--seed", "0"]
         )
         assert code == EXIT_FAIL
+
+    def test_sample_rejects_other_statistics(self, capsys):
+        code = main(
+            ["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration",
+             "--stat", "braid-moves", "--sample", "5"]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--stat" in captured.err
+        assert captured.out == ""
+
+    def test_threads_below_one_is_usage_error(self, capsys):
+        code = main(["orbits", "--shape", "right:4,3,2,1", "--threads", "0"])
+        assert code == EXIT_USAGE
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch, capsys):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code = main(
+            ["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration",
+             "--sample", "20", "--seed", "0", "--threads", "64"]
+        )
+        assert code == EXIT_PASS
+        assert sizes == [2]
+        assert json.loads(capsys.readouterr().out)["found"] is True
 
     def test_large_sample_needs_long_running(self, capsys):
         code = main(

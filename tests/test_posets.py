@@ -77,6 +77,14 @@ class TestExtensionsAndIdeals:
         with pytest.raises(ExplosionGuardError):
             order_ideals(antichain_poset(8), cap=10)
 
+    def test_zero_cap_is_honoured(self):
+        from braidhooks.errors import ExplosionGuardError
+
+        with pytest.raises(ExplosionGuardError):
+            linear_extensions(chain_poset(2), cap=0)
+        with pytest.raises(ExplosionGuardError):
+            order_ideals(chain_poset(2), cap=0)
+
 
 class TestDescents:
     def test_trivial_ideals_give_no_descents(self):

@@ -191,6 +191,12 @@ class TestClasses:
         with pytest.raises(ExplosionGuardError):
             commutation_class(staircase_word(6), cap=3)
 
+    def test_zero_cap_is_honoured(self):
+        with pytest.raises(ExplosionGuardError):
+            commutation_class(staircase_word(4), cap=0)
+        with pytest.raises(ExplosionGuardError):
+            all_reduced_words(Permutation.longest(3), cap=0)
+
 
 class TestRedW:
     def test_red_w0_s3(self):
