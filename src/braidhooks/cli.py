@@ -268,11 +268,34 @@ def _scan_chunk(task) -> dict | None:
     )
 
 
+# The statistics each orbit source can count; the first is the default.
+ORBIT_STATS = {
+    "--poset": ("descents",),
+    "--sample": ("braid-hooks",),
+    "--shape": ("braid-hooks", "braid-moves"),
+    "--class-of-word": ("braid-moves",),
+}
+
+
 def cmd_orbits(args) -> int:
     if args.threads < 1:
         print("--threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.poset:
+        source = "--poset"
+    elif args.shape:
+        source = "--sample" if args.sample else "--shape"
+    elif args.class_of_word:
+        source = "--class-of-word"
+    else:
+        print("orbits needs --shape, --class-of-word, or --poset", file=sys.stderr)
+        return EXIT_USAGE
+    allowed = ORBIT_STATS[source]
+    stat = args.stat or allowed[0]
+    if stat not in allowed:
+        print(f"{source} takes --stat {' or '.join(allowed)}, not {stat}", file=sys.stderr)
+        return EXIT_USAGE
+    if source == "--poset":
         with open(args.poset) as handle:
             poset = posets.poset_from_lines(handle.read())
         if args.ideal is None:
@@ -282,19 +305,16 @@ def cmd_orbits(args) -> int:
         carrier = posets.linear_extensions(poset, args.cap)
         statistic = lambda ext: len(posets.descents(ext, ideal))  # noqa: E731
         report = homomesy.homomesy_report(carrier, statistic, args.group, "descents")
-    elif args.shape and args.sample:
+    elif source == "--sample":
         if not args.long_running and args.sample > 1000:
             print(
                 "samples above 1000 need --long-running", file=sys.stderr
             )
             return EXIT_USAGE
-        if args.stat != "braid-hooks":
-            print("--sample counts braid hooks; --stat must be braid-hooks", file=sys.stderr)
-            return EXIT_USAGE
         hit = _sampled_search(args)
         payload = {
             "mode": args.group,
-            "statistic": args.stat,
+            "statistic": stat,
             "sampled_seeds": args.sample,
             "found": hit is not None,
         }
@@ -308,7 +328,7 @@ def cmd_orbits(args) -> int:
         _emit(payload, args.format, csv_rows=[tuple(payload.keys()), tuple(payload.values())],
               table_lines=[f"{k}: {v}" for k, v in payload.items()])
         return EXIT_PASS if hit is not None else EXIT_FAIL
-    elif args.shape:
+    elif source == "--shape":
         shape = parse_shape(args.shape)
         if shape.size >= 24 and not args.long_running:
             print(
@@ -319,25 +339,22 @@ def cmd_orbits(args) -> int:
             return EXIT_USAGE
         if args.long_running:
             print(f"enumerating all fillings of {shape.size} cells", file=sys.stderr)
-        if args.stat == "braid-moves":
+        if stat == "braid-moves":
             carrier = homomesy.rw_class(shape)
             statistic = homomesy.word_statistic("braid-moves")
         else:
             carrier = tableaux.standard_tableaux(shape)
             statistic = homomesy.tableau_statistic("braid-hooks")
-        report = homomesy.homomesy_report(carrier, statistic, args.group, args.stat)
-    elif args.class_of_word:
+        report = homomesy.homomesy_report(carrier, statistic, args.group, stat)
+    else:
         if args.rank is None:
             print("--class-of-word needs --rank", file=sys.stderr)
             return EXIT_USAGE
         word = parse_word(args.class_of_word, args.rank)
         carrier = words.commutation_class(word, args.cap)
         report = homomesy.homomesy_report(
-            carrier, homomesy.word_statistic("braid-moves"), args.group, "braid-moves"
+            carrier, homomesy.word_statistic(stat), args.group, stat
         )
-    else:
-        print("orbits needs --shape, --class-of-word, or --poset", file=sys.stderr)
-        return EXIT_USAGE
     payload = _orbit_report_payload(report)
     csv_rows = [("orbit", "size", "average", "representative")] + [
         (i, o["size"], o["average"], o["representative"])
@@ -433,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.add_argument("--ideal")
     p_orbits.add_argument("--group", choices=homomesy.MODES, default="dihedral")
     p_orbits.add_argument(
-        "--stat", choices=("braid-hooks", "braid-moves", "descents"), default="braid-hooks"
+        "--stat",
+        choices=("braid-hooks", "braid-moves", "descents"),
+        help="--shape: braid-hooks (default) or braid-moves; --sample: braid-hooks;"
+        " --class-of-word: braid-moves; --poset: descents",
     )
     p_orbits.add_argument("--sample", type=int, help="sampled orbit search (gyration)")
     p_orbits.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,13 @@ be replaced by ``(a+1) a (a+1)`` (a "down" braid) and back.
 Words of rank ``n`` live in the symmetric group on ``n`` points, so their
 letters lie in ``1..n-1``.  All enumeration here is exact and guarded by a
 configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
+
+``commutation_class`` and ``all_reduced_words`` close the move graph on
+plain letter tuples: each word is scanned once and each neighbour is built
+inline, with no ``MoveSite`` or ``Word`` per neighbour.  Moves only reorder
+letters already in range, so each result is wrapped in a ``Word`` (a
+slotted dataclass) once, after the sort.  ``list_moves`` and ``apply_move``
+remain the public, checked form of a single move.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ class Permutation:
         return cls(tuple(range(n, 0, -1)))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """An immutable word in the generators of the symmetric group.
 
@@ -118,11 +125,12 @@ class Word:
     rank: int
 
     def __post_init__(self):
-        for a in self.letters:
-            if not 1 <= a <= self.rank - 1:
-                raise LetterRangeError(
-                    f"letter {a} outside 1..{self.rank - 1} for rank {self.rank}"
-                )
+        letters = self.letters
+        if letters and (min(letters) < 1 or max(letters) >= self.rank):
+            bad = next(a for a in letters if not 1 <= a <= self.rank - 1)
+            raise LetterRangeError(
+                f"letter {bad} outside 1..{self.rank - 1} for rank {self.rank}"
+            )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -275,35 +283,58 @@ def apply_move(word: Word, site: MoveSite) -> Word:
 
 def braid_sites(word: Word) -> tuple[int, int]:
     """Counts of (up, down) braid factors in the word."""
+    w = word.letters
     up = down = 0
-    for site in list_moves(word):
-        if site.kind == BRAID_UP:
-            up += 1
-        elif site.kind == BRAID_DOWN:
-            down += 1
+    for a, b, c in zip(w, w[1:], w[2:]):
+        if a == c:
+            if b == a + 1:
+                up += 1
+            elif b == a - 1:
+                down += 1
     return up, down
 
 
-def _bfs_closure(start: Word, kinds: tuple[str, ...], cap: int) -> list[Word]:
-    seen = {start}
-    queue = deque([start])
+def _bfs_closure(start: Word, braids: bool, cap: int) -> list[Word]:
+    """Close ``start`` under commutation moves, and braid moves if ``braids``.
+
+    The search runs on letter tuples: each word is scanned once, and each
+    neighbour is its letters with one factor rewritten in place (``a b`` to
+    ``b a``, or ``a b a`` to ``b a b``).  At most ``cap`` states are held.
+    """
+    first = start.letters
+    seen = {first}
+    queue = deque([first])
+    pop = queue.popleft
     while queue:
-        word = queue.popleft()
-        for site in list_moves(word):
-            if site.kind not in kinds:
+        w = pop()
+        letters = list(w)
+        last = len(w) - 2
+        for p in range(last + 1):
+            a, b = w[p], w[p + 1]
+            if a - b > 1 or b - a > 1:
+                letters[p], letters[p + 1] = b, a
+                neighbour = tuple(letters)
+                letters[p], letters[p + 1] = a, b
+            elif braids and p < last and w[p + 2] == a and a != b:
+                letters[p:p + 3] = b, a, b
+                neighbour = tuple(letters)
+                letters[p:p + 3] = a, b, a
+            else:
                 continue
-            neighbour = apply_move(word, site)
             if neighbour not in seen:
                 if len(seen) >= cap:
                     raise ExplosionGuardError(cap)
                 seen.add(neighbour)
                 queue.append(neighbour)
-    return sorted(seen)
+    ordered = sorted(seen)
+    del seen  # free the hash table before the Word wrappers are built
+    rank = start.rank
+    return [Word(t, rank) for t in ordered]
 
 
 def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """All words reachable by commutation moves only, lexicographically sorted."""
-    return _bfs_closure(word, (COMMUTATION,), default_cap() if cap is None else cap)
+    return _bfs_closure(word, False, default_cap() if cap is None else cap)
 
 
 def _first_reduced_word(perm: Permutation) -> Word:
@@ -323,9 +354,7 @@ def _first_reduced_word(perm: Permutation) -> Word:
 def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     """The complete set Red(perm), via move closure from one reduced word."""
     start = _first_reduced_word(perm)
-    return _bfs_closure(
-        start, (COMMUTATION, BRAID_UP, BRAID_DOWN), default_cap() if cap is None else cap
-    )
+    return _bfs_closure(start, True, default_cap() if cap is None else cap)
 
 
 @dataclass(frozen=True)

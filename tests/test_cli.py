@@ -215,6 +215,47 @@ class TestOrbits:
         data = json.loads(capsys.readouterr().out)
         assert all(o["average"] == "1" for o in data["orbits"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--shape", "right:3,2,1", "--stat", "descents"],
+            ["--class-of-word", "1,2,1", "--rank", "3", "--stat", "descents"],
+            ["--class-of-word", "1,2,1", "--rank", "3", "--stat", "braid-hooks"],
+        ],
+    )
+    def test_unsupported_statistic_is_usage_error(self, argv, capsys):
+        assert main(["orbits", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--stat" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("stat", ["braid-hooks", "braid-moves"])
+    def test_poset_rejects_other_statistics(self, stat, tmp_path, capsys):
+        path = tmp_path / "chain.txt"
+        path.write_text("a < b\n")
+        code = main(["orbits", "--poset", str(path), "--ideal", "a", "--stat", stat])
+        assert code == EXIT_USAGE
+        assert "--stat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, stat",
+        [
+            (["--shape", "right:3,2,1"], "braid-hooks"),
+            (["--class-of-word", "1,2,3,1,2,1", "--rank", "4"], "braid-moves"),
+            (["--class-of-word", "1,2,3,1,2,1", "--rank", "4", "--stat", "braid-moves"],
+             "braid-moves"),
+        ],
+    )
+    def test_statistic_reported_is_the_one_counted(self, argv, stat, capsys):
+        assert main(["orbits", *argv]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["statistic"] == stat
+
+    def test_poset_default_statistic_is_descents(self, tmp_path, capsys):
+        path = tmp_path / "chain.txt"
+        path.write_text("a < b\n")
+        main(["orbits", "--poset", str(path), "--ideal", "a"])
+        assert json.loads(capsys.readouterr().out)["statistic"] == "descents"
+
     def test_csv_format(self, capsys):
         code = main(
             ["orbits", "--shape", "right:5,2,1", "--format", "csv"]

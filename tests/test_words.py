@@ -1,6 +1,8 @@
 """Words, moves, commutation classes, and the Matsumoto graph."""
 
 import itertools
+import pickle
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,11 @@ from braidhooks.words import (
     COMMUTATION,
     MoveSite,
     Permutation,
+    Word,
     all_reduced_words,
     apply_move,
     braid_move_stats,
+    braid_sites,
     commutation_class,
     is_reduced,
     list_moves,
@@ -79,6 +83,21 @@ class TestConstruction:
     def test_letter_out_of_range(self):
         with pytest.raises(LetterRangeError):
             make_reduced_word([3], 3)
+
+    @pytest.mark.parametrize(
+        "letters, bad", [((1, 5, 2), 5), ((2, 0, 7), 0), ((-1,), -1), ((3, 4), 4)]
+    )
+    def test_letter_range_message_names_first_bad_letter(self, letters, bad):
+        with pytest.raises(LetterRangeError, match=rf"^letter {bad} outside 1\.\.3 for rank 4$"):
+            Word(letters, 4)
+
+    def test_empty_word_is_in_range(self):
+        assert Word((), 1).letters == ()
+
+    def test_word_is_slotted_and_pickles(self):
+        w = staircase_word(4)
+        assert not hasattr(w, "__dict__")
+        assert pickle.loads(pickle.dumps(w)) == w
 
     def test_make_word_allows_nonreduced(self):
         w = make_word([1, 2, 3, 1, 2, 3, 1, 2, 1], 4)
@@ -310,3 +329,70 @@ class TestTau:
         assert w.tau(1) == w  # letters 1,2 do not commute
         assert w.tau(3).letters == (1, 2, 1, 3, 4, 2, 3, 1, 2, 1)
         assert w.tau(5).letters == (1, 2, 3, 1, 2, 4, 3, 1, 2, 1)
+
+
+def reference_closure(start: Word, kinds: tuple[str, ...]) -> list[Word]:
+    """Move closure built only on ``list_moves`` and ``apply_move``."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        word = queue.popleft()
+        for site in list_moves(word):
+            if site.kind in kinds:
+                neighbour = apply_move(word, site)
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    queue.append(neighbour)
+    return sorted(seen)
+
+
+ALL_KINDS = (COMMUTATION, BRAID_UP, BRAID_DOWN)
+
+CLASS_STARTS = [staircase_word(n) for n in range(2, 7)] + [
+    trapezoid_word(1),
+    trapezoid_word(2),
+    make_word([1, 2, 3, 1, 2, 3, 1, 2, 1], 4),
+]
+
+
+def list_moves_braid_sites(word: Word) -> tuple[int, int]:
+    kinds = [site.kind for site in list_moves(word)]
+    return kinds.count(BRAID_UP), kinds.count(BRAID_DOWN)
+
+
+class TestClosureMatchesMoveReference:
+    """The tuple closures agree with a closure over list_moves/apply_move."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_all_reduced_words(self, n):
+        for perm in all_permutations(n):
+            found = all_reduced_words(perm)
+            start = words._first_reduced_word(perm)
+            assert found == reference_closure(start, ALL_KINDS)
+            assert all(type(w) is Word and w.rank == n for w in found)
+            for word in found:
+                assert braid_sites(word) == list_moves_braid_sites(word)
+
+    @pytest.mark.parametrize("start", CLASS_STARTS, ids=str)
+    def test_commutation_class(self, start):
+        found = commutation_class(start)
+        assert found == reference_closure(start, (COMMUTATION,))
+        assert all(type(w) is Word and w.rank == start.rank for w in found)
+        for word in found:
+            assert braid_sites(word) == list_moves_braid_sites(word)
+
+    @pytest.mark.parametrize("start", CLASS_STARTS, ids=str)
+    def test_class_cap_boundary(self, start):
+        size = len(commutation_class(start))
+        assert len(commutation_class(start, cap=size)) == size
+        if size > 1:
+            with pytest.raises(ExplosionGuardError):
+                commutation_class(start, cap=size - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_reduced_words_cap_boundary(self, n):
+        w0 = Permutation.longest(n)
+        size = len(all_reduced_words(w0))
+        assert len(all_reduced_words(w0, cap=size)) == size
+        with pytest.raises(ExplosionGuardError):
+            all_reduced_words(w0, cap=size - 1)
