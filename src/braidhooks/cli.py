@@ -72,7 +72,7 @@ def _serialise(obj) -> str:
 def cmd_enumerate(args) -> int:
     if args.shape:
         shape = parse_shape(args.shape)
-        objects = tableaux.standard_tableaux(shape)
+        objects = tableaux.standard_tableaux(shape, args.cap)
     elif args.class_of_word:
         if args.rank is None:
             print("--class-of-word needs --rank", file=sys.stderr)
@@ -119,7 +119,7 @@ def _verify_commutation_class(args) -> dict:
 
 def _verify_braid_hooks(args) -> dict:
     shape = parse_shape(args.shape)
-    value = tableaux.expected_braid_hooks(shape)
+    value = tableaux.expected_braid_hooks(shape, args.cap)
     return {
         "theorem": "braid-hooks",
         "shape": args.shape,
@@ -131,7 +131,7 @@ def _verify_braid_hooks(args) -> dict:
 def _verify_half_right(args) -> dict:
     spec = args.shape if ":" in args.shape else f"half:{args.shape}"
     shape = parse_shape(spec)
-    value = tableaux.expected_braid_hooks(shape)
+    value = tableaux.expected_braid_hooks(shape, args.cap)
     outer = shape.outer
     strong = len(outer) >= 2 and outer[0] >= outer[1] + 2 and outer[-1] == 1
     ok = value == Fraction(1, 2) if strong else value <= Fraction(1, 2)
@@ -146,7 +146,7 @@ def _verify_half_right(args) -> dict:
 
 def _verify_skew_balance(args) -> dict:
     shape = parse_shape(args.shape)
-    report = tableaux.updown_crossing_balance(shape)
+    report = tableaux.updown_crossing_balance(shape, args.cap)
     return {
         "theorem": "skew-balance",
         "shape": args.shape,
@@ -158,7 +158,7 @@ def _verify_skew_balance(args) -> dict:
 def _verify_homomesy(args) -> dict:
     shape = parse_shape(args.shape)
     report = homomesy.homomesy_report(
-        tableaux.standard_tableaux(shape),
+        tableaux.standard_tableaux(shape, args.cap),
         homomesy.tableau_statistic("braid-hooks"),
         args.group,
     )
@@ -278,13 +278,10 @@ ORBIT_STATS = {
 
 
 def cmd_orbits(args) -> int:
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.poset:
         source = "--poset"
     elif args.shape:
-        source = "--sample" if args.sample else "--shape"
+        source = "--shape" if args.sample is None else "--sample"
     elif args.class_of_word:
         source = "--class-of-word"
     else:
@@ -340,10 +337,10 @@ def cmd_orbits(args) -> int:
         if args.long_running:
             print(f"enumerating all fillings of {shape.size} cells", file=sys.stderr)
         if stat == "braid-moves":
-            carrier = homomesy.rw_class(shape)
+            carrier = homomesy.rw_class(shape, args.cap)
             statistic = homomesy.word_statistic("braid-moves")
         else:
-            carrier = tableaux.standard_tableaux(shape)
+            carrier = tableaux.standard_tableaux(shape, args.cap)
             statistic = homomesy.tableau_statistic("braid-hooks")
         report = homomesy.homomesy_report(carrier, statistic, args.group, stat)
     else:
@@ -406,6 +403,12 @@ def cmd_window(args) -> int:
     else:
         print(table.to_text())
     return EXIT_PASS
+
+
+# The least value of each numeric flag.  The identities are claimed from
+# rank n = 3, a random bounded poset has at least 3 elements, and a cap,
+# poset count, sample or worker pool of zero leaves nothing to check.
+FLAG_FLOORS = {"cap": 1, "n": 3, "count": 1, "max_size": 3, "sample": 1, "threads": 1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,9 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is not None and args.cap < 1:
-        print("--cap must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    for dest, floor in FLAG_FLOORS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < floor:
+            print(f"--{dest.replace('_', '-')} must be at least {floor}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except ExplosionGuardError as exc:

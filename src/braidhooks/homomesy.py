@@ -134,7 +134,8 @@ def homomesy_report(carrier: Iterable, statistic: Callable, mode: str = "dihedra
     """Orbit decomposition with per-orbit exact averages."""
     orbits = dihedral_orbits(carrier, mode)
     averages = [orbit_average(orbit, statistic) for orbit in orbits]
-    total = sum(statistic(x) for orbit in orbits for x in orbit.members)
+    # an orbit's sum is its average times its size
+    total = sum(avg * orbit.size for orbit, avg in zip(orbits, averages))
     count = sum(orbit.size for orbit in orbits)
     return {
         "mode": mode,
@@ -160,9 +161,9 @@ def word_statistic(name: str) -> Callable[[Word], int]:
     raise ValueError(f"unknown word statistic {name!r}")
 
 
-def rw_class(shape: Shape) -> list[Word]:
+def rw_class(shape: Shape, cap: int | None = None) -> list[Word]:
     """The commutation class corresponding to the shape's standard fillings."""
-    return sorted(nu_inverse(t) for t in standard_tableaux(shape))
+    return sorted(nu_inverse(t) for t in standard_tableaux(shape, cap))
 
 
 @dataclass(frozen=True)

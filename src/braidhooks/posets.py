@@ -7,6 +7,13 @@ has a ``size``, ``taus(indices)`` applying a whole tau word in one pass
 (tau_i swaps labels i and i+1 when the two elements are incomparable),
 and ``tau(i)``, the one-letter word.  The even/odd orbit machinery in
 ``homomesy`` uses only this interface.
+
+An order is compiled once into lower-cover bitmasks (bit j of ``below[i]``
+is set when i covers j), and one walk over down-sets serves every
+enumeration: ``_addable`` is the one place an element becomes placeable
+(all its lower covers placed), and ``_extensions`` places the elements in
+every such order.  The standard fillings of a shape in ``tableaux`` are the
+linear extensions of its cell order and come from the same walk.
 """
 
 from __future__ import annotations
@@ -98,10 +105,10 @@ class Poset:
             (self.elements[a], self.elements[b]) for a, b in reduced
         )
         self._above = {i: set() for i in range(n)}
-        self._below = {i: set() for i in range(n)}
+        self._below = [0] * n
         for a, b in reduced:
             self._above[a].add(b)
-            self._below[b].add(a)
+            self._below[b] |= 1 << a
 
     @property
     def size(self) -> int:
@@ -177,55 +184,64 @@ class LinearExtension:
         return hash(self.seq)
 
 
-def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtension]:
-    """All linear extensions, in lexicographic element-index order."""
-    cap = default_cap() if cap is None else cap
-    n = poset.size
-    below = poset._below
-    placed: list[int] = []
-    in_seq = [False] * n
-    found: list[LinearExtension] = []
+def _addable(below: list[int], mask: int) -> list[int]:
+    """The elements outside the down-set ``mask`` whose lower covers all lie
+    in it, in increasing order."""
+    return [i for i, b in enumerate(below) if not mask >> i & 1 and b & mask == b]
 
-    def rec():
-        if len(placed) == n:
+
+def _extensions(below: list[int], cap: int | None, make) -> list:
+    """``make(ids)`` for every order of placing all elements after their
+    lower covers, in lexicographic order; ``ExplosionGuardError`` once more
+    than ``cap`` are found."""
+    cap = default_cap() if cap is None else cap
+    full = (1 << len(below)) - 1
+    placed: list[int] = []
+    found = []
+
+    def walk(mask: int) -> None:
+        if mask == full:
             if len(found) >= cap:
                 raise ExplosionGuardError(cap)
-            found.append(
-                LinearExtension(poset, tuple(poset.elements[i] for i in placed))
-            )
+            found.append(make(placed))
             return
-        for i in range(n):
-            if not in_seq[i] and all(in_seq[j] for j in below[i]):
-                in_seq[i] = True
-                placed.append(i)
-                rec()
-                placed.pop()
-                in_seq[i] = False
+        for i in _addable(below, mask):
+            placed.append(i)
+            walk(mask | 1 << i)
+            placed.pop()
 
-    rec()
+    walk(0)
     return found
+
+
+def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtension]:
+    """All linear extensions, in lexicographic element-index order."""
+    names = poset.elements
+    return _extensions(
+        poset._below, cap, lambda ids: LinearExtension(poset, tuple([names[i] for i in ids]))
+    )
 
 
 def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
     """All downward-closed subsets, from the empty set to the whole poset."""
     cap = default_cap() if cap is None else cap
-    n = poset.size
     below = poset._below
-    ideals = {frozenset()}
-    frontier = [frozenset()]
+    ideals = {0}
+    frontier = [0]
     while frontier:
-        ideal = frontier.pop()
-        members = {poset._index[e] for e in ideal} if ideal else set()
-        for i in range(n):
-            if i in members or not below[i] <= members:
-                continue
-            bigger = frozenset(ideal | {poset.elements[i]})
+        mask = frontier.pop()
+        for i in _addable(below, mask):
+            bigger = mask | 1 << i
             if bigger not in ideals:
                 if len(ideals) >= cap:
                     raise ExplosionGuardError(cap)
                 ideals.add(bigger)
                 frontier.append(bigger)
-    return sorted(ideals, key=lambda s: (len(s), sorted(map(str, s))))
+    names = poset.elements
+    return sorted(
+        (frozenset(e for i, e in enumerate(names) if mask >> i & 1) for mask in ideals),
+        key=lambda s: (len(s), sorted(map(str, s))),
+    )
 
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
@@ -289,12 +305,13 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     _require_bounds_and_proper(poset, ideal)
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
-    rhs = sum(len(descents(ext, ideal)) for ext in extensions)
     orbits = dihedral_orbits(extensions, "dihedral")
     averages = [
         orbit_average(orbit, lambda ext: len(descents(ext, ideal)))
         for orbit in orbits
     ]
+    # the orbits partition the extensions, and an orbit's sum is its average times its size
+    rhs = int(sum(avg * orbit.size for orbit, avg in zip(orbits, averages)))
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -4,7 +4,10 @@ Shapes are partitions drawn with rows flush right ("right"), staggered one
 step per row ("half-right"), or right-justified with an inner partition
 removed ("skew-right").  Cells are absolute ``(row, column)`` pairs with
 row 1 at the top, and a standard filling is strictly increasing along rows
-and along absolute columns.
+and along absolute columns.  Each cell waits for its left and upper
+neighbours, so the standard fillings are the linear extensions of that
+cell order: ``standard_tableaux`` and ``random_standard_tableau`` run the
+down-set walk of ``posets`` over the order compiled once per shape.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -26,6 +29,7 @@ from .errors import (
     NotABraidHookError,
     ShapeConditionError,
 )
+from .posets import _addable, _extensions
 
 __all__ = [
     "Shape",
@@ -81,7 +85,7 @@ class Shape:
     ``cells`` mode carries an explicit cell set (conjugated shapes).
     """
 
-    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags")
+    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags", "_below")
 
     def __init__(self, mode: str, cells: Iterable[tuple[int, int]],
                  outer: tuple[int, ...] | None = None,
@@ -100,6 +104,12 @@ class Shape:
             rows.setdefault(r, []).append(c)
         self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
         self._diags = None
+        # the cell order: each cell waits for its left and upper neighbours
+        index = {cell: i for i, cell in enumerate(self.cells)}
+        self._below = [
+            sum(1 << index[nb] for nb in ((r, c - 1), (r - 1, c)) if nb in index)
+            for r, c in self.cells
+        ]
 
     @classmethod
     def right(cls, outer: Sequence[int]) -> "Shape":
@@ -277,56 +287,26 @@ class Tableau:
         return "\n".join(" ".join(str(v) for v in row) for row in self.row_values())
 
 
-def _prerequisites(shape: Shape) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """The left and upper neighbours each cell waits for before it is addable."""
-    return {
-        (r, c): tuple(nb for nb in ((r, c - 1), (r - 1, c)) if nb in shape.cell_set)
-        for r, c in shape.cells
-    }
-
-
-def standard_tableaux(shape: Shape) -> list[Tableau]:
-    """All standard fillings, sorted lexicographically by row-reading word."""
+def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
+    """All standard fillings, sorted lexicographically by row-reading word;
+    ``ExplosionGuardError`` when there are more than ``cap``."""
     cells = shape.cells
-    n = len(cells)
-    prereq = _prerequisites(shape)
-    filled: set[tuple[int, int]] = set()
-    pos: list[tuple[int, int]] = []
-    out: list[Tableau] = []
-
-    def place():
-        if len(pos) == n:
-            out.append(Tableau(shape, tuple(pos), _checked=True))
-            return
-        for cell in cells:
-            if cell in filled:
-                continue
-            if all(p in filled for p in prereq[cell]):
-                filled.add(cell)
-                pos.append(cell)
-                place()
-                pos.pop()
-                filled.remove(cell)
-
-    place()
+    # a tuple copied from a list is allocated at its final size (one built
+    # from ``map`` is resized: about 1 MB more peak memory on right:6,5,4,3,2,1)
+    out = _extensions(shape._below, cap,
+                      lambda ids: Tableau(shape, tuple([cells[i] for i in ids]), _checked=True))
     out.sort()
     return out
 
 
 def random_standard_tableau(shape: Shape, rng) -> Tableau:
     """A standard filling sampled by choosing a random addable cell each step."""
-    prereq = _prerequisites(shape)
-    filled: set[tuple[int, int]] = set()
-    pos: list[tuple[int, int]] = []
-    while len(pos) < shape.size:
-        addable = [
-            cell
-            for cell in shape.cells
-            if cell not in filled and all(p in filled for p in prereq[cell])
-        ]
-        cell = rng.choice(addable)
-        filled.add(cell)
-        pos.append(cell)
+    below = shape._below
+    mask, pos = 0, []
+    for _ in below:
+        i = rng.choice(_addable(below, mask))
+        mask |= 1 << i
+        pos.append(shape.cells[i])
     return Tableau(shape, tuple(pos), _checked=True)
 
 
@@ -617,14 +597,14 @@ def partial_braid_hooks(t: Tableau, side: str) -> list[int]:
     return sorted(hooks)
 
 
-def expected_braid_hooks(shape: Shape) -> Fraction:
+def expected_braid_hooks(shape: Shape, cap: int | None = None) -> Fraction:
     """Exact average of the braid-hook count over all standard fillings."""
-    tableaux = standard_tableaux(shape)
+    tableaux = standard_tableaux(shape, cap)
     total = sum(len(braid_hooks(t)) for t in tableaux)
     return Fraction(total, len(tableaux))
 
 
-def updown_crossing_balance(shape: Shape) -> dict:
+def updown_crossing_balance(shape: Shape, cap: int | None = None) -> dict:
     """Per-tableau difference of RtoL minus LtoR crossings on a skew shape."""
     if shape.mode != "skew-right":
         raise ShapeConditionError("crossing balance is defined for skew-right shapes")
@@ -639,7 +619,7 @@ def updown_crossing_balance(shape: Shape) -> dict:
     if not shape.is_connected():
         raise DisconnectedShapeError(f"skew shape {outer}/{shape.inner} is disconnected")
     diffs = []
-    for t in standard_tableaux(shape):
+    for t in standard_tableaux(shape, cap):
         found = crossings(t)
         up = sum(1 for cr in found if cr.direction == "RtoL")
         down = sum(1 for cr in found if cr.direction == "LtoR")

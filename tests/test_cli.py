@@ -279,3 +279,65 @@ class TestWindow:
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"mode", "statistic", "orbits", "homomesic"}
         assert set(data["orbits"][0]) == {"size", "average", "representative"}
+
+
+class TestCapOnFillings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--shape", "right:4,3,2,1"],
+            ["verify", "braid-hooks", "--shape", "right:4,3,2,1"],
+            ["verify", "half-right", "--shape", "5,3,1"],
+            ["verify", "skew-balance", "--shape", "skew:4,3,2,1/1"],
+            ["verify", "homomesy", "--shape", "right:4,3,2,1"],
+            ["orbits", "--shape", "right:4,3,2,1"],
+            ["orbits", "--shape", "right:4,3,2,1", "--stat", "braid-moves"],
+        ],
+    )
+    def test_cap_covers_fillings(self, argv, capsys):
+        # every shape here has more than 3 standard fillings
+        assert main(["--cap", "3"] + argv) == EXIT_CAP
+        assert "state cap of 3" in capsys.readouterr().err
+
+    def test_cap_equal_to_the_count_passes(self, capsys):
+        assert main(["--cap", "12", "enumerate", "--shape", "right:4,3,2,1"]) == EXIT_PASS
+        assert capsys.readouterr().out.strip().endswith("count: 12")
+
+
+class TestFlagRanges:
+    def usage_error(self, argv, flag, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    def test_sample_zero(self, capsys):
+        self.usage_error(
+            ["orbits", "--shape", "right:3,2,1", "--sample", "0", "--group", "gyration"],
+            "--sample", capsys,
+        )
+
+    def test_sample_negative(self, capsys):
+        self.usage_error(
+            ["orbits", "--shape", "right:3,2,1", "--sample", "-5", "--group", "gyration"],
+            "--sample", capsys,
+        )
+
+    def test_poset_count_zero(self, capsys):
+        self.usage_error(["verify", "poset-edges", "--count", "0"], "--count", capsys)
+
+    def test_poset_max_size_below_three(self, capsys):
+        self.usage_error(["verify", "poset-edges", "--max-size", "2"], "--max-size", capsys)
+
+    def test_reiner_n_below_three(self, capsys):
+        self.usage_error(["verify", "reiner", "--n", "2"], "--n", capsys)
+
+    def test_commutation_class_n_below_three(self, capsys):
+        self.usage_error(["verify", "commutation-class", "--n", "-3"], "--n", capsys)
+
+    def test_least_values_pass(self, capsys):
+        assert main(["verify", "reiner", "--n", "3"]) == EXIT_PASS
+        assert main(["verify", "commutation-class", "--n", "3"]) == EXIT_PASS
+        assert main(["verify", "poset-edges", "--count", "1", "--max-size", "3"]) == EXIT_PASS
+        assert main(["orbits", "--shape", "right:3,2,1", "--sample", "1",
+                     "--group", "gyration"]) in (EXIT_PASS, EXIT_FAIL)
