@@ -18,11 +18,16 @@ class InvalidSiteError(ValueError):
 
 
 class ExplosionGuardError(RuntimeError):
-    """Enumeration exceeded the configured state cap."""
+    """Enumeration exceeded the configured state cap.
 
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration exceeded the state cap of {cap}")
+    ``what`` names what was being enumerated: words, fillings, linear
+    extensions or order ideals.
+    """
+
+    def __init__(self, cap: int, what: str):
+        super().__init__(f"enumeration of {what} exceeded the state cap of {cap}")
         self.cap = cap
+        self.what = what
 
 
 class ShapeMismatchError(ValueError):

@@ -5,6 +5,8 @@ whose linear extensions are the commutation class of the word.  Rotating
 the heap by 45 degrees matches it with a justified shape: the piece in
 column c at stack position p corresponds to the p-th cell (top-down) of
 the shape's diagonal c, and the drop order becomes a standard filling.
+The shape side of that match (its cells in diagonal order and its cell
+poset) is built once per ``Shape`` and kept on it.
 """
 
 from __future__ import annotations
@@ -127,27 +129,34 @@ def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], li
     return cells, columns, positions
 
 
+def _shape_side(shape: Shape) -> tuple[list[tuple[int, int]], HeapPoset]:
+    """The cells in layout order and the cell poset, built once per shape."""
+    if shape._heap is None:
+        cells, columns, positions = _diagonal_layout(shape)
+        index = {cell: i for i, cell in enumerate(cells)}
+        covers = set()
+        for cell, i in index.items():
+            r, c = cell
+            for nb in ((r, c + 1), (r + 1, c)):
+                if nb in shape.cell_set:
+                    covers.add((i, index[nb]))
+        shape._heap = cells, HeapPoset(tuple(columns), tuple(positions), frozenset(covers))
+    return shape._heap
+
+
 def shape_poset(shape: Shape) -> HeapPoset:
     """The cell poset of a shape: each cell below its right and lower neighbour."""
-    cells, columns, positions = _diagonal_layout(shape)
-    index = {cell: i for i, cell in enumerate(cells)}
-    covers = set()
-    for cell, i in index.items():
-        r, c = cell
-        for nb in ((r, c + 1), (r + 1, c)):
-            if nb in shape.cell_set:
-                covers.add((i, index[nb]))
-    return HeapPoset(tuple(columns), tuple(positions), frozenset(covers))
+    return _shape_side(shape)[1]
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells."""
+    cells, poset = _shape_side(shape)
     placed, positions, order = _drop(word)
-    if _heap(placed, positions, order) != shape_poset(shape):
+    if _heap(placed, positions, order) != poset:
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )
-    cells, _, _ = _diagonal_layout(shape)
     pos: list[tuple[int, int] | None] = [None] * shape.size
     for cell, drop_idx in zip(cells, order):
         pos[drop_idx] = cell

@@ -4,10 +4,13 @@ The odd and even operators apply every ``tau_i`` of one parity at once;
 they are involutions, so together they generate a dihedral group.  They
 act on any carrier of the toggle group: tableaux, words and linear
 extensions, all linear extensions of a poset (the shape poset, the heap
-poset, or a general one).  A carrier has a ``size`` and ``taus(indices)``,
+poset, or a general one).  A carrier has a ``size``; ``taus(indices)``,
 which applies a whole tau word in one pass and holds the carrier's one
-commute test; ``tau(i)`` is the one-letter word.  All averages are exact
-fractions.
+commute test (``tau(i)`` is the one-letter word); and ``key()``, its
+canonical sort key (a tableau's row-reading word, an extension's element
+indices, a word's ``(letters, rank)``).  Orbits and their members are
+ordered by sorting on that key, so the comparisons run in C.  All averages
+are exact fractions.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
@@ -108,18 +112,22 @@ def _closure(start, generators: list[Callable]) -> set:
     return members
 
 
+_key = methodcaller("key")
+
+
 def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
     """Partition a finite carrier into orbits; deterministic order."""
     generators = _generators(mode)
-    pool = sorted(set(carrier))
-    seen: set = set()
+    # each carrier state not yet in an orbit, mapped to itself: an orbit holds
+    # the carrier's own objects, and the copies its closure made are dropped
+    unplaced = {x: x for x in carrier}
     orbits = []
-    for start in pool:
-        if start in seen:
+    for start in sorted(unplaced, key=_key):
+        if start not in unplaced:
             continue
-        members = _closure(start, generators)
-        seen |= members
-        orbits.append(Orbit(tuple(sorted(members)), mode))
+        members = [unplaced.pop(x, x) for x in _closure(start, generators)]
+        members.sort(key=_key)
+        orbits.append(Orbit(tuple(members), mode))
     return orbits
 
 
@@ -163,7 +171,7 @@ def word_statistic(name: str) -> Callable[[Word], int]:
 
 def rw_class(shape: Shape, cap: int | None = None) -> list[Word]:
     """The commutation class corresponding to the shape's standard fillings."""
-    return sorted(nu_inverse(t) for t in standard_tableaux(shape, cap))
+    return sorted((nu_inverse(t) for t in standard_tableaux(shape, cap)), key=Word.key)
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,6 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
                 "seed": seed,
                 "orbit_size": len(members),
                 "average": average,
-                "representative": min(members),
+                "representative": min(members, key=_key),
             }
     return None

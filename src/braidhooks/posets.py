@@ -5,7 +5,8 @@ are reduced to the transitive reduction at construction.  A linear
 extension is a carrier of the toggle group, like a word or a tableau: it
 has a ``size``, ``taus(indices)`` applying a whole tau word in one pass
 (tau_i swaps labels i and i+1 when the two elements are incomparable),
-and ``tau(i)``, the one-letter word.  The even/odd orbit machinery in
+``tau(i)``, the one-letter word, and ``key()``, the element indices in
+label order, by which extensions sort.  The even/odd orbit machinery in
 ``homomesy`` uses only this interface.
 
 An order is compiled once into lower-cover bitmasks (bit j of ``below[i]``
@@ -171,11 +172,12 @@ class LinearExtension:
         return LinearExtension(self.poset, tuple(seq))
 
     def __lt__(self, other: "LinearExtension") -> bool:
-        return self._key() < other._key()
+        return self.key() < other.key()
 
-    def _key(self):
+    def key(self) -> tuple[int, ...]:
+        """The canonical sort key: the element indices in label order."""
         index = self.poset._index
-        return tuple(index[e] for e in self.seq)
+        return tuple([index[e] for e in self.seq])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearExtension) and self.seq == other.seq
@@ -190,10 +192,10 @@ def _addable(below: list[int], mask: int) -> list[int]:
     return [i for i, b in enumerate(below) if not mask >> i & 1 and b & mask == b]
 
 
-def _extensions(below: list[int], cap: int | None, make) -> list:
+def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
     """``make(ids)`` for every order of placing all elements after their
-    lower covers, in lexicographic order; ``ExplosionGuardError`` once more
-    than ``cap`` are found."""
+    lower covers, in lexicographic order; ``ExplosionGuardError`` naming
+    ``what`` once more than ``cap`` are found."""
     cap = default_cap() if cap is None else cap
     full = (1 << len(below)) - 1
     placed: list[int] = []
@@ -202,7 +204,7 @@ def _extensions(below: list[int], cap: int | None, make) -> list:
     def walk(mask: int) -> None:
         if mask == full:
             if len(found) >= cap:
-                raise ExplosionGuardError(cap)
+                raise ExplosionGuardError(cap, what)
             found.append(make(placed))
             return
         for i in _addable(below, mask):
@@ -218,7 +220,8 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     """All linear extensions, in lexicographic element-index order."""
     names = poset.elements
     return _extensions(
-        poset._below, cap, lambda ids: LinearExtension(poset, tuple([names[i] for i in ids]))
+        poset._below, cap, lambda ids: LinearExtension(poset, tuple([names[i] for i in ids])),
+        "linear extensions",
     )
 
 
@@ -234,7 +237,7 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
             bigger = mask | 1 << i
             if bigger not in ideals:
                 if len(ideals) >= cap:
-                    raise ExplosionGuardError(cap)
+                    raise ExplosionGuardError(cap, "order ideals")
                 ideals.add(bigger)
                 frontier.append(bigger)
     names = poset.elements

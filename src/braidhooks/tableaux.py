@@ -85,7 +85,8 @@ class Shape:
     ``cells`` mode carries an explicit cell set (conjugated shapes).
     """
 
-    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags", "_below")
+    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags",
+                 "_index", "_below", "_heap")
 
     def __init__(self, mode: str, cells: Iterable[tuple[int, int]],
                  outer: tuple[int, ...] | None = None,
@@ -104,8 +105,9 @@ class Shape:
             rows.setdefault(r, []).append(c)
         self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
         self._diags = None
+        self._heap = None  # the diagonal layout and cell poset, built by ``heaps``
         # the cell order: each cell waits for its left and upper neighbours
-        index = {cell: i for i, cell in enumerate(self.cells)}
+        self._index = index = {cell: i for i, cell in enumerate(self.cells)}
         self._below = [
             sum(1 << index[nb] for nb in ((r, c - 1), (r - 1, c)) if nb in index)
             for r, c in self.cells
@@ -277,11 +279,15 @@ class Tableau:
         return hash(self.pos)
 
     def __lt__(self, other: "Tableau") -> bool:
-        return self._row_word() < other._row_word()
+        return self.key() < other.key()
 
-    def _row_word(self) -> tuple[int, ...]:
-        entry = self.entries()
-        return tuple(entry[cell] for cell in self.shape.cells)
+    def key(self) -> tuple[int, ...]:
+        """The canonical sort key: the row-reading word (entries cell by cell)."""
+        index = self.shape._index
+        word = [0] * len(self.pos)
+        for v, cell in enumerate(self.pos, 1):
+            word[index[cell]] = v
+        return tuple(word)
 
     def __repr__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.row_values())
@@ -294,8 +300,9 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     # a tuple copied from a list is allocated at its final size (one built
     # from ``map`` is resized: about 1 MB more peak memory on right:6,5,4,3,2,1)
     out = _extensions(shape._below, cap,
-                      lambda ids: Tableau(shape, tuple([cells[i] for i in ids]), _checked=True))
-    out.sort()
+                      lambda ids: Tableau(shape, tuple([cells[i] for i in ids]), _checked=True),
+                      "fillings")
+    out.sort(key=Tableau.key)
     return out
 
 

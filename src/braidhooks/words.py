@@ -142,6 +142,10 @@ class Word:
     def size(self) -> int:
         return len(self.letters)
 
+    def key(self) -> tuple[tuple[int, ...], int]:
+        """The canonical sort key, ``(letters, rank)``: the dataclass order."""
+        return self.letters, self.rank
+
     def tau(self, i: int) -> "Word":
         """Swap the letters at positions ``i`` and ``i+1`` if they commute.
 
@@ -323,7 +327,7 @@ def _bfs_closure(start: Word, braids: bool, cap: int) -> list[Word]:
                 continue
             if neighbour not in seen:
                 if len(seen) >= cap:
-                    raise ExplosionGuardError(cap)
+                    raise ExplosionGuardError(cap, "words")
                 seen.add(neighbour)
                 queue.append(neighbour)
     ordered = sorted(seen)
@@ -407,16 +411,34 @@ class MatsumotoGraph:
 
 
 def matsumoto_graph(perm: Permutation, cap: int | None = None) -> MatsumotoGraph:
-    """The full reduced-word graph of a permutation."""
+    """The full reduced-word graph of a permutation.
+
+    Vertices are indexed by their letter tuples, and each word's moves are
+    found with the factor scan of ``_bfs_closure``.  A move's inverse is a
+    move of the same kind at the same position, so every edge is met from
+    both ends and is kept from its lower end.
+    """
     vertices = all_reduced_words(perm, cap)
-    index = {w: i for i, w in enumerate(vertices)}
+    index = {w.letters: i for i, w in enumerate(vertices)}
     edges = set()
-    for word in vertices:
-        i = index[word]
-        for site in list_moves(word):
-            j = index[apply_move(word, site)]
-            kind = "comm" if site.kind == COMMUTATION else "braid"
-            edges.add((min(i, j), max(i, j), kind))
+    for i, word in enumerate(vertices):
+        w = word.letters
+        letters = list(w)
+        last = len(w) - 2
+        for p in range(last + 1):
+            a, b = w[p], w[p + 1]
+            if a - b > 1 or b - a > 1:
+                letters[p], letters[p + 1] = b, a
+                j, kind = index[tuple(letters)], "comm"
+                letters[p], letters[p + 1] = a, b
+            elif p < last and w[p + 2] == a and a != b:
+                letters[p:p + 3] = b, a, b
+                j, kind = index[tuple(letters)], "braid"
+                letters[p:p + 3] = a, b, a
+            else:
+                continue
+            if i < j:
+                edges.add((i, j, kind))
     return MatsumotoGraph(tuple(vertices), frozenset(edges))
 
 

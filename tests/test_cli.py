@@ -299,6 +299,11 @@ class TestCapOnFillings:
         assert main(["--cap", "3"] + argv) == EXIT_CAP
         assert "state cap of 3" in capsys.readouterr().err
 
+    def test_cap_error_names_fillings(self, capsys):
+        assert main(["--cap", "3", "enumerate", "--shape", "right:4,3,2,1"]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err == "error: enumeration of fillings exceeded the state cap of 3\n"
+
     def test_cap_equal_to_the_count_passes(self, capsys):
         assert main(["--cap", "12", "enumerate", "--shape", "right:4,3,2,1"]) == EXIT_PASS
         assert capsys.readouterr().out.strip().endswith("count: 12")

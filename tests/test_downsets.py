@@ -154,3 +154,19 @@ def test_cap_boundary(name):
     for cap in (count - 1, 0):
         with pytest.raises(ExplosionGuardError):
             enumerate_all(source, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "name, what",
+    [
+        ("standard_tableaux", "fillings"),
+        ("linear_extensions", "linear extensions"),
+        ("order_ideals", "order ideals"),
+    ],
+)
+def test_cap_error_names_the_enumeration(name, what):
+    enumerate_all, source = ENUMERATORS[name]
+    with pytest.raises(ExplosionGuardError) as raised:
+        enumerate_all(source, cap=1)
+    assert str(raised.value) == f"enumeration of {what} exceeded the state cap of 1"
+    assert (raised.value.cap, raised.value.what) == (1, what)

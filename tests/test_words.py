@@ -396,3 +396,35 @@ class TestClosureMatchesMoveReference:
         assert len(all_reduced_words(w0, cap=size)) == size
         with pytest.raises(ExplosionGuardError):
             all_reduced_words(w0, cap=size - 1)
+
+
+def reference_graph(perm: Permutation) -> tuple[list[Word], set[tuple[int, int, str]]]:
+    """The Matsumoto graph built only on ``list_moves`` and ``apply_move``."""
+    vertices = reference_closure(words._first_reduced_word(perm), ALL_KINDS)
+    index = {w: i for i, w in enumerate(vertices)}
+    edges = set()
+    for word in vertices:
+        i = index[word]
+        for site in list_moves(word):
+            j = index[apply_move(word, site)]
+            kind = "comm" if site.kind == COMMUTATION else "braid"
+            edges.add((min(i, j), max(i, j), kind))
+    return vertices, edges
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matsumoto_graph_matches_move_reference(n):
+    for perm in all_permutations(n):
+        graph = matsumoto_graph(perm)
+        vertices, edges = reference_graph(perm)
+        assert list(graph.vertices) == vertices, perm
+        assert graph.edges == edges, perm
+
+
+def test_cap_error_names_words():
+    with pytest.raises(ExplosionGuardError) as raised:
+        commutation_class(staircase_word(5), cap=2)
+    assert str(raised.value) == "enumeration of words exceeded the state cap of 2"
+    assert (raised.value.cap, raised.value.what) == (2, "words")
+    with pytest.raises(ExplosionGuardError, match="^enumeration of words exceeded"):
+        all_reduced_words(Permutation.longest(4), cap=2)
