@@ -5,8 +5,11 @@ whose linear extensions are the commutation class of the word.  Rotating
 the heap by 45 degrees matches it with a justified shape: the piece in
 column c at stack position p corresponds to the p-th cell (top-down) of
 the shape's diagonal c, and the drop order becomes a standard filling.
-The shape side of that match (its cells in diagonal order and its cell
-poset) is built once per ``Shape`` and kept on it.
+
+``nu`` builds no heap: it checks where each piece lands against the shape's
+cover masks.  A heap's order is generated by its adjacent-column pairs, so
+that is exact once the shape orders every two cells on adjacent diagonals;
+the column table and that condition are built once per ``Shape``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import QuadraticRuleError, ShapeMismatchError
 from .posets import transitive_reduction
-from .tableaux import Shape, Tableau
+from .tableaux import Shape, Tableau, _is_standard
 from .words import Word, make_word
 
 __all__ = [
@@ -56,37 +59,34 @@ class LinearExtensionLabel:
     labels: tuple[int, ...]
 
 
-def _drop(word: Word) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Simulate the drops; return (column, height) per element in drop order,
-    each element's stack position within its column, and the drop indices
-    in canonical (column, stack position) order."""
-    tops: dict[int, int] = {}
-    counts: dict[int, int] = {}
+def _drop(word: Word) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Simulate the drops; return each piece's (column, height) and its
+    (column, stack position), both in drop order."""
+    tops = [0] * (word.rank + 1)
+    counts = [0] * (word.rank + 1)
     placed: list[tuple[int, int]] = []
-    positions: list[int] = []
+    pieces: list[tuple[int, int]] = []
     for letter in reversed(word.letters):
-        own = tops.get(letter, 0)
-        adjacent = max(tops.get(letter - 1, 0), tops.get(letter + 1, 0))
-        if own > adjacent:
+        adjacent = max(tops[letter - 1], tops[letter + 1])
+        if tops[letter] > adjacent:
             # the piece would rest directly on its own column: some word in
             # the commutation class contains the factor `a a`
             raise QuadraticRuleError(
                 f"letter {letter} stacks on itself; class violates the quadratic rule"
             )
-        height = max(own, adjacent) + 1
-        tops[letter] = height
-        counts[letter] = counts.get(letter, 0) + 1
-        placed.append((letter, height))
-        positions.append(counts[letter])
-    order = sorted(range(len(placed)), key=lambda i: (placed[i][0], positions[i]))
-    return placed, positions, order
+        # adjacent columns never share a height, so the piece rests on a neighbour
+        tops[letter] = adjacent + 1
+        counts[letter] += 1
+        placed.append((letter, adjacent + 1))
+        pieces.append((letter, counts[letter]))
+    return placed, pieces
 
 
-def _heap(placed: list[tuple[int, int]], positions: list[int],
-          order: list[int]) -> HeapPoset:
+def _heap(placed: list[tuple[int, int]], pieces: list[tuple[int, int]]) -> HeapPoset:
+    order = sorted(range(len(pieces)), key=pieces.__getitem__)
     rank_of = {drop_idx: canon for canon, drop_idx in enumerate(order)}
-    columns = tuple(placed[i][0] for i in order)
-    stack_pos = tuple(positions[i] for i in order)
+    columns = tuple(pieces[i][0] for i in order)
+    stack_pos = tuple(pieces[i][1] for i in order)
     by_column: dict[int, list[tuple[int, int]]] = {}
     for drop_idx, (col, height) in enumerate(placed):
         by_column.setdefault(col, []).append((height, drop_idx))
@@ -110,7 +110,8 @@ def heap_poset(word: Word) -> HeapPoset:
 
 def build_order_extension(word: Word) -> LinearExtensionLabel:
     """Label each canonical heap element with its drop step (1 = rightmost)."""
-    _, _, order = _drop(word)
+    pieces = _drop(word)[1]
+    order = sorted(range(len(pieces)), key=pieces.__getitem__)
     return LinearExtensionLabel(tuple(drop_idx + 1 for drop_idx in order))
 
 
@@ -118,49 +119,50 @@ def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], li
     """Cells in canonical (normalised diagonal, row) order with columns/positions."""
     diagonals = shape.diagonals()
     shift = 1 - min(diagonals)
-    cells: list[tuple[int, int]] = []
-    columns: list[int] = []
-    positions: list[int] = []
-    for d in sorted(diagonals):
-        for p, cell in enumerate(diagonals[d], start=1):
-            cells.append(cell)
-            columns.append(d + shift)
-            positions.append(p)
+    layout = [(cell, d + shift, p) for d in sorted(diagonals)
+              for p, cell in enumerate(diagonals[d], start=1)]
+    cells, columns, positions = map(list, zip(*layout))
     return cells, columns, positions
 
 
-def _shape_side(shape: Shape) -> tuple[list[tuple[int, int]], HeapPoset]:
-    """The cells in layout order and the cell poset, built once per shape."""
+def _shape_side(shape: Shape) -> tuple[dict[tuple[int, int], tuple[int, int]], bool]:
+    """The cell at each heap (column, stack position), and whether the shape
+    orders every two cells on adjacent diagonals; built once per shape."""
     if shape._heap is None:
         cells, columns, positions = _diagonal_layout(shape)
-        index = {cell: i for i, cell in enumerate(cells)}
-        covers = set()
-        for cell, i in index.items():
-            r, c = cell
-            for nb in ((r, c + 1), (r + 1, c)):
-                if nb in shape.cell_set:
-                    covers.add((i, index[nb]))
-        shape._heap = cells, HeapPoset(tuple(columns), tuple(positions), frozenset(covers))
+        below = shape._below
+        _, up = transitive_reduction(
+            len(below), ((j, i) for i, b in enumerate(below) for j in range(i) if b >> j & 1)
+        )
+        index, diagonals = shape._index, shape.diagonals()
+        ordered = all(
+            index[y] in up[index[x]] or index[x] in up[index[y]]
+            for d, lower in diagonals.items() for x in lower for y in diagonals.get(d + 1, ())
+        )
+        shape._heap = dict(zip(zip(columns, positions), cells)), ordered
     return shape._heap
 
 
 def shape_poset(shape: Shape) -> HeapPoset:
-    """The cell poset of a shape: each cell below its right and lower neighbour."""
-    return _shape_side(shape)[1]
+    """The cell poset of a shape, in diagonal layout order."""
+    cells, columns, positions = _diagonal_layout(shape)
+    layout = {shape._index[cell]: k for k, cell in enumerate(cells)}
+    covers = frozenset(
+        (layout[j], layout[i]) for i, b in enumerate(shape._below)
+        for j in range(i) if b >> j & 1
+    )
+    return HeapPoset(tuple(columns), tuple(positions), covers)
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells."""
-    cells, poset = _shape_side(shape)
-    placed, positions, order = _drop(word)
-    if _heap(placed, positions, order) != poset:
+    cell_at, ordered = _shape_side(shape)
+    pos = tuple([cell_at.get(piece) for piece in _drop(word)[1]])
+    if not (ordered and _is_standard(shape, pos)):
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )
-    pos: list[tuple[int, int] | None] = [None] * shape.size
-    for cell, drop_idx in zip(cells, order):
-        pos[drop_idx] = cell
-    return Tableau(shape, tuple(pos))
+    return Tableau(shape, pos, _checked=True)
 
 
 def nu_inverse(t: Tableau) -> Word:

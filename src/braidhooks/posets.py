@@ -11,15 +11,19 @@ label order, by which extensions sort.  The even/odd orbit machinery in
 
 An order is compiled once into lower-cover bitmasks (bit j of ``below[i]``
 is set when i covers j), and one walk over down-sets serves every
-enumeration: ``_addable`` is the one place an element becomes placeable
-(all its lower covers placed), and ``_extensions`` places the elements in
-every such order.  The standard fillings of a shape in ``tableaux`` are the
-linear extensions of its cell order and come from the same walk.
+enumeration: ``_placeable`` is the one place an element becomes placeable
+(all its lower covers placed), ``_addable`` lists those elements, and
+``_extensions`` places the elements in every such order, on an explicit
+stack.  The standard fillings of a shape in ``tableaux`` are the linear
+extensions of its cell order and come from the same walk.  Covers, bounds
+and descents are read off the same masks, comparability off the up-sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (
@@ -90,7 +94,7 @@ def transitive_reduction(
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_above", "_up")
+    __slots__ = ("elements", "covers", "_index", "_below", "_up")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -105,10 +109,8 @@ class Poset:
         self.covers = frozenset(
             (self.elements[a], self.elements[b]) for a, b in reduced
         )
-        self._above = {i: set() for i in range(n)}
         self._below = [0] * n
         for a, b in reduced:
-            self._above[a].add(b)
             self._below[b] |= 1 << a
 
     @property
@@ -123,14 +125,16 @@ class Poset:
         return i == j or j in self._up[i]
 
     def covers_of(self, a: Hashable) -> set[Hashable]:
-        return {self.elements[i] for i in self._above[self._index[a]]}
+        i = self._index[a]
+        return {self.elements[j] for j, b in enumerate(self._below) if b >> i & 1}
 
     def minimum(self) -> Hashable | None:
         mins = [e for e in self.elements if not self._below[self._index[e]]]
         return mins[0] if len(mins) == 1 else None
 
     def maximum(self) -> Hashable | None:
-        maxs = [e for e in self.elements if not self._above[self._index[e]]]
+        covered = reduce(or_, self._below, 0)
+        maxs = [e for i, e in enumerate(self.elements) if not covered >> i & 1]
         return maxs[0] if len(maxs) == 1 else None
 
 
@@ -186,34 +190,46 @@ class LinearExtension:
         return hash(self.seq)
 
 
+def _placeable(below: list[int], mask: int, i: int) -> bool:
+    """Element i lies outside the down-set ``mask`` and its lower covers in it."""
+    return not mask >> i & 1 and below[i] & mask == below[i]
+
+
 def _addable(below: list[int], mask: int) -> list[int]:
-    """The elements outside the down-set ``mask`` whose lower covers all lie
-    in it, in increasing order."""
-    return [i for i, b in enumerate(below) if not mask >> i & 1 and b & mask == b]
+    """The placeable elements of the down-set ``mask``, in increasing order."""
+    return [i for i in range(len(below)) if _placeable(below, mask, i)]
 
 
 def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
     """``make(ids)`` for every order of placing all elements after their
     lower covers, in lexicographic order; ``ExplosionGuardError`` naming
-    ``what`` once more than ``cap`` are found."""
+    ``what`` once more than ``cap`` are found.  The walk keeps its own stack
+    and lists the addable elements of each down-set it meets once."""
     cap = default_cap() if cap is None else cap
     full = (1 << len(below)) - 1
+    addable: dict[int, list[int]] = {}
     placed: list[int] = []
     found = []
-
-    def walk(mask: int) -> None:
+    mask = k = 0
+    while True:
         if mask == full:
             if len(found) >= cap:
                 raise ExplosionGuardError(cap, what)
             found.append(make(placed))
-            return
-        for i in _addable(below, mask):
+        options = addable.get(mask)
+        if options is None:
+            options = addable[mask] = _addable(below, mask)
+        if k < len(options):
+            i = options[k]
             placed.append(i)
-            walk(mask | 1 << i)
-            placed.pop()
-
-    walk(0)
-    return found
+            mask |= 1 << i
+            k = 0
+        elif placed:
+            i = placed.pop()
+            mask ^= 1 << i
+            k = addable[mask].index(i) + 1  # resume after the element taken back
+        else:
+            return found
 
 
 def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtension]:
@@ -249,15 +265,12 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
     """Elements p of the ideal covered by the element labelled L(p)+1 outside it."""
-    poset = extension.poset
-    result = set()
-    for m, element in enumerate(extension.seq[:-1], start=1):
-        if element not in ideal:
-            continue
-        successor = extension.seq[m]
-        if successor not in ideal and successor in poset.covers_of(element):
-            result.add(element)
-    return result
+    index, below = extension.poset._index, extension.poset._below
+    seq = extension.seq
+    return {
+        p for p, q in zip(seq, seq[1:])
+        if p in ideal and q not in ideal and below[index[q]] >> index[p] & 1
+    }
 
 
 def tau_on_extension(extension: LinearExtension, i: int) -> LinearExtension:

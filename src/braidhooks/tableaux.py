@@ -29,7 +29,7 @@ from .errors import (
     NotABraidHookError,
     ShapeConditionError,
 )
-from .posets import _addable, _extensions
+from .posets import _addable, _extensions, _placeable
 
 __all__ = [
     "Shape",
@@ -105,7 +105,7 @@ class Shape:
             rows.setdefault(r, []).append(c)
         self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
         self._diags = None
-        self._heap = None  # the diagonal layout and cell poset, built by ``heaps``
+        self._heap = None  # the heap column table and its condition, built by ``heaps``
         # the cell order: each cell waits for its left and upper neighbours
         self._index = index = {cell: i for i, cell in enumerate(self.cells)}
         self._below = [
@@ -202,16 +202,16 @@ class Shape:
 
 
 def _is_standard(shape: Shape, pos: tuple[tuple[int, int], ...]) -> bool:
-    if set(pos) != shape.cell_set or len(pos) != shape.size:
+    """Each cell of the shape appears once, placed after its lower covers."""
+    if len(pos) != shape.size:
         return False
-    entry = {cell: v + 1 for v, cell in enumerate(pos)}
-    for (r, c), v in entry.items():
-        right = entry.get((r, c + 1))
-        if right is not None and right < v:
+    index, below = shape._index, shape._below
+    mask = 0
+    for cell in pos:
+        i = index.get(cell)
+        if i is None or not _placeable(below, mask, i):
             return False
-        below = entry.get((r + 1, c))
-        if below is not None and below < v:
-            return False
+        mask |= 1 << i
     return True
 
 

@@ -1,0 +1,162 @@
+"""``nu`` against the heap comparison it replaced.
+
+``nu`` checks a word against the shape's cover masks without building the
+word's heap.  The reference kept beside it builds both posets and compares
+them: ``heap_poset(word) == shape_poset(shape)``.  The two must agree on
+the result and on the error, including on disconnected skew shapes, where
+two cells on adjacent diagonals can be incomparable although every filling
+passes the mask rule.
+"""
+
+import itertools
+
+import pytest
+
+from braidhooks import heaps
+from braidhooks.errors import QuadraticRuleError, ShapeMismatchError
+from braidhooks.heaps import (
+    _diagonal_layout,
+    build_order_extension,
+    heap_poset,
+    nu,
+    nu_inverse,
+    shape_poset,
+)
+from braidhooks.tableaux import Shape, standard_tableaux
+from braidhooks.words import Permutation, all_reduced_words, make_word
+
+from helpers import partitions, skew_test_shapes, strict_partitions
+
+MAX_CELLS = 7
+
+
+def disconnected_skew_shapes(max_outer: int) -> list[Shape]:
+    """Skew shapes inside outer partitions of at most ``max_outer`` cells
+    whose rows do not all touch (a row may be emptied), one per cell set."""
+    shapes = {}
+    for total in range(2, max_outer + 1):
+        for outer in partitions(total):
+            for inner_size in range(1, total):
+                for inner in partitions(inner_size):
+                    if len(inner) > len(outer) or any(m > l for l, m in zip(outer, inner)):
+                        continue
+                    shape = Shape.skew_right(outer, inner)
+                    if not shape.is_connected():
+                        shapes.setdefault(shape.cells, shape)
+    return list(shapes.values())
+
+
+SHAPES = {
+    "right": [Shape.right(p) for n in range(1, MAX_CELLS + 1) for p in partitions(n)],
+    "half-right": [
+        Shape.half_right(p) for n in range(1, MAX_CELLS + 1) for p in strict_partitions(n)
+    ],
+    "skew": [s for s in skew_test_shapes(MAX_CELLS + 1) if s.size <= MAX_CELLS],
+    "disconnected": disconnected_skew_shapes(MAX_CELLS),
+}
+
+
+def _words() -> dict[int, list]:
+    """Every reduced word of S_n for n <= 4 and every word ``nu_inverse``
+    reads back from a filling of a test shape, grouped by length."""
+    words = set()
+    for n in range(2, 5):
+        for images in itertools.permutations(range(1, n + 1)):
+            words.update(all_reduced_words(Permutation(images)))
+    for shapes in SHAPES.values():
+        for shape in shapes:
+            for t in standard_tableaux(shape):
+                try:
+                    words.add(nu_inverse(t))
+                except QuadraticRuleError:
+                    pass  # a disconnected shape can read back a word with `a a`
+    by_length: dict[int, list] = {}
+    for word in sorted(words):
+        by_length.setdefault(len(word), []).append(word)
+    return by_length
+
+
+WORDS = _words()
+
+
+def reference(word, shape):
+    """The filling ``nu`` must return, from the heap comparison, or the
+    error type it must raise."""
+    try:
+        heap = heap_poset(word)
+    except QuadraticRuleError:
+        return QuadraticRuleError
+    if heap != shape_poset(shape):
+        return ShapeMismatchError
+    cells, _, _ = _diagonal_layout(shape)
+    pos = [None] * shape.size
+    for cell, label in zip(cells, build_order_extension(word).labels):
+        pos[label - 1] = cell
+    return tuple(pos)
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_nu_matches_the_heap_comparison(family):
+    assert SHAPES[family]
+    for shape in SHAPES[family]:
+        for word in WORDS.get(shape.size, []):
+            expected = reference(word, shape)
+            if isinstance(expected, tuple):
+                assert nu(word, shape).pos == expected, (word, shape)
+                continue
+            with pytest.raises(expected) as info:
+                nu(word, shape)
+            if expected is ShapeMismatchError:
+                assert str(info.value) == (
+                    f"heap of {word} is not isomorphic to the poset of {shape!r}"
+                )
+
+
+def test_both_answers_occur_in_every_family():
+    for family, shapes in SHAPES.items():
+        outcomes = {
+            isinstance(reference(word, shape), tuple)
+            for shape in shapes
+            for word in WORDS.get(shape.size, [])
+        }
+        assert outcomes == {True, False}, family
+
+
+def test_incomparable_cells_on_adjacent_diagonals_reject_every_word():
+    # cells (1, 1) and (3, 4) lie on diagonals 1 and 2 and are incomparable,
+    # while the two pieces of 1 2 sit on adjacent columns and are comparable;
+    # every filling passes the mask rule, so only the shape condition rejects
+    shape = Shape.skew_right((4, 2, 1), (3, 2))
+    word = make_word((1, 2), 4)
+    assert shape.cells == ((1, 1), (3, 4))
+    assert heap_poset(word) != shape_poset(shape)
+    with pytest.raises(ShapeMismatchError):
+        nu(word, shape)
+
+
+def test_words_of_other_lengths_are_rejected():
+    shape = Shape.right((3, 2, 1))
+    for word in WORDS[5] + WORDS[7]:
+        with pytest.raises((ShapeMismatchError, QuadraticRuleError)):
+            nu(word, shape)
+
+
+def test_quadratic_rule_comes_before_the_shape():
+    # 1 3 1 commutes to 3 1 1; the shape does not matter
+    for shape in (Shape.right((2, 1)), Shape.right((5,))):
+        with pytest.raises(QuadraticRuleError):
+            nu(make_word((1, 3, 1), 4), shape)
+
+
+def test_nu_builds_no_heap(monkeypatch):
+    shape = Shape.right((4, 3, 2, 1))
+    words = [nu_inverse(t) for t in standard_tableaux(shape)]
+    nu(words[0], shape)  # the shape side is built once, before the patch
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nu built a heap")
+
+    monkeypatch.setattr(heaps, "_heap", forbidden)
+    monkeypatch.setattr(heaps, "transitive_reduction", forbidden)
+    for word in words:
+        assert nu_inverse(nu(word, shape)) == word
