@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the state cap they enforce."""
+
+import os
 
 
 class NotReducedError(ValueError):
@@ -28,6 +30,11 @@ class ExplosionGuardError(RuntimeError):
         super().__init__(f"enumeration of {what} exceeded the state cap of {cap}")
         self.cap = cap
         self.what = what
+
+
+def default_cap() -> int:
+    """State cap for every enumeration (env ``BRAIDHOOKS_CAP``)."""
+    return int(os.environ.get("BRAIDHOOKS_CAP", 10**8))
 
 
 class ShapeMismatchError(ValueError):

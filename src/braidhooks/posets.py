@@ -14,9 +14,10 @@ is set when i covers j), and one walk over down-sets serves every
 enumeration: ``_placeable`` is the one place an element becomes placeable
 (all its lower covers placed), ``_addable`` lists those elements, and
 ``_extensions`` places the elements in every such order, on an explicit
-stack.  The standard fillings of a shape in ``tableaux`` are the linear
-extensions of its cell order and come from the same walk.  Covers, bounds
-and descents are read off the same masks, comparability off the up-sets.
+stack.  The standard fillings of a shape in ``tableaux`` (the linear
+extensions of its cell order) and the commutation classes in ``words`` (of
+a heap) come from the same walk.  Covers, bounds and descents are read off
+the same masks, comparability off the up-sets.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     NotADescentError,
     PosetBoundsError,
     TrivialIdealError,
+    default_cap,
 )
-from .words import default_cap
 
 __all__ = [
     "Poset",

@@ -11,19 +11,16 @@ Words of rank ``n`` live in the symmetric group on ``n`` points, so their
 letters lie in ``1..n-1``.  All enumeration here is exact and guarded by a
 configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
 
-``commutation_class`` and ``all_reduced_words`` close the move graph on
-plain letter tuples: each word is scanned once and each neighbour is built
-inline, with no ``MoveSite`` or ``Word`` per neighbour.  Moves only reorder
-letters already in range, so each result is wrapped in a ``Word`` (a
-slotted dataclass) once, after the sort.  ``list_moves`` and ``apply_move``
-remain the public, checked form of a single move.
+``all_reduced_words`` walks the weak order down to the identity, whose
+maximal chains are the reduced words; ``commutation_class`` lists the linear
+extensions of the word's heap with the down-set walk of ``posets``.  Both
+meet each word once, in lexicographic order, with no ``seen`` set or sort.
+``list_moves`` and ``apply_move`` are the public, checked form of one move.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,7 +31,9 @@ from .errors import (
     LetterRangeError,
     NotReducedError,
     QuadraticRuleError,
+    default_cap,
 )
+from .posets import _extensions
 
 __all__ = [
     "Word",
@@ -67,11 +66,6 @@ BRAID_UP = "braid-up"
 BRAID_DOWN = "braid-down"
 
 
-def default_cap() -> int:
-    """State cap for breadth-first enumerations (env ``BRAIDHOOKS_CAP``)."""
-    return int(os.environ.get("BRAIDHOOKS_CAP", 10**8))
-
-
 @dataclass(frozen=True, order=True)
 class Permutation:
     """A permutation of ``1..n`` in one-line notation."""
@@ -95,12 +89,7 @@ class Permutation:
     def length(self) -> int:
         """Coxeter length = number of inversions."""
         img = self.images
-        return sum(
-            1
-            for a in range(len(img))
-            for b in range(a + 1, len(img))
-            if img[a] > img[b]
-        )
+        return sum(a > b for i, a in enumerate(img) for b in img[i + 1:])
 
     def descents(self) -> list[int]:
         """Positions ``i`` with ``w(i) > w(i+1)``."""
@@ -298,47 +287,27 @@ def braid_sites(word: Word) -> tuple[int, int]:
     return up, down
 
 
-def _bfs_closure(start: Word, braids: bool, cap: int) -> list[Word]:
-    """Close ``start`` under commutation moves, and braid moves if ``braids``.
-
-    The search runs on letter tuples: each word is scanned once, and each
-    neighbour is its letters with one factor rewritten in place (``a b`` to
-    ``b a``, or ``a b a`` to ``b a b``).  At most ``cap`` states are held.
-    """
-    first = start.letters
-    seen = {first}
-    queue = deque([first])
-    pop = queue.popleft
-    while queue:
-        w = pop()
-        letters = list(w)
-        last = len(w) - 2
-        for p in range(last + 1):
-            a, b = w[p], w[p + 1]
-            if a - b > 1 or b - a > 1:
-                letters[p], letters[p + 1] = b, a
-                neighbour = tuple(letters)
-                letters[p], letters[p + 1] = a, b
-            elif braids and p < last and w[p + 2] == a and a != b:
-                letters[p:p + 3] = b, a, b
-                neighbour = tuple(letters)
-                letters[p:p + 3] = a, b, a
-            else:
-                continue
-            if neighbour not in seen:
-                if len(seen) >= cap:
-                    raise ExplosionGuardError(cap, "words")
-                seen.add(neighbour)
-                queue.append(neighbour)
-    ordered = sorted(seen)
-    del seen  # free the hash table before the Word wrappers are built
-    rank = start.rank
-    return [Word(t, rank) for t in ordered]
-
-
 def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
-    """All words reachable by commutation moves only, lexicographically sorted."""
-    return _bfs_closure(word, False, default_cap() if cap is None else cap)
+    """All words reachable by commutation moves only, lexicographically sorted.
+
+    They are the linear extensions of the word's heap: a piece waits for the
+    last earlier piece in its own and each adjacent column.  Pieces are
+    numbered by (letter, position); pieces of one letter form a chain, so no
+    two placeable pieces share a letter and the walk's order is letter order.
+    """
+    w = word.letters
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties by position
+    piece = {p: i for i, p in enumerate(order)}
+    below = [0] * len(w)
+    last: dict[int, int] = {}  # column -> its latest piece: distinct bits, so sum is or
+    for p, a in enumerate(w):
+        below[piece[p]] = sum(1 << last[c] for c in (a - 1, a, a + 1) if c in last)
+        last[a] = piece[p]
+    letters, rank = [w[p] for p in order], word.rank
+    # a tuple built from a list is allocated once at its size; from a map it
+    # is regrown, which fragments the heap (about 1 MB more RSS on S7's class)
+    return _extensions(below, cap, lambda ids: Word(tuple([letters[i] for i in ids]), rank),
+                       "words")
 
 
 def _first_reduced_word(perm: Permutation) -> Word:
@@ -356,9 +325,39 @@ def _first_reduced_word(perm: Permutation) -> Word:
 
 
 def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
-    """The complete set Red(perm), via move closure from one reduced word."""
-    start = _first_reduced_word(perm)
-    return _bfs_closure(start, True, default_cap() if cap is None else cap)
+    """The complete set Red(perm), lexicographically sorted.
+
+    A walk down the weak order on an explicit stack: each step places the
+    next letter ``a`` that is a left descent of what remains (``a+1`` stands
+    before ``a``) and swaps those two values; taking it back swaps them again
+    and resumes at ``a+1``.  The walk reaches the identity once per word.
+    """
+    cap = default_cap() if cap is None else cap
+    n = perm.n
+    length = perm.length()
+    # pos[v] is where value v stands; the -1 past the end stops the scan at a = n
+    pos = [0, *sorted(range(n), key=perm.images.__getitem__), -1]
+    placed: list[int] = []
+    found: list[Word] = []
+    a = 1
+    while True:
+        if len(placed) == length:
+            if len(found) >= cap:
+                raise ExplosionGuardError(cap, "words")
+            found.append(Word(tuple(placed), n))
+            a = n  # the identity has no descent
+        while pos[a] < pos[a + 1]:
+            a += 1
+        if a < n:
+            placed.append(a)
+            pos[a], pos[a + 1] = pos[a + 1], pos[a]
+            a = 1
+        elif placed:
+            a = placed.pop()
+            pos[a], pos[a + 1] = pos[a + 1], pos[a]
+            a += 1
+        else:
+            return found
 
 
 @dataclass(frozen=True)
@@ -377,18 +376,15 @@ class MatsumotoGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adjacency: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
+        adjacency: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
         for i, j, _ in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        seen, stack = {0}, [0]
+        while stack:
+            fresh = adjacency[stack.pop()] - seen
+            seen |= fresh
+            stack.extend(fresh)
         return len(seen) == len(self.vertices)
 
     def to_json(self) -> str:
@@ -413,28 +409,24 @@ class MatsumotoGraph:
 def matsumoto_graph(perm: Permutation, cap: int | None = None) -> MatsumotoGraph:
     """The full reduced-word graph of a permutation.
 
-    Vertices are indexed by their letter tuples, and each word's moves are
-    found with the factor scan of ``_bfs_closure``.  A move's inverse is a
-    move of the same kind at the same position, so every edge is met from
-    both ends and is kept from its lower end.
+    Vertices are indexed by their letter tuples.  One scan of each word
+    finds its moves, each neighbour being its letters with one factor
+    rewritten (``a b`` to ``b a``, ``a b a`` to ``b a b``).  A move's inverse
+    is a move of the same kind at the same position, so every edge is met
+    from both ends and is kept from its lower end.
     """
     vertices = all_reduced_words(perm, cap)
     index = {w.letters: i for i, w in enumerate(vertices)}
     edges = set()
     for i, word in enumerate(vertices):
         w = word.letters
-        letters = list(w)
         last = len(w) - 2
         for p in range(last + 1):
             a, b = w[p], w[p + 1]
             if a - b > 1 or b - a > 1:
-                letters[p], letters[p + 1] = b, a
-                j, kind = index[tuple(letters)], "comm"
-                letters[p], letters[p + 1] = a, b
+                j, kind = index[w[:p] + (b, a) + w[p + 2:]], "comm"
             elif p < last and w[p + 2] == a and a != b:
-                letters[p:p + 3] = b, a, b
-                j, kind = index[tuple(letters)], "braid"
-                letters[p:p + 3] = a, b, a
+                j, kind = index[w[:p] + (b, a, b) + w[p + 3:]], "braid"
             else:
                 continue
             if i < j:
@@ -448,18 +440,17 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
     Returns total site count, the mean per word, and the up/down split used
     by the skew-shape difference statistic.
     """
-    words = list(words)
-    if not words:
-        raise ValueError("braid_move_stats needs a nonempty collection")
-    up = down = 0
-    for word in words:
+    up = down = count = 0
+    for count, word in enumerate(words, 1):
         u, d = braid_sites(word)
         up += u
         down += d
+    if not count:
+        raise ValueError("braid_move_stats needs a nonempty collection")
     total = up + down
     return {
         "total": total,
-        "mean": Fraction(total, len(words)),
+        "mean": Fraction(total, count),
         "up": up,
         "down": down,
     }
