@@ -1,7 +1,8 @@
 """Heaps of pieces: the poset of a word and its rotation onto tableaux.
 
 Dropping a piece for each letter, rightmost letter first, builds a poset
-whose linear extensions are the commutation class of the word.  Rotating
+whose linear extensions are the commutation class of the word: the masks of
+``words._heap_order`` over the letters in drop order, reduced.  Rotating
 the heap by 45 degrees matches it with a justified shape: the piece in
 column c at stack position p corresponds to the p-th cell (top-down) of
 the shape's diagonal c, and the drop order becomes a standard filling.
@@ -18,9 +19,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import transitive_reduction
+from .posets import _bits, transitive_reduction
 from .tableaux import Shape, Tableau, _is_standard
-from .words import Word, make_word
+from .words import Word, _heap_order, make_word
 
 __all__ = [
     "HeapPoset",
@@ -59,12 +60,11 @@ class LinearExtensionLabel:
     labels: tuple[int, ...]
 
 
-def _drop(word: Word) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Simulate the drops; return each piece's (column, height) and its
-    (column, stack position), both in drop order."""
+def _drop(word: Word) -> list[tuple[int, int]]:
+    """Simulate the drops; return each piece's (column, stack position) in
+    drop order."""
     tops = [0] * (word.rank + 1)
     counts = [0] * (word.rank + 1)
-    placed: list[tuple[int, int]] = []
     pieces: list[tuple[int, int]] = []
     for letter in reversed(word.letters):
         adjacent = max(tops[letter - 1], tops[letter + 1])
@@ -77,40 +77,29 @@ def _drop(word: Word) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         # adjacent columns never share a height, so the piece rests on a neighbour
         tops[letter] = adjacent + 1
         counts[letter] += 1
-        placed.append((letter, adjacent + 1))
         pieces.append((letter, counts[letter]))
-    return placed, pieces
+    return pieces
 
 
-def _heap(placed: list[tuple[int, int]], pieces: list[tuple[int, int]]) -> HeapPoset:
-    order = sorted(range(len(pieces)), key=pieces.__getitem__)
-    rank_of = {drop_idx: canon for canon, drop_idx in enumerate(order)}
-    columns = tuple(pieces[i][0] for i in order)
-    stack_pos = tuple(pieces[i][1] for i in order)
-    by_column: dict[int, list[tuple[int, int]]] = {}
-    for drop_idx, (col, height) in enumerate(placed):
-        by_column.setdefault(col, []).append((height, drop_idx))
-    for stack in by_column.values():
-        stack.sort()
-    relations: set[tuple[int, int]] = set()
-    for drop_idx, (col, height) in enumerate(placed):
-        for adj in (col - 1, col + 1):
-            for other_height, other_idx in by_column.get(adj, ()):
-                if other_height > height:
-                    relations.add((rank_of[drop_idx], rank_of[other_idx]))
-                    break
-    covers, _ = transitive_reduction(len(placed), relations)
-    return HeapPoset(columns, stack_pos, covers)
+def _heap(drop_letters: tuple[int, ...], pieces: list[tuple[int, int]]) -> HeapPoset:
+    """The reduced heap of the letters in drop order.  ``pieces``, sorted, are
+    ``_heap_order``'s piece numbering: (column, stack position)."""
+    covers, _ = transitive_reduction(_heap_order(drop_letters)[1])
+    return HeapPoset(
+        tuple([column for column, _ in pieces]),
+        tuple([position for _, position in pieces]),
+        frozenset((j, i) for i, b in enumerate(covers) for j in _bits(b)),
+    )
 
 
 def heap_poset(word: Word) -> HeapPoset:
     """The heap of a word, with covers between adjacent columns only."""
-    return _heap(*_drop(word))
+    return _heap(word.letters[::-1], sorted(_drop(word)))
 
 
 def build_order_extension(word: Word) -> LinearExtensionLabel:
     """Label each canonical heap element with its drop step (1 = rightmost)."""
-    pieces = _drop(word)[1]
+    pieces = _drop(word)
     order = sorted(range(len(pieces)), key=pieces.__getitem__)
     return LinearExtensionLabel(tuple(drop_idx + 1 for drop_idx in order))
 
@@ -130,13 +119,10 @@ def _shape_side(shape: Shape) -> tuple[dict[tuple[int, int], tuple[int, int]], b
     orders every two cells on adjacent diagonals; built once per shape."""
     if shape._heap is None:
         cells, columns, positions = _diagonal_layout(shape)
-        below = shape._below
-        _, up = transitive_reduction(
-            len(below), ((j, i) for i, b in enumerate(below) for j in range(i) if b >> j & 1)
-        )
+        _, down = transitive_reduction(shape._below)
         index, diagonals = shape._index, shape.diagonals()
         ordered = all(
-            index[y] in up[index[x]] or index[x] in up[index[y]]
+            (down[index[x]] >> index[y] | down[index[y]] >> index[x]) & 1
             for d, lower in diagonals.items() for x in lower for y in diagonals.get(d + 1, ())
         )
         shape._heap = dict(zip(zip(columns, positions), cells)), ordered
@@ -148,8 +134,7 @@ def shape_poset(shape: Shape) -> HeapPoset:
     cells, columns, positions = _diagonal_layout(shape)
     layout = {shape._index[cell]: k for k, cell in enumerate(cells)}
     covers = frozenset(
-        (layout[j], layout[i]) for i, b in enumerate(shape._below)
-        for j in range(i) if b >> j & 1
+        (layout[j], layout[i]) for i, b in enumerate(shape._below) for j in _bits(b)
     )
     return HeapPoset(tuple(columns), tuple(positions), covers)
 
@@ -157,7 +142,7 @@ def shape_poset(shape: Shape) -> HeapPoset:
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells."""
     cell_at, ordered = _shape_side(shape)
-    pos = tuple([cell_at.get(piece) for piece in _drop(word)[1]])
+    pos = tuple([cell_at.get(piece) for piece in _drop(word)])
     if not (ordered and _is_standard(shape, pos)):
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
@@ -169,7 +154,7 @@ def nu_inverse(t: Tableau) -> Word:
     """Read the word back: letter p from the left is the (normalised) diagonal
     of the cell holding N+1-p."""
     shift = 1 - min(t.shape.diagonals())
-    letters = tuple(c - r + 1 + shift for (r, c) in reversed(t.pos))
+    letters = [c - r + 1 + shift for (r, c) in reversed(t.pos)]
     rank = max(letters) + 1
     return make_word(letters, rank)
 

@@ -9,15 +9,16 @@ has a ``size``, ``taus(indices)`` applying a whole tau word in one pass
 label order, by which extensions sort.  The even/odd orbit machinery in
 ``homomesy`` uses only this interface.
 
-An order is compiled once into lower-cover bitmasks (bit j of ``below[i]``
-is set when i covers j), and one walk over down-sets serves every
-enumeration: ``_placeable`` is the one place an element becomes placeable
-(all its lower covers placed), ``_addable`` lists those elements, and
-``_extensions`` places the elements in every such order, on an explicit
-stack.  The standard fillings of a shape in ``tableaux`` (the linear
-extensions of its cell order) and the commutation classes in ``words`` (of
-a heap) come from the same walk.  Covers, bounds and descents are read off
-the same masks, comparability off the up-sets.
+An order is kept only as integer masks: ``transitive_reduction`` returns
+lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
+down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
+``Poset(elements, covers)`` and ``Poset.covers``.  One walk over down-sets
+serves every enumeration: ``_placeable`` is the one place an element
+becomes placeable (all its lower covers placed), ``_addable`` lists those
+elements, and ``_extensions`` places them in every such order, on an
+explicit stack, for the fillings in ``tableaux`` and the commutation
+classes in ``words`` too.  Covers, bounds and descents read the cover
+masks, and comparability (the toggle's commute test) the down-set masks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     ExplosionGuardError,
@@ -56,46 +57,45 @@ __all__ = [
 ]
 
 
-def transitive_reduction(
-    n: int, relations: Iterable[tuple[int, int]]
-) -> tuple[frozenset[tuple[int, int]], list[set[int]]]:
-    """Covers and strict up-sets of the order a relation on 0..n-1 generates.
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    A topological sort (which raises ``ValueError`` on a cycle) is followed
-    by one sweep in reverse order that builds each up-set from those of its
-    successors; a pair (a, b) is a cover when b is not above another
-    successor of a.
+
+def transitive_reduction(below: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Cover and strict down-set masks of the order that lower masks generate.
+
+    Bit j of ``below[i]`` says j < i.  A depth-first walk from index 0 up
+    (elements numbered bottom-up never wait) finishes each element after
+    those it waits for: its down-set joins theirs and them, and it covers
+    those below none of the others.  An element met again while it still
+    waits is below itself: ``ValueError``.
     """
-    above: list[set[int]] = [set() for _ in range(n)]
-    for a, b in relations:
-        above[a].add(b)
-    indegree = [0] * n
-    for targets in above:
-        for b in targets:
-            indegree[b] += 1
-    order = [i for i in range(n) if not indegree[i]]
-    for a in order:
-        for b in above[a]:
-            indegree[b] -= 1
-            if not indegree[b]:
-                order.append(b)
-    if len(order) < n:
-        raise ValueError("cover relation has a cycle")
-    up: list[set[int]] = [set() for _ in range(n)]
-    covers = set()
-    for a in reversed(order):
-        reach = up[a]
-        for b in above[a]:
-            reach |= up[b]
-        covers.update((a, b) for b in above[a] if b not in reach)
-        reach |= above[a]
-    return frozenset(covers), up
+    cover, down = [0] * len(below), [None] * len(below)
+    entered, stack = 0, list(reversed(range(len(below))))
+    while stack:
+        i = stack.pop()
+        if down[i] is not None:
+            continue
+        waiting = [j for j in _bits(below[i]) if down[j] is None]
+        if not waiting:
+            reach = reduce(or_, [down[j] for j in _bits(below[i])], 0)
+            cover[i], down[i] = below[i] & ~reach, below[i] | reach
+        elif entered >> i & 1:
+            raise ValueError("cover relation has a cycle")
+        else:
+            entered |= 1 << i
+            stack += [i, *waiting]
+    return cover, down
 
 
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_up")
+    __slots__ = ("elements", "covers", "_index", "_below", "_down")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -103,27 +103,25 @@ class Poset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        n = len(self.elements)
-        reduced, self._up = transitive_reduction(
-            n, ((self._index[a], self._index[b]) for a, b in covers)
-        )
+        given = [0] * len(self.elements)
+        for a, b in covers:
+            given[self._index[b]] |= 1 << self._index[a]
+        self._below, self._down = transitive_reduction(given)
+        names = self.elements
         self.covers = frozenset(
-            (self.elements[a], self.elements[b]) for a, b in reduced
+            (names[j], names[i]) for i, b in enumerate(self._below) for j in _bits(b)
         )
-        self._below = [0] * n
-        for a, b in reduced:
-            self._below[b] |= 1 << a
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def less(self, a: Hashable, b: Hashable) -> bool:
-        return self._index[b] in self._up[self._index[a]]
+        return bool(self._down[self._index[b]] >> self._index[a] & 1)
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         i, j = self._index[a], self._index[b]
-        return i == j or j in self._up[i]
+        return i == j or bool(self._down[j] >> i & 1)
 
     def covers_of(self, a: Hashable) -> set[Hashable]:
         i = self._index[a]
@@ -168,11 +166,11 @@ class LinearExtension:
         every index lies in 1..size-1.
         """
         index = self.poset._index
-        up = self.poset._up
+        down = self.poset._down
         seq = list(self.seq)
         for i in indices:
             a, b = index[seq[i - 1]], index[seq[i]]
-            if b not in up[a] and a not in up[b]:
+            if not (down[b] >> a & 1 or down[a] >> b & 1):
                 seq[i - 1], seq[i] = seq[i], seq[i - 1]
         return LinearExtension(self.poset, tuple(seq))
 
@@ -292,7 +290,8 @@ def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> Line
 
     _require_bounds_and_proper(extension.poset, ideal)
     if p not in descents(extension, ideal):
-        raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {set(ideal)}")
+        ideal_text = _ideal_text(extension.poset, ideal)
+        raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {ideal_text}")
     for j in range(extension.label(p), 0, -1):
         extension = _tau_oi(j)(extension)
     return extension
@@ -404,14 +403,20 @@ def poset_from_lines(text: str) -> Poset:
     return Poset(names, covers)
 
 
+def _ideal_text(poset: Poset, ideal: frozenset) -> str:
+    """The ideal as a set literal in element order, the same on every run."""
+    return "{" + ", ".join(repr(e) for e in poset.elements if e in ideal) + "}"
+
+
 def parse_ideal(poset: Poset, text: str) -> frozenset:
     names = [part.strip() for part in text.split(",") if part.strip()]
     missing = [n for n in names if n not in poset.elements]
     if missing:
         raise ValueError(f"unknown elements {missing}")
     ideal = frozenset(names)
-    for q in ideal:
-        for p in poset.elements:
-            if poset.less(p, q) and p not in ideal:
-                raise ValueError(f"{set(ideal)} is not downward closed (missing {p!r})")
+    mask = sum(1 << poset._index[n] for n in ideal)
+    lacking = reduce(or_, [poset._down[q] for q in _bits(mask)], 0) & ~mask
+    if lacking:
+        first = poset.elements[(lacking & -lacking).bit_length() - 1]
+        raise ValueError(f"{_ideal_text(poset, ideal)} is not downward closed (missing {first!r})")
     return ideal

@@ -13,8 +13,10 @@ configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
 
 ``all_reduced_words`` walks the weak order down to the identity, whose
 maximal chains are the reduced words; ``commutation_class`` lists the linear
-extensions of the word's heap with the down-set walk of ``posets``.  Both
-meet each word once, in lexicographic order, with no ``seen`` set or sort.
+extensions of the word's heap with the down-set walk of ``posets``.  The heap
+is compiled once, by ``_heap_order``, which ``heaps.heap_poset`` also reads.
+Both walks meet each word once, in lexicographic order, with no ``seen`` set
+or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
 """
 
@@ -287,22 +289,29 @@ def braid_sites(word: Word) -> tuple[int, int]:
     return up, down
 
 
+def _heap_order(letters: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The heap of ``letters``: ``below[i]`` sets the bit of the latest earlier
+    piece in piece i's own and each adjacent column.  Pieces are numbered by
+    (letter, position); ``order[i]`` is the position of piece i."""
+    order = sorted(range(len(letters)), key=letters.__getitem__)  # stable: ties by position
+    piece = {p: i for i, p in enumerate(order)}
+    below = [0] * len(letters)
+    last: dict[int, int] = {}  # column -> its latest piece: distinct bits, so sum is or
+    for p, a in enumerate(letters):
+        below[piece[p]] = sum(1 << last[c] for c in (a - 1, a, a + 1) if c in last)
+        last[a] = piece[p]
+    return order, below
+
+
 def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """All words reachable by commutation moves only, lexicographically sorted.
 
-    They are the linear extensions of the word's heap: a piece waits for the
-    last earlier piece in its own and each adjacent column.  Pieces are
-    numbered by (letter, position); pieces of one letter form a chain, so no
-    two placeable pieces share a letter and the walk's order is letter order.
+    They are the linear extensions of the word's heap (``_heap_order``).
+    Pieces of one letter form a chain, so no two placeable pieces share a
+    letter and the walk's order is letter order.
     """
     w = word.letters
-    order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties by position
-    piece = {p: i for i, p in enumerate(order)}
-    below = [0] * len(w)
-    last: dict[int, int] = {}  # column -> its latest piece: distinct bits, so sum is or
-    for p, a in enumerate(w):
-        below[piece[p]] = sum(1 << last[c] for c in (a - 1, a, a + 1) if c in last)
-        last[a] = piece[p]
+    order, below = _heap_order(w)
     letters, rank = [w[p] for p in order], word.rank
     # a tuple built from a list is allocated once at its size; from a map it
     # is regrown, which fragments the heap (about 1 MB more RSS on S7's class)

@@ -3,20 +3,25 @@
 ``Tableau(shape, pos)`` must accept a filling exactly when a rule written
 here from each cell's right and lower neighbours does, and ``covers_of``,
 ``minimum``, ``maximum`` and ``descents`` must equal brute force over the
-reduced cover pairs ``poset.covers``.
+reduced cover pairs ``poset.covers``.  ``less``, ``leq`` and the toggle's
+commute test read the strict down-set masks, and ``transitive_reduction``
+must equal a brute-force closure and reduction of the pairs it is given.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from braidhooks.posets import (
     Poset,
+    chain_poset,
     descents,
     linear_extensions,
     order_ideals,
     random_bounded_poset,
+    transitive_reduction,
 )
 from braidhooks.tableaux import Shape, Tableau, standard_tableaux
 
@@ -144,3 +149,103 @@ def test_descents_equal_brute_force():
                 assert descents(ext, ideal) == expected, (poset.covers, seq, ideal)
                 seen += bool(expected)
     assert seen
+
+
+def brute_order(n: int, pairs) -> tuple[set, set] | None:
+    """The strict order pairs generate on 0..n-1 and its covers, by repeated
+    composition; ``None`` when some element ends up below itself."""
+    less = set(pairs)
+    while True:
+        more = {(a, d) for a, b in less for c, d in less if b == c} - less
+        if not more:
+            break
+        less |= more
+    if any(a == b for a, b in less):
+        return None
+    covers = {
+        (a, b) for a, b in less
+        if not any((a, c) in less and (c, b) in less for c in range(n))
+    }
+    return less, covers
+
+
+def test_comparability_and_toggle_equal_brute_force():
+    swapped = kept = 0
+    for poset in POSETS:
+        names = poset.elements
+        index = {e: i for i, e in enumerate(names)}
+        less, _ = brute_order(len(names), {(index[a], index[b]) for a, b in poset.covers})
+        for a, b in itertools.product(names, repeat=2):
+            below = (index[a], index[b]) in less
+            assert poset.less(a, b) is below, (poset.covers, a, b)
+            assert poset.leq(a, b) is (below or a == b), (poset.covers, a, b)
+        for ext in linear_extensions(poset)[:40]:
+            for i in range(1, ext.size):
+                a, b = index[ext.seq[i - 1]], index[ext.seq[i]]
+                commute = (a, b) not in less and (b, a) not in less
+                seq = list(ext.seq)
+                if commute:
+                    seq[i - 1], seq[i] = seq[i], seq[i - 1]
+                assert ext.taus((i,)).seq == tuple(seq), (poset.covers, ext.seq, i)
+                swapped += commute
+                kept += not commute
+    assert swapped and kept
+
+
+def _random_relations(rng: random.Random) -> tuple[int, list]:
+    """Pairs on 0..n-1: half acyclic under a shuffled order, half arbitrary
+    (cycles and self-loops included)."""
+    n = rng.randint(0, 8)
+    density = rng.random() * 0.6
+    if rng.random() < 0.5:
+        rank = list(range(n))
+        rng.shuffle(rank)
+        return n, [(a, b) for a in range(n) for b in range(n)
+                   if rank[a] < rank[b] and rng.random() < density]
+    return n, [(a, b) for a in range(n) for b in range(n)
+               if rng.random() < (density / 4 if a == b else density / 2)]
+
+
+def test_transitive_reduction_equals_brute_force():
+    rng = random.Random(8)
+    orders = cycles = loops = 0
+    for _ in range(2000):
+        n, pairs = _random_relations(rng)
+        given = [0] * n
+        for a, b in pairs:
+            given[b] |= 1 << a
+        expected = brute_order(n, pairs)
+        if expected is None:
+            with pytest.raises(ValueError, match="^cover relation has a cycle$"):
+                transitive_reduction(given)
+            if any(a == b for a, b in pairs):
+                loops += 1
+            else:
+                cycles += 1
+            continue
+        cover, down = transitive_reduction(given)
+        less, covers = expected
+        assert {(j, i) for i in range(n) for j in range(n) if cover[i] >> j & 1} == covers
+        assert {(j, i) for i in range(n) for j in range(n) if down[i] >> j & 1} == less
+        orders += 1
+    assert orders > 1000 and cycles > 50 and loops > 150, (orders, cycles, loops)
+
+
+def test_cycles_and_self_loops_rejected_by_poset():
+    for covers in ([("a", "a")], [("a", "b"), ("b", "a")], [("a", "b"), ("b", "c"), ("c", "a")]):
+        with pytest.raises(ValueError, match="^cover relation has a cycle$"):
+            Poset(["a", "b", "c"], covers)
+
+
+def test_long_chain_builds_in_little_memory():
+    # strict down-sets as masks: 3,000 ints of at most 3,000 bits (about 1 MB);
+    # as sets of indices they held 4.5 million entries (over 200 MB)
+    tracemalloc.start()
+    try:
+        poset = chain_poset(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak
+    assert poset.less(0, 2999) and not poset.less(2999, 0)
+    assert poset.covers == frozenset((i, i + 1) for i in range(2999))
