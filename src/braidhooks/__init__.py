@@ -9,6 +9,7 @@ exhaustively with exact integer and rational arithmetic.
 """
 
 from .errors import (
+    CapSettingError,
     DisconnectedShapeError,
     ExplosionGuardError,
     InvalidSiteError,

@@ -32,9 +32,23 @@ class ExplosionGuardError(RuntimeError):
         self.what = what
 
 
+class CapSettingError(ValueError):
+    """``BRAIDHOOKS_CAP`` is not an integer of at least 1."""
+
+
 def default_cap() -> int:
-    """State cap for every enumeration (env ``BRAIDHOOKS_CAP``)."""
-    return int(os.environ.get("BRAIDHOOKS_CAP", 10**8))
+    """State cap for every enumeration: env ``BRAIDHOOKS_CAP``, an integer of at
+    least 1 like ``--cap``, else 10^8.  An explicit ``cap`` (even 0) never reads it."""
+    text = os.environ.get("BRAIDHOOKS_CAP")
+    if text is None:
+        return 10**8
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CapSettingError(f"BRAIDHOOKS_CAP must be an integer of at least 1, not {text!r}")
+    return cap
 
 
 class ShapeMismatchError(ValueError):

@@ -231,13 +231,36 @@ def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
             return found
 
 
+# The last poset ``linear_extensions`` walked (matched by identity), its
+# extensions, and their dihedral orbits once ``verify_edges`` closed them.  Not
+# a ``Poset`` slot: that makes the cycle Poset -> extensions -> Poset, garbage
+# that only the cycle collector frees.
+_last: dict = {}
+
+
 def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtension]:
-    """All linear extensions, in lexicographic element-index order."""
-    names = poset.elements
-    return _extensions(
-        poset._below, cap, lambda ids: LinearExtension(poset, tuple([names[i] for i in ids])),
-        "linear extensions",
-    )
+    """All linear extensions, in lexicographic element-index order.
+
+    The same ``Poset`` object asked again gets a fresh list of the same
+    (frozen) extensions, or the walk's ``ExplosionGuardError`` when there are
+    more than ``cap``.  Another poset drops them before its walk, and a
+    capped walk stores nothing: the module keeps one poset's extensions alive.
+    """
+    global _last
+    cap = default_cap() if cap is None else cap
+    last = _last
+    if last.get("poset") is not poset:
+        _last = {}
+        names = poset.elements
+        found = _extensions(
+            poset._below, cap,
+            lambda ids: LinearExtension(poset, tuple([names[i] for i in ids])),
+            "linear extensions",
+        )
+        last = _last = {"poset": poset, "extensions": found}
+    elif len(last["extensions"]) > cap:
+        raise ExplosionGuardError(cap, "linear extensions")
+    return list(last["extensions"])
 
 
 def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
@@ -315,13 +338,24 @@ def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Has
 
 
 def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict:
-    """Check |L(P)| = sum of descent counts, plus per-orbit averages of one."""
+    """Check |L(P)| = sum of descent counts, plus per-orbit averages of one.
+
+    The extensions and their dihedral orbits do not depend on the ideal, so
+    the orbits are kept beside the extensions ``linear_extensions`` keeps:
+    every ideal of one ``Poset`` object after the first runs only
+    ``descents`` and ``orbit_average``, and one poset's orbits stay alive.
+    """
     from .homomesy import dihedral_orbits, orbit_average
 
     _require_bounds_and_proper(poset, ideal)
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
-    orbits = dihedral_orbits(extensions, "dihedral")
+    last = _last  # read once: another thread may walk a different poset meanwhile
+    if last.get("poset") is not poset:
+        last = {}
+    orbits = last.get("orbits")
+    if orbits is None:
+        orbits = last["orbits"] = dihedral_orbits(extensions, "dihedral")
     averages = [
         orbit_average(orbit, lambda ext: len(descents(ext, ideal)))
         for orbit in orbits

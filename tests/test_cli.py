@@ -346,3 +346,43 @@ class TestFlagRanges:
         assert main(["verify", "poset-edges", "--count", "1", "--max-size", "3"]) == EXIT_PASS
         assert main(["orbits", "--shape", "right:3,2,1", "--sample", "1",
                      "--group", "gyration"]) in (EXIT_PASS, EXIT_FAIL)
+
+
+class TestCapVariable:
+    """``BRAIDHOOKS_CAP`` has the floor of ``--cap``; a bad value is a usage error."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "abc"])
+    def test_bad_value_is_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("BRAIDHOOKS_CAP", value)
+        assert main(["verify", "reiner", "--n", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "BRAIDHOOKS_CAP" in captured.err and repr(value) in captured.err
+        assert "state cap" not in captured.err
+        assert captured.out == ""
+
+    def test_bad_value_reaches_poset_walks(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "-1")
+        assert main(["verify", "poset-edges", "--count", "1"]) == EXIT_USAGE
+        assert "BRAIDHOOKS_CAP" in capsys.readouterr().err
+
+    def test_explicit_cap_does_not_read_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "abc")
+        assert main(["--cap", "100", "verify", "reiner", "--n", "3"]) == EXIT_PASS
+
+    def test_library_error_is_typed(self, monkeypatch):
+        from braidhooks.errors import CapSettingError, ExplosionGuardError, default_cap
+        from braidhooks.posets import chain_poset, linear_extensions
+
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "0")
+        with pytest.raises(CapSettingError, match="BRAIDHOOKS_CAP.*'0'"):
+            default_cap()
+        with pytest.raises(ExplosionGuardError):  # an explicit cap=0 is still honoured
+            linear_extensions(chain_poset(2), cap=0)
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "7")
+        assert default_cap() == 7
+
+    def test_least_value_passes(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "2")
+        assert main(["verify", "reiner", "--n", "3"]) == EXIT_PASS
+        monkeypatch.setenv("BRAIDHOOKS_CAP", "1")
+        assert main(["verify", "reiner", "--n", "3"]) == EXIT_CAP
