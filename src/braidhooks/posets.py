@@ -24,6 +24,7 @@ masks, and comparability (the toggle's commute test) the down-set masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -279,10 +280,14 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
                 ideals.add(bigger)
                 frontier.append(bigger)
     names = poset.elements
-    return sorted(
-        (frozenset(e for i, e in enumerate(names) if mask >> i & 1) for mask in ideals),
-        key=lambda s: (len(s), sorted(map(str, s))),
-    )
+    labels = [str(e) for e in names]
+    by_label = sorted(range(len(names)), key=labels.__getitem__)
+
+    def key(mask: int) -> tuple[int, list[str]]:  # (len(s), sorted(map(str, s)))
+        picked = [labels[i] for i in by_label if mask >> i & 1]
+        return len(picked), picked
+
+    return [frozenset([names[i] for i in _bits(mask)]) for mask in sorted(ideals, key=key)]
 
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
@@ -343,9 +348,10 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     The extensions and their dihedral orbits do not depend on the ideal, so
     the orbits are kept beside the extensions ``linear_extensions`` keeps:
     every ideal of one ``Poset`` object after the first runs only
-    ``descents`` and ``orbit_average``, and one poset's orbits stay alive.
+    ``descents``, and one poset's orbits stay alive.  Descents are summed per
+    orbit as integers; each orbit's average is one ``Fraction``, for the report.
     """
-    from .homomesy import dihedral_orbits, orbit_average
+    from .homomesy import dihedral_orbits
 
     _require_bounds_and_proper(poset, ideal)
     extensions = linear_extensions(poset, cap)
@@ -356,19 +362,15 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     orbits = last.get("orbits")
     if orbits is None:
         orbits = last["orbits"] = dihedral_orbits(extensions, "dihedral")
-    averages = [
-        orbit_average(orbit, lambda ext: len(descents(ext, ideal)))
-        for orbit in orbits
-    ]
-    # the orbits partition the extensions, and an orbit's sum is its average times its size
-    rhs = int(sum(avg * orbit.size for orbit, avg in zip(orbits, averages)))
+    sums = [sum(len(descents(ext, ideal)) for ext in orbit.members) for orbit in orbits]
+    rhs = sum(sums)  # the orbits partition the extensions
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "ok": lhs == rhs and all(a == 1 for a in averages),
+        "ok": lhs == rhs and all(s == orbit.size for orbit, s in zip(orbits, sums)),
         "per_orbit": [
-            {"size": orbit.size, "average": avg}
-            for orbit, avg in zip(orbits, averages)
+            {"size": orbit.size, "average": Fraction(s, orbit.size)}
+            for orbit, s in zip(orbits, sums)
         ],
     }
 

@@ -11,12 +11,15 @@ Words of rank ``n`` live in the symmetric group on ``n`` points, so their
 letters lie in ``1..n-1``.  All enumeration here is exact and guarded by a
 configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
 
-``all_reduced_words`` walks the weak order down to the identity, whose
-maximal chains are the reduced words; ``commutation_class`` lists the linear
-extensions of the word's heap with the down-set walk of ``posets``.  The heap
-is compiled once, by ``_heap_order``, which ``heaps.heap_poset`` also reads.
-Both walks meet each word once, in lexicographic order, with no ``seen`` set
-or sort.
+``all_reduced_words`` lists the maximal chains of the weak order below a
+permutation, which are its reduced words.  It counts them first, summing
+over left descents up from the identity, so a count above the cap raises
+before any word is built; then it builds the tails of every permutation in
+the lowest third of the interval once, and walks the upper part down to
+them.  ``commutation_class`` lists the linear extensions of the word's heap
+with the down-set walk of ``posets``.  The heap is compiled once, by
+``_heap_order``, which ``heaps.heap_poset`` also reads.  Both meet each word
+once, in lexicographic order, with no ``seen`` set or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
 """
 
@@ -25,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq
 from typing import Iterable
 
 from .errors import (
@@ -280,12 +285,12 @@ def braid_sites(word: Word) -> tuple[int, int]:
     """Counts of (up, down) braid factors in the word."""
     w = word.letters
     up = down = 0
-    for a, b, c in zip(w, w[1:], w[2:]):
-        if a == c:
-            if b == a + 1:
-                up += 1
-            elif b == a - 1:
-                down += 1
+    # only the factors a b a, found in C, reach the up/down test
+    for a, b in compress(zip(w, w[1:]), map(eq, w, w[2:])):
+        if b == a + 1:
+            up += 1
+        elif b == a - 1:
+            down += 1
     return up, down
 
 
@@ -333,28 +338,85 @@ def _first_reduced_word(perm: Permutation) -> Word:
     return Word(tuple(reversed(popped)), perm.n)
 
 
+def _below_each(top: tuple[int, ...], memo: dict, combine) -> None:
+    """Fill ``memo`` for ``top`` and every state below it in the weak order.
+
+    A state is ``(0, pos[1], ..., pos[n], -1)``, where ``pos[v]`` is where value
+    ``v`` stands.  ``memo[u] = combine([(a, memo[u with values a, a+1 swapped])
+    for each left descent a of u, ascending])``; the identity must be seeded.
+    An explicit stack holds the path from ``top``, so a long chain never
+    recurses, and each state is combined once.
+    """
+    if top in memo:
+        return
+    stack = [(top, 1)]
+    while stack:
+        u, a = stack.pop()
+        while a < len(u) - 2:  # a runs over the letters 1..n-1
+            if u[a] > u[a + 1]:
+                v = u[:a] + (u[a + 1], u[a]) + u[a + 2:]
+                if v not in memo:
+                    stack += ((u, a + 1), (v, 1))
+                    break
+            a += 1
+        else:
+            memo[u] = combine([(a, memo[u[:a] + (u[a + 1], u[a]) + u[a + 2:]])
+                               for a in range(1, len(u) - 2) if u[a] > u[a + 1]])
+
+
 def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     """The complete set Red(perm), lexicographically sorted.
 
-    A walk down the weak order on an explicit stack: each step places the
-    next letter ``a`` that is a left descent of what remains (``a+1`` stands
-    before ``a``) and swaps those two values; taking it back swaps them again
-    and resumes at ``a+1``.  The walk reaches the identity once per word.
+    A word's first letter ``a`` is a left descent of ``perm`` (``a+1`` stands
+    before ``a``), and the rest is a reduced word of ``perm`` with values
+    ``a``, ``a+1`` swapped.  Three steps, none of them recursive:
+
+    - count first: ``|Red(u)|`` for every ``u`` below ``perm`` in the weak
+      order, summed over left descents up from the identity.  Every ``u``
+      lies on a chain from ``perm``, so a count above ``cap`` is a total
+      above ``cap``, and that raises before any word or tail is built;
+    - list the lower third once: the tails (lexicographic letter tuples) of
+      every ``u`` the walk below meets at a third of ``perm``'s length, each
+      list built once from those below it;
+    - walk the upper two thirds on a stack, placing the next left descent
+      and taking it back; where a third of the letters remain, each tail of
+      what remains completes one word, written into a list of the counted
+      size.  Every word still passes ``Word``'s letter-range check.
     """
     cap = default_cap() if cap is None else cap
     n = perm.n
-    length = perm.length()
     # pos[v] is where value v stands; the -1 past the end stops the scan at a = n
     pos = [0, *sorted(range(n), key=perm.images.__getitem__), -1]
+    identity = (0, *range(n), -1)
+
+    def total(parts: list[tuple[int, int]]) -> int:
+        count = sum(c for _, c in parts)
+        if count > cap:
+            raise ExplosionGuardError(cap, "words")
+        return count
+
+    def join(parts: list[tuple[int, list]]) -> list[tuple[int, ...]]:
+        return [(a, *t) for a, below in parts for t in below]
+
+    top = tuple(pos)
+    counts = {identity: total([(0, 1)])}  # the empty word: cap 0 raises
+    _below_each(top, counts, total)
+    found: list = [None] * counts[top]
+    tails = {identity: [()]}
+    length = perm.length()
+    split = length - length // 3  # letters placed by the walk; the tails hold the rest
     placed: list[int] = []
-    found: list[Word] = []
+    i = 0
     a = 1
     while True:
-        if len(placed) == length:
-            if len(found) >= cap:
-                raise ExplosionGuardError(cap, "words")
-            found.append(Word(tuple(placed), n))
-            a = n  # the identity has no descent
+        if len(placed) == split:
+            key = tuple(pos)
+            _below_each(key, tails, join)
+            here = tails[key]
+            prefix = tuple(placed)
+            found[i:i + len(here)] = [Word(prefix + t, n) for t in here]
+            i += len(here)
+            a = n  # the split state is left to its tails
         while pos[a] < pos[a + 1]:
             a += 1
         if a < n:
