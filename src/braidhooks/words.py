@@ -28,8 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import eq
 from typing import Iterable
 
 from .errors import (
@@ -285,12 +283,12 @@ def braid_sites(word: Word) -> tuple[int, int]:
     """Counts of (up, down) braid factors in the word."""
     w = word.letters
     up = down = 0
-    # only the factors a b a, found in C, reach the up/down test
-    for a, b in compress(zip(w, w[1:]), map(eq, w, w[2:])):
-        if b == a + 1:
-            up += 1
-        elif b == a - 1:
-            down += 1
+    for a, b, c in zip(w, w[1:], w[2:]):
+        if a == c:
+            if b == a + 1:
+                up += 1
+            elif b == a - 1:
+                down += 1
     return up, down
 
 

@@ -6,9 +6,8 @@ builds the tails of the lowest third once and walks the rest down to them.
 It must list exactly what the plain stack walk lists, in the same order,
 meet the cap at exactly the word count, agree with Stanley's hook-length
 count of ``Red(w0)``, and raise on a huge interval before building a word.
-The integer per-orbit sums of ``verify_edges``, the one-``str``-per-element
-key of ``order_ideals`` and the ``a b a`` scan of ``braid_sites`` must give
-what their plain forms give.
+The integer per-orbit sums of ``verify_edges`` and the one-``str``-per-element
+key of ``order_ideals`` must give what their plain forms give.
 """
 
 import itertools
@@ -141,21 +140,6 @@ def test_huge_interval_raises_before_any_tail_or_word(monkeypatch):
         all_reduced_words(Permutation.longest(60), cap=5)
     assert (raised.value.cap, raised.value.what) == (5, "words")
     assert len(filled) == 1  # the count pass only: no tails were built
-
-
-def triple_scan(letters: tuple[int, ...]) -> tuple[int, int]:
-    """(up, down) braid factors by reading every letter triple."""
-    up = sum(1 for a, b, c in zip(letters, letters[1:], letters[2:]) if a == c and b == a + 1)
-    down = sum(1 for a, b, c in zip(letters, letters[1:], letters[2:]) if a == c and b == a - 1)
-    return up, down
-
-
-def test_braid_sites_match_the_triple_scan_on_any_word():
-    assert words.braid_sites(words.make_word((1, 3, 1), 4)) == (0, 0)
-    for length in range(8):
-        for letters in itertools.product((1, 2, 3, 4), repeat=length):
-            if all(a != b for a, b in zip(letters, letters[1:])):
-                assert words.braid_sites(Word(letters, 5)) == triple_scan(letters), letters
 
 
 def test_order_ideals_keep_the_string_key_order():
