@@ -5,12 +5,20 @@ they are involutions, so together they generate a dihedral group.  They
 act on any carrier of the toggle group: tableaux, words and linear
 extensions, all linear extensions of a poset (the shape poset, the heap
 poset, or a general one).  A carrier has a ``size``; ``taus(indices)``,
-which applies a whole tau word in one pass and holds the carrier's one
-commute test (``tau(i)`` is the one-letter word); and ``key()``, its
-canonical sort key (a tableau's row-reading word, an extension's element
-indices, a word's ``(letters, rank)``).  Orbits and their members are
-ordered by sorting on that key, so the comparisons run in C.  All averages
-are exact fractions.
+which applies a whole tau word in one pass (``tau(i)`` is the one-letter
+word); and ``key()``, its canonical sort key (a tableau's row-reading word,
+an extension's element indices, a word's ``(letters, rank)``).  Orbits and
+their members are ordered by sorting on that key, so the comparisons run
+in C.  All averages are exact fractions.
+
+Orbits are walked on raw label tuples.  Each carrier names its tuple in
+``_LABELS`` (``pos``, ``letters``, ``seq``), holds its one commute test in
+``_toggle(labels, indices)``, which ``taus`` also calls, and builds a state
+of its own shape, rank or poset with ``_rebuild(labels)``.  Under two
+involutions every orbit is a path or a cycle whose edges alternate, so
+``_walk`` applies them in turn until the start comes back or a state is
+fixed, and from a path end walks the other way from the start: one toggle
+pass per state and no set per orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import methodcaller
+from itertools import cycle
+from operator import attrgetter, methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
@@ -70,16 +79,23 @@ def gyration(x):
     return tau_even(tau_odd(x))
 
 
-def _generators(mode: str) -> list[Callable]:
+def _generators(mode: str) -> list[tuple[int, ...]]:
+    """The mode's generators, each as its parity word: ``(1,)`` is tau_odd,
+    ``(2,)`` tau_even and ``(1, 2)`` tau_odd then tau_even."""
     if mode == "dihedral":
-        return [tau_odd, tau_even]
+        return [(1,), (2,)]
     if mode == "gyration":
-        return [gyration]
+        return [(1, 2)]
     if mode == "order-two-odd":
-        return [tau_odd]
+        return [(1,)]
     if mode == "order-two-even":
-        return [tau_even]
+        return [(2,)]
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _tau_words(generators: list[tuple[int, ...]], size: int) -> list[list[int]]:
+    """The parity words as tau words on a carrier of ``size`` labels."""
+    return [[i for p in word for i in range(p, size, 2)] for word in generators]
 
 
 @dataclass(frozen=True)
@@ -98,35 +114,68 @@ class Orbit:
         return self.members[0]
 
 
-def _closure(start, generators: list[Callable]) -> set:
-    """The orbit of ``start`` under the generators."""
-    members = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = g(x)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
+def _walk(start: tuple, steps: list[list[int]], toggle: Callable) -> list[tuple]:
+    """The label tuples of the orbit of ``start``, each once, ``start`` first.
+
+    ``toggle(labels, step)`` applies one generator's tau word.  Apply the
+    generators in turn until ``start`` comes back (a cycle) or a state is
+    fixed (a path end, which two involutions can have); from a path end,
+    walk the other way from ``start``, beginning with the other generator.
+    One generator's orbit is a cycle: a state it fixes is ``start`` alone.
+    """
+    orbit = [start]
+    for turn in (steps, steps[::-1]):
+        x = start
+        for step in cycle(turn):
+            y = toggle(x, step)
+            if y == x:
+                break
+            if y == start:
+                return orbit
+            orbit.append(y)
+            x = y
+    return orbit
 
 
 _key = methodcaller("key")
 
 
 def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
-    """Partition a finite carrier into orbits; deterministic order."""
+    """Partition a finite carrier into orbits; deterministic order.
+
+    The carrier's states share one shape, rank or poset.  Each orbit holds
+    the carrier's own objects; only states outside the carrier are built.
+    """
     generators = _generators(mode)
-    # each carrier state not yet in an orbit, mapped to itself: an orbit holds
-    # the carrier's own objects, and the copies its closure made are dropped
-    unplaced = {x: x for x in carrier}
+    pool = sorted(carrier, key=_key)
+    if not pool:
+        return []
+    first = pool[0]
+    labels_of = attrgetter(first._LABELS)
+    rank = {labels_of(x): r for r, x in enumerate(pool)}
+    if len(rank) < len(pool):  # a state given twice: keep one object of it
+        pool = list({labels_of(x): x for x in pool}.values())
+        rank = {labels_of(x): r for r, x in enumerate(pool)}
+    steps = _tau_words(generators, first.size)
+    toggle, rebuild = first._toggle, first._rebuild
+    placed = bytearray(len(pool))
     orbits = []
-    for start in sorted(unplaced, key=_key):
-        if start not in unplaced:
+    for r, start in enumerate(pool):
+        if placed[r]:
             continue
-        members = [unplaced.pop(x, x) for x in _closure(start, generators)]
-        members.sort(key=_key)
+        ranks, outside = [], []
+        for labels in _walk(labels_of(start), steps, toggle):
+            s = rank.get(labels)
+            if s is None:
+                outside.append(rebuild(labels))
+            else:
+                ranks.append(s)
+                placed[s] = 1
+        ranks.sort()
+        members = [pool[s] for s in ranks]
+        if outside:
+            members += outside
+            members.sort(key=_key)
         orbits.append(Orbit(tuple(members), mode))
     return orbits
 
@@ -262,15 +311,16 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
                           mode: str = "gyration", seed_start: int = 0) -> dict | None:
     """Sample start tableaux and report the first orbit whose braid-hook
     average differs from one, or None if the budget runs out."""
-    generators = _generators(mode)
-    visited: set[Tableau] = set()
+    steps = _tau_words(_generators(mode), shape.size)
+    visited: set[tuple] = set()
     for seed in range(seed_start, max_seeds):
         rng = random.Random(f"{base_seed}/{seed}")
         start = random_standard_tableau(shape, rng)
-        if start in visited:
+        if start.pos in visited:
             continue
-        members = _closure(start, generators)
-        visited |= members
+        orbit = _walk(start.pos, steps, start._toggle)
+        visited.update(orbit)
+        members = [start._rebuild(pos) for pos in orbit]
         average = Fraction(sum(len(braid_hooks(t)) for t in members), len(members))
         if average != 1:
             return {

@@ -161,19 +161,27 @@ class LinearExtension:
         return self.taus((i,))
 
     def taus(self, indices: Iterable[int]) -> "LinearExtension":
-        """Apply a tau word in one pass (right action, left factor first).
+        """Apply a tau word in one pass (right action, left factor first);
+        every index lies in 1..size-1."""
+        return self._rebuild(self._toggle(self.seq, indices))
 
-        tau_i swaps labels i and i+1 when the two elements are incomparable;
-        every index lies in 1..size-1.
-        """
+    _LABELS = "seq"  # the label tuple the orbit walk reads
+
+    def _toggle(self, seq: tuple, indices: Iterable[int]) -> tuple:
+        """A tau word on a raw ``seq`` of this poset: tau_i swaps labels i
+        and i+1 when the two elements are incomparable."""
         index = self.poset._index
         down = self.poset._down
-        seq = list(self.seq)
+        seq = list(seq)
         for i in indices:
             a, b = index[seq[i - 1]], index[seq[i]]
             if not (down[b] >> a & 1 or down[a] >> b & 1):
                 seq[i - 1], seq[i] = seq[i], seq[i - 1]
-        return LinearExtension(self.poset, tuple(seq))
+        return tuple(seq)
+
+    def _rebuild(self, seq: tuple) -> "LinearExtension":
+        """The extension of the same poset with this ``seq``."""
+        return LinearExtension(self.poset, seq)
 
     def __lt__(self, other: "LinearExtension") -> bool:
         return self.key() < other.key()

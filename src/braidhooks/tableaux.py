@@ -256,17 +256,26 @@ class Tableau:
         return self.taus((i,))
 
     def taus(self, indices: Iterable[int]) -> "Tableau":
-        """Apply a tau word in one pass (right action, left factor first).
+        """Apply a tau word in one pass (right action, left factor first);
+        every index lies in 1..size-1."""
+        return self._rebuild(self._toggle(self.pos, indices))
 
-        tau_i swaps entries i and i+1 when they share neither row nor column;
-        every index lies in 1..size-1.
-        """
-        pos = list(self.pos)
+    _LABELS = "pos"  # the label tuple the orbit walk reads
+
+    @staticmethod
+    def _toggle(pos: tuple, indices: Iterable[int]) -> tuple:
+        """A tau word on a raw ``pos``: tau_i swaps entries i and i+1 when
+        they share neither row nor column."""
+        pos = list(pos)
         for i in indices:
             a, b = pos[i - 1], pos[i]
             if a[0] != b[0] and a[1] != b[1]:
                 pos[i - 1], pos[i] = b, a
-        return Tableau(self.shape, tuple(pos), _checked=True)
+        return tuple(pos)
+
+    def _rebuild(self, pos: tuple) -> "Tableau":
+        """The filling of the same shape with this ``pos``."""
+        return Tableau(self.shape, pos, _checked=True)
 
     def __eq__(self, other) -> bool:
         return (

@@ -152,17 +152,26 @@ class Word:
         return self.taus((i,))
 
     def taus(self, indices: Iterable[int]) -> "Word":
-        """Apply a tau word in one pass (right action, left factor first).
+        """Apply a tau word in one pass (right action, left factor first);
+        every index lies in 1..size-1."""
+        return self._rebuild(self._toggle(self.letters, indices))
 
-        tau_i swaps the letters at positions i and i+1 when they commute;
-        every index lies in 1..size-1.
-        """
-        letters = list(self.letters)
+    _LABELS = "letters"  # the label tuple the orbit walk reads
+
+    @staticmethod
+    def _toggle(letters: tuple, indices: Iterable[int]) -> tuple:
+        """A tau word on raw ``letters``: tau_i swaps the letters at positions
+        i and i+1 when they commute."""
+        letters = list(letters)
         for i in indices:
             a, b = letters[i - 1], letters[i]
             if abs(a - b) >= 2:
                 letters[i - 1], letters[i] = b, a
-        return Word(tuple(letters), self.rank)
+        return tuple(letters)
+
+    def _rebuild(self, letters: tuple) -> "Word":
+        """The word of the same rank with these ``letters``."""
+        return Word(letters, self.rank)
 
     def permutation(self) -> Permutation:
         return word_to_permutation(self.letters, self.rank)

@@ -1,0 +1,108 @@
+"""The orbit walk: paths and cycles under two involutions, one generator's cycles.
+
+Under tau_odd and tau_even every orbit is a path (two of its states are
+fixed by one generator each) or a cycle whose edges alternate.  The walk
+must meet every state of an orbit exactly once from any start: on a path,
+it turns back at the first end and walks the other way from the start.
+"""
+
+import pytest
+
+from braidhooks.homomesy import (
+    MODES, _generators, _tau_words, _walk, dihedral_orbits, tau_even, tau_odd,
+)
+from braidhooks.posets import chain_poset, linear_extensions
+from braidhooks.tableaux import Shape, standard_tableaux
+
+from test_keys import GENERATORS
+
+
+def closure(start, mode: str) -> set:
+    """The orbit of ``start`` by search over the public generators."""
+    members, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for g in GENERATORS[mode]:
+            y = g(x)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def walk(x, mode: str) -> list[tuple]:
+    return _walk(x.pos, _tau_words(_generators(mode), x.size), x._toggle)
+
+
+def is_path(orbit) -> bool:
+    return any(tau_odd(t) == t or tau_even(t) == t for t in orbit.members)
+
+
+def assert_walks_meet_each_state_once(orbit, mode: str) -> None:
+    states = {t.pos for t in orbit.members}
+    for t in orbit.members:
+        found = walk(t, mode)
+        assert found[0] == t.pos
+        assert len(found) == len(states) and set(found) == states, (mode, t.pos)
+
+
+def test_right_4321_dihedral_orbits_are_paths():
+    orbits = dihedral_orbits(standard_tableaux(Shape.right((4, 3, 2, 1))))
+    assert orbits and all(is_path(orbit) for orbit in orbits)
+    for orbit in orbits:
+        # from every state, the ends included, the walk goes both ways
+        assert_walks_meet_each_state_once(orbit, "dihedral")
+
+
+def test_right_54321_has_cycle_orbits():
+    orbits = dihedral_orbits(standard_tableaux(Shape.right((5, 4, 3, 2, 1))))
+    cycles = [orbit for orbit in orbits if not is_path(orbit)]
+    assert cycles
+    for orbit in cycles:
+        assert_walks_meet_each_state_once(orbit, "dihedral")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_matches_the_search_closure(mode):
+    for t in standard_tableaux(Shape.right((5, 4, 3, 2, 1)))[::7]:
+        assert {t.pos for t in closure(t, mode)} == set(walk(t, mode))
+        assert len(set(walk(t, mode))) == len(walk(t, mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_chain_has_one_orbit_of_one(mode):
+    extensions = linear_extensions(chain_poset(5))
+    (orbit,) = dihedral_orbits(extensions, mode)
+    assert orbit.members == (extensions[0],)
+
+
+@pytest.mark.parametrize("mode", ["order-two-odd", "order-two-even"])
+def test_order_two_orbits_have_one_or_two_states(mode):
+    orbits = dihedral_orbits(standard_tableaux(Shape.right((4, 3, 2, 1))), mode)
+    assert {orbit.size for orbit in orbits} == ({2} if mode == "order-two-odd" else {1, 2})
+    for orbit in orbits:
+        assert_walks_meet_each_state_once(orbit, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_leaves_a_pool_that_is_not_closed(mode):
+    carrier = standard_tableaux(Shape.right((5, 4, 3, 2, 1)))
+    pool = carrier[::5]
+    own = {id(t) for t in pool}
+    orbits = dihedral_orbits(pool, mode)
+    assert any(id(t) not in own for orbit in orbits for t in orbit.members)
+    for orbit in orbits:
+        assert set(orbit.members) == closure(orbit.members[0], mode)
+        assert list(orbit.members) == sorted(orbit.members, key=lambda t: t.key())
+        # a state of the pool is the pool's own object
+        assert all(id(t) in own for t in orbit.members if t in set(pool))
+    assert sum(orbit.size for orbit in orbits) == len({t for o in orbits for t in o.members})
+    assert set(pool) <= {t for orbit in orbits for t in orbit.members}
+
+
+def test_a_state_given_twice_is_one_state():
+    carrier = standard_tableaux(Shape.right((3, 2, 1)))
+    twice = dihedral_orbits(carrier + carrier[::-1])
+    assert [orbit.members for orbit in twice] == [
+        orbit.members for orbit in dihedral_orbits(carrier)
+    ]

@@ -360,6 +360,25 @@ def list_moves_braid_sites(word: Word) -> tuple[int, int]:
     return kinds.count(BRAID_UP), kinds.count(BRAID_DOWN)
 
 
+def window_braid_sites(letters: tuple[int, ...]) -> tuple[int, int]:
+    """(up, down) by reading each window ``a, a+1, a`` or ``a, a-1, a``."""
+    up = down = 0
+    for p in range(len(letters) - 2):
+        a, b, c = letters[p:p + 3]
+        up += a == c and b == a + 1
+        down += a == c and b == a - 1
+    return up, down
+
+
+def test_braid_sites_on_any_word():
+    # every word of length <= 7 over 1..4: reduced or not, with `a a` factors
+    for length in range(8):
+        for letters in itertools.product((1, 2, 3, 4), repeat=length):
+            assert braid_sites(Word(letters, 5)) == window_braid_sites(letters), letters
+    assert braid_sites(make_word((1, 3, 1), 4)) == (0, 0)
+    assert braid_sites(make_word((2, 1, 2, 3, 2), 4)) == (1, 1)
+
+
 class TestClosureMatchesMoveReference:
     """The tuple closures agree with a closure over list_moves/apply_move."""
 
