@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import homomesy, posets, tableaux, words
-from .errors import ExplosionGuardError, UnknownTheoremError
+from .errors import ExplosionGuardError, UnknownTheoremError, WordSpecError
 from .tableaux import Shape
 
 EXIT_PASS = 0
@@ -42,7 +42,11 @@ def parse_shape(spec: str) -> Shape:
 
 
 def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
-    letters = tuple(int(x) for x in spec.split(","))
+    """Parse comma-separated letters like 1,2,1."""
+    try:
+        letters = tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise WordSpecError(f"word spec {spec!r} is not comma-separated integers") from None
     if reduced:
         return words.make_reduced_word(letters, rank)
     return words.make_word(letters, rank)
@@ -70,10 +74,10 @@ def _serialise(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    if args.shape:
+    if args.shape is not None:
         shape = parse_shape(args.shape)
         objects = tableaux.standard_tableaux(shape, args.cap)
-    elif args.class_of_word:
+    elif args.class_of_word is not None:
         if args.rank is None:
             print("--class-of-word needs --rank", file=sys.stderr)
             return EXIT_USAGE
@@ -278,11 +282,11 @@ ORBIT_STATS = {
 
 
 def cmd_orbits(args) -> int:
-    if args.poset:
+    if args.poset is not None:
         source = "--poset"
-    elif args.shape:
+    elif args.shape is not None:
         source = "--shape" if args.sample is None else "--sample"
-    elif args.class_of_word:
+    elif args.class_of_word is not None:
         source = "--class-of-word"
     else:
         print("orbits needs --shape, --class-of-word, or --poset", file=sys.stderr)

@@ -83,8 +83,16 @@ class TrivialIdealError(ValueError):
     """Order ideal is empty or the whole poset."""
 
 
+class NotALinearExtensionError(ValueError):
+    """Sequence does not list a poset's elements in an order-preserving way."""
+
+
 class NotADescentError(ValueError):
     """Element is not a descent of the linear extension for the ideal."""
+
+
+class WordSpecError(ValueError):
+    """Word spec on the command line has a field that is not an integer."""
 
 
 class UnknownTheoremError(ValueError):

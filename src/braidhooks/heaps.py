@@ -7,10 +7,14 @@ the heap by 45 degrees matches it with a justified shape: the piece in
 column c at stack position p corresponds to the p-th cell (top-down) of
 the shape's diagonal c, and the drop order becomes a standard filling.
 
-``nu`` builds no heap: it checks where each piece lands against the shape's
-cover masks.  A heap's order is generated by its adjacent-column pairs, so
-that is exact once the shape orders every two cells on adjacent diagonals;
-the column table and that condition are built once per ``Shape``.
+``nu`` builds no heap: it drops the pieces in one pass over the letters and
+checks where each lands against the shape's cover masks.  A heap's order is
+generated by its adjacent-column pairs, so that is exact once the shape
+orders every two cells on adjacent diagonals.  The column table (the cell
+at each column and stack position), that condition and each cell's letter
+are built once per ``Shape``; ``nu_inverse`` reads the letters from it and
+builds its word without ``Word``'s range check, which the public
+constructors keep.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import QuadraticRuleError, ShapeMismatchError
 from .posets import _bits, transitive_reduction
-from .tableaux import Shape, Tableau, _is_standard
-from .words import Word, _heap_order, make_word
+from .tableaux import Shape, Tableau
+from .words import Word, _heap_order, _no_square, _word
 
 __all__ = [
     "HeapPoset",
@@ -114,18 +118,22 @@ def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], li
     return cells, columns, positions
 
 
-def _shape_side(shape: Shape) -> tuple[dict[tuple[int, int], tuple[int, int]], bool]:
-    """The cell at each heap (column, stack position), and whether the shape
-    orders every two cells on adjacent diagonals; built once per shape."""
+def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, dict[tuple[int, int], int]]:
+    """The shape's side of ``nu``, built once per shape: ``table[column][p]``
+    is the id of the cell at stack position p+1 of that column (column 0 is
+    empty), ``ordered`` says whether the shape orders every two cells on
+    adjacent diagonals, and ``letter`` maps each cell to its column."""
     if shape._heap is None:
-        cells, columns, positions = _diagonal_layout(shape)
+        cells, columns, _ = _diagonal_layout(shape)
+        table: list[list[int]] = [[] for _ in range(max(columns) + 1)]
+        for cell, column in zip(cells, columns):  # positions ascend within a column
+            table[column].append(shape._index[cell])
         _, down = transitive_reduction(shape._below)
-        index, diagonals = shape._index, shape.diagonals()
         ordered = all(
-            (down[index[x]] >> index[y] | down[index[y]] >> index[x]) & 1
-            for d, lower in diagonals.items() for x in lower for y in diagonals.get(d + 1, ())
+            (down[x] >> y | down[y] >> x) & 1
+            for lower, upper in zip(table, table[1:]) for x in lower for y in upper
         )
-        shape._heap = dict(zip(zip(columns, positions), cells)), ordered
+        shape._heap = table, ordered, dict(zip(cells, columns))
     return shape._heap
 
 
@@ -140,23 +148,55 @@ def shape_poset(shape: Shape) -> HeapPoset:
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
-    """Transport the build order of the word's heap onto the shape's cells."""
-    cell_at, ordered = _shape_side(shape)
-    pos = tuple([cell_at.get(piece) for piece in _drop(word)])
-    if not (ordered and _is_standard(shape, pos)):
+    """Transport the build order of the word's heap onto the shape's cells.
+
+    One pass drops the pieces, rightmost letter first: each rests on the
+    taller neighbouring column (``QuadraticRuleError`` if its own is taller)
+    and takes its column's next stack position, so the cell the column table
+    holds there, whose lower covers must already be placed.  After a
+    mismatch the drops go on, so the quadratic rule is reported first.
+    """
+    table, ordered, _ = _shape_side(shape)
+    below, cells = shape._below, shape.cells
+    letters = word.letters
+    fits = ordered and len(letters) == len(below) and max(letters) < len(table)
+    tops = [0] * (word.rank + 1)
+    counts = [0] * len(table)
+    pos = []
+    mask = 0
+    for a in reversed(letters):
+        left, right = tops[a - 1], tops[a + 1]
+        height = left if left > right else right
+        if tops[a] > height:
+            raise QuadraticRuleError(
+                f"letter {a} stacks on itself; class violates the quadratic rule"
+            )
+        tops[a] = height + 1
+        if fits:
+            column, p = table[a], counts[a]
+            counts[a] = p + 1
+            if p < len(column):
+                i = column[p]
+                if below[i] & mask == below[i]:
+                    mask |= 1 << i
+                    pos.append(cells[i])
+                    continue
+            fits = False
+    if not fits:
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )
-    return Tableau(shape, pos, _checked=True)
+    return Tableau(shape, tuple(pos), _checked=True)
 
 
 def nu_inverse(t: Tableau) -> Word:
-    """Read the word back: letter p from the left is the (normalised) diagonal
-    of the cell holding N+1-p."""
-    shift = 1 - min(t.shape.diagonals())
-    letters = [c - r + 1 + shift for (r, c) in reversed(t.pos)]
-    rank = max(letters) + 1
-    return make_word(letters, rank)
+    """Read the word back: letter p from the left is the column (normalised
+    diagonal) of the cell holding N+1-p.  A disconnected skew shape can read
+    back a factor ``a a``: ``QuadraticRuleError``."""
+    letter = _shape_side(t.shape)[2]
+    letters = tuple([letter[cell] for cell in reversed(t.pos)])
+    _no_square(letters)
+    return _word(letters, max(letters) + 1)
 
 
 def heap_to_json(poset: HeapPoset) -> str:

@@ -32,6 +32,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from .errors import (
     ExplosionGuardError,
     NotADescentError,
+    NotALinearExtensionError,
     PosetBoundsError,
     TrivialIdealError,
     default_cap,
@@ -140,10 +141,21 @@ class Poset:
 
 @dataclass(frozen=True)
 class LinearExtension:
-    """Order-preserving labelling: ``seq[m-1]`` is the element labelled m."""
+    """Order-preserving labelling: ``seq[m-1]`` is the element labelled m.
+
+    ``NotALinearExtensionError`` unless ``seq`` lists every element once,
+    each after its lower covers; the walks here, which place elements only
+    that way, build extensions without the check.
+    """
 
     poset: Poset
     seq: tuple[Hashable, ...]
+
+    def __post_init__(self):
+        if not _is_extension(self.poset._index, self.poset._below, self.seq):
+            raise NotALinearExtensionError(
+                f"{self.seq!r} is not a linear extension of the poset"
+            )
 
     @property
     def size(self) -> int:
@@ -168,20 +180,21 @@ class LinearExtension:
     _LABELS = "seq"  # the label tuple the orbit walk reads
 
     def _toggle(self, seq: tuple, indices: Iterable[int]) -> tuple:
-        """A tau word on a raw ``seq`` of this poset: tau_i swaps labels i
-        and i+1 when the two elements are incomparable."""
+        """A tau word on a raw extension ``seq`` of this poset: tau_i swaps
+        labels i and i+1 when the two elements are incomparable.  The element
+        labelled i is never above the one labelled i+1, so one bit decides."""
         index = self.poset._index
         down = self.poset._down
         seq = list(seq)
         for i in indices:
-            a, b = index[seq[i - 1]], index[seq[i]]
-            if not (down[b] >> a & 1 or down[a] >> b & 1):
+            if not down[index[seq[i]]] >> index[seq[i - 1]] & 1:
                 seq[i - 1], seq[i] = seq[i], seq[i - 1]
         return tuple(seq)
 
     def _rebuild(self, seq: tuple) -> "LinearExtension":
-        """The extension of the same poset with this ``seq``."""
-        return LinearExtension(self.poset, seq)
+        """The extension of the same poset with this ``seq``, a toggle of
+        this one's own."""
+        return _linear_extension(self.poset, seq)
 
     def __lt__(self, other: "LinearExtension") -> bool:
         return self.key() < other.key()
@@ -198,9 +211,31 @@ class LinearExtension:
         return hash(self.seq)
 
 
+def _linear_extension(poset: Poset, seq: tuple) -> LinearExtension:
+    """A ``LinearExtension`` without the check, for ``seq`` an extension of
+    ``poset`` by construction."""
+    ext = object.__new__(LinearExtension)
+    ext.__dict__.update(poset=poset, seq=seq)
+    return ext
+
+
 def _placeable(below: list[int], mask: int, i: int) -> bool:
     """Element i lies outside the down-set ``mask`` and its lower covers in it."""
     return not mask >> i & 1 and below[i] & mask == below[i]
+
+
+def _is_extension(index: dict, below: list[int], seq: Sequence) -> bool:
+    """``seq`` names each element once (through ``index``), each placed
+    after its lower covers: a linear extension of the order ``below``."""
+    if len(seq) != len(below):
+        return False
+    mask = 0
+    for element in seq:
+        i = index.get(element)
+        if i is None or not _placeable(below, mask, i):
+            return False
+        mask |= 1 << i
+    return True
 
 
 def _addable(below: list[int], mask: int) -> list[int]:
@@ -263,7 +298,7 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
         names = poset.elements
         found = _extensions(
             poset._below, cap,
-            lambda ids: LinearExtension(poset, tuple([names[i] for i in ids])),
+            lambda ids: _linear_extension(poset, tuple([names[i] for i in ids])),
             "linear extensions",
         )
         last = _last = {"poset": poset, "extensions": found}

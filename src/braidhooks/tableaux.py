@@ -29,7 +29,7 @@ from .errors import (
     NotABraidHookError,
     ShapeConditionError,
 )
-from .posets import _addable, _extensions, _placeable
+from .posets import _addable, _extensions, _is_extension
 
 __all__ = [
     "Shape",
@@ -105,7 +105,7 @@ class Shape:
             rows.setdefault(r, []).append(c)
         self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
         self._diags = None
-        self._heap = None  # the heap column table and its condition, built by ``heaps``
+        self._heap = None  # ``nu``'s column table, condition and letters, built by ``heaps``
         # the cell order: each cell waits for its left and upper neighbours
         self._index = index = {cell: i for i, cell in enumerate(self.cells)}
         self._below = [
@@ -201,20 +201,6 @@ class Shape:
         return True
 
 
-def _is_standard(shape: Shape, pos: tuple[tuple[int, int], ...]) -> bool:
-    """Each cell of the shape appears once, placed after its lower covers."""
-    if len(pos) != shape.size:
-        return False
-    index, below = shape._index, shape._below
-    mask = 0
-    for cell in pos:
-        i = index.get(cell)
-        if i is None or not _placeable(below, mask, i):
-            return False
-        mask |= 1 << i
-    return True
-
-
 class Tableau:
     """A standard filling of a shape; ``pos[v-1]`` is the cell holding v."""
 
@@ -225,7 +211,7 @@ class Tableau:
         self.shape = shape
         self.pos = tuple(pos)
         self._entries = None
-        if not _checked and not _is_standard(shape, self.pos):
+        if not _checked and not _is_extension(shape._index, shape._below, self.pos):
             raise ValueError(f"filling {self.pos} is not standard on {shape!r}")
 
     @property

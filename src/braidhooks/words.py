@@ -8,8 +8,13 @@ indices differ by at least two; a factor ``a (a+1) a`` (an "up" braid) may
 be replaced by ``(a+1) a (a+1)`` (a "down" braid) and back.
 
 Words of rank ``n`` live in the symmetric group on ``n`` points, so their
-letters lie in ``1..n-1``.  All enumeration here is exact and guarded by a
-configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
+letters lie in ``1..n-1``.  The public constructors (``Word(...)``,
+``make_word``, ``make_reduced_word``, ``word_from_string``,
+``staircase_word``, ``trapezoid_word``) check that range once; the
+enumerations, moves and toggles here, and ``heaps.nu_inverse``, build words
+whose letters are in range by construction, through the unchecked
+``_word``.  All enumeration here is exact and guarded by a configurable
+state cap (``BRAIDHOOKS_CAP`` in the environment).
 
 ``all_reduced_words`` lists the maximal chains of the weak order below a
 permutation, which are its reduced words.  It counts them first, summing
@@ -170,11 +175,26 @@ class Word:
         return tuple(letters)
 
     def _rebuild(self, letters: tuple) -> "Word":
-        """The word of the same rank with these ``letters``."""
-        return Word(letters, self.rank)
+        """The word of the same rank with these ``letters``, a rearrangement
+        of this word's own."""
+        return _word(letters, self.rank)
 
     def permutation(self) -> Permutation:
         return word_to_permutation(self.letters, self.rank)
+
+
+_new = object.__new__
+_set_letters = Word.letters.__set__
+_set_rank = Word.rank.__set__
+
+
+def _word(letters: tuple[int, ...], rank: int) -> Word:
+    """A ``Word`` without the range check, for letters in ``1..rank-1`` by
+    construction: it fills the two slots as ``Word(letters, rank)`` would."""
+    word = _new(Word)
+    _set_letters(word, letters)
+    _set_rank(word, rank)
+    return word
 
 
 @dataclass(frozen=True)
@@ -200,10 +220,15 @@ def make_word(letters: Iterable[int], rank: int) -> Word:
     ``a a`` is still rejected (quadratic rule).
     """
     word = Word(tuple(letters), rank)
-    for a, b in zip(word.letters, word.letters[1:]):
+    _no_square(word.letters)
+    return word
+
+
+def _no_square(letters: tuple[int, ...]) -> None:
+    """``QuadraticRuleError`` at the first factor ``a a``."""
+    for a, b in zip(letters, letters[1:]):
         if a == b:
             raise QuadraticRuleError(f"factor {a} {b} violates the quadratic rule")
-    return word
 
 
 def word_to_permutation(letters: Iterable[int], rank: int) -> Permutation:
@@ -285,7 +310,7 @@ def apply_move(word: Word, site: MoveSite) -> Word:
         w[p], w[p + 1], w[p + 2] = b, a, b
     else:
         raise InvalidSiteError(f"unknown move kind {site.kind!r}")
-    return Word(tuple(w), word.rank)
+    return _word(tuple(w), word.rank)
 
 
 def braid_sites(word: Word) -> tuple[int, int]:
@@ -327,7 +352,7 @@ def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     letters, rank = [w[p] for p in order], word.rank
     # a tuple built from a list is allocated once at its size; from a map it
     # is regrown, which fragments the heap (about 1 MB more RSS on S7's class)
-    return _extensions(below, cap, lambda ids: Word(tuple([letters[i] for i in ids]), rank),
+    return _extensions(below, cap, lambda ids: _word(tuple([letters[i] for i in ids]), rank),
                        "words")
 
 
@@ -388,7 +413,8 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     - walk the upper two thirds on a stack, placing the next left descent
       and taking it back; where a third of the letters remain, each tail of
       what remains completes one word, written into a list of the counted
-      size.  Every word still passes ``Word``'s letter-range check.
+      size.  Every letter is a left descent, in ``1..n-1``, so the words
+      are built without ``Word``'s letter-range check.
     """
     cap = default_cap() if cap is None else cap
     n = perm.n
@@ -421,7 +447,7 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
             _below_each(key, tails, join)
             here = tails[key]
             prefix = tuple(placed)
-            found[i:i + len(here)] = [Word(prefix + t, n) for t in here]
+            found[i:i + len(here)] = [_word(prefix + t, n) for t in here]
             i += len(here)
             a = n  # the split state is left to its tails
         while pos[a] < pos[a + 1]:
