@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import homomesy, posets, tableaux, words
+from . import heaps, homomesy, posets, tableaux, words
 from .errors import ExplosionGuardError, UnknownTheoremError, WordSpecError
 from .tableaux import Shape
 
@@ -52,6 +52,15 @@ def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
     return words.make_word(letters, rank)
 
 
+def _commutation_class(args) -> list[words.Word]:
+    """The class of ``--class-of-word``, after one drop pass of its heap has
+    checked that no word in the class has a factor ``a a``
+    (``QuadraticRuleError``)."""
+    word = parse_word(args.class_of_word, args.rank)
+    heaps._drop(word)
+    return words.commutation_class(word, args.cap)
+
+
 def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -81,8 +90,7 @@ def cmd_enumerate(args) -> int:
         if args.rank is None:
             print("--class-of-word needs --rank", file=sys.stderr)
             return EXIT_USAGE
-        word = parse_word(args.class_of_word, args.rank)
-        objects = words.commutation_class(word, args.cap)
+        objects = _commutation_class(args)
     else:
         print("enumerate needs --shape or --class-of-word", file=sys.stderr)
         return EXIT_USAGE
@@ -351,8 +359,7 @@ def cmd_orbits(args) -> int:
         if args.rank is None:
             print("--class-of-word needs --rank", file=sys.stderr)
             return EXIT_USAGE
-        word = parse_word(args.class_of_word, args.rank)
-        carrier = words.commutation_class(word, args.cap)
+        carrier = _commutation_class(args)
         report = homomesy.homomesy_report(
             carrier, homomesy.word_statistic(stat), args.group, stat
         )

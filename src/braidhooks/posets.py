@@ -17,12 +17,18 @@ serves every enumeration: ``_placeable`` is the one place an element
 becomes placeable (all its lower covers placed), ``_addable`` lists those
 elements, and ``_extensions`` places them in every such order, on an
 explicit stack, for the fillings in ``tableaux`` and the commutation
-classes in ``words`` too.  Covers, bounds and descents read the cover
-masks, and comparability (the toggle's commute test) the down-set masks.
+classes in ``words`` too; it lists a new down-set's addable elements from
+its parent's, testing only the upper covers of the element just placed.
+Covers, bounds and descents read the cover masks, and comparability (the
+toggle's commute test) the down-set masks.  An ideal descent is a window,
+p labelled right before a q that covers it, with p in the ideal and q
+outside, so ``verify_edges`` counts each orbit's windows once per poset
+and checks every ideal as a sum over the covers it cuts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -247,10 +253,16 @@ def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
     """``make(ids)`` for every order of placing all elements after their
     lower covers, in lexicographic order; ``ExplosionGuardError`` naming
     ``what`` once more than ``cap`` are found.  The walk keeps its own stack
-    and lists the addable elements of each down-set it meets once."""
+    and lists the addable elements of each down-set it meets once: placing
+    i keeps the others addable and adds the upper covers of i whose lower
+    covers are now all placed, so a step tests only the upper covers of i."""
     cap = default_cap() if cap is None else cap
     full = (1 << len(below)) - 1
-    addable: dict[int, list[int]] = {}
+    above: list[list[int]] = [[] for _ in below]
+    for i, b in enumerate(below):
+        for j in _bits(b):
+            above[j].append(i)
+    addable = {0: _addable(below, 0)}
     placed: list[int] = []
     found = []
     mask = k = 0
@@ -259,14 +271,17 @@ def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
             if len(found) >= cap:
                 raise ExplosionGuardError(cap, what)
             found.append(make(placed))
-        options = addable.get(mask)
-        if options is None:
-            options = addable[mask] = _addable(below, mask)
+        options = addable[mask]
         if k < len(options):
             i = options[k]
             placed.append(i)
             mask |= 1 << i
             k = 0
+            if mask not in addable:
+                addable[mask] = sorted(
+                    [j for j in options if j != i]
+                    + [u for u in above[i] if _placeable(below, mask, u)]
+                )
         elif placed:
             i = placed.pop()
             mask ^= 1 << i
@@ -388,11 +403,14 @@ def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Has
 def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict:
     """Check |L(P)| = sum of descent counts, plus per-orbit averages of one.
 
-    The extensions and their dihedral orbits do not depend on the ideal, so
-    the orbits are kept beside the extensions ``linear_extensions`` keeps:
-    every ideal of one ``Poset`` object after the first runs only
-    ``descents``, and one poset's orbits stay alive.  Descents are summed per
-    orbit as integers; each orbit's average is one ``Fraction``, for the report.
+    A descent of the ideal is a window: p labelled right before q, q covering
+    p, p in the ideal and q outside it.  The extensions and their dihedral
+    orbits do not depend on the ideal, so the first call on a ``Poset`` object
+    closes the orbits once and counts, per orbit, the members placing each
+    cover's q right after its p; those counts are kept beside the extensions
+    ``linear_extensions`` keeps.  Every ideal is then one mask, and an orbit's
+    descent sum is the total count of the covers that the mask cuts.  Sums
+    are integers; each orbit's average is one ``Fraction``, for the report.
     """
     from .homomesy import dihedral_orbits
 
@@ -402,20 +420,35 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     last = _last  # read once: another thread may walk a different poset meanwhile
     if last.get("poset") is not poset:
         last = {}
-    orbits = last.get("orbits")
-    if orbits is None:
-        orbits = last["orbits"] = dihedral_orbits(extensions, "dihedral")
-    sums = [sum(len(descents(ext, ideal)) for ext in orbit.members) for orbit in orbits]
+    windows = last.get("windows")
+    if windows is None:
+        orbits = dihedral_orbits(extensions, "dihedral")
+        windows = last["windows"] = [_cover_windows(poset._below, orbit) for orbit in orbits]
+    mask = sum([1 << i for e, i in poset._index.items() if e in ideal])
+    sums = [sum([n for p, q, n in counts if mask & p and not mask & q])
+            for _, counts in windows]
     rhs = sum(sums)  # the orbits partition the extensions
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "ok": lhs == rhs and all(s == orbit.size for orbit, s in zip(orbits, sums)),
+        "ok": lhs == rhs and all(s == size for (size, _), s in zip(windows, sums)),
         "per_orbit": [
-            {"size": orbit.size, "average": Fraction(s, orbit.size)}
-            for orbit, s in zip(orbits, sums)
+            {"size": size, "average": Fraction(s, size)}
+            for (size, _), s in zip(windows, sums)
         ],
     }
+
+
+def _cover_windows(below: list[int], orbit) -> tuple[int, list[tuple[int, int, int]]]:
+    """The orbit's size and a ``(p bit, q bit, n)`` triple for each cover
+    p < q that n of its members label consecutively, p then q."""
+    counts = Counter(
+        (p, q)
+        for ids in map(LinearExtension.key, orbit.members)
+        for p, q in zip(ids, ids[1:])
+        if below[q] >> p & 1
+    )
+    return orbit.size, [(1 << p, 1 << q, n) for (p, q), n in counts.items()]
 
 
 def chain_poset(n: int) -> Poset:
@@ -465,16 +498,21 @@ def heap_as_poset(heap) -> Poset:
 
 
 def poset_from_lines(text: str) -> Poset:
-    """Parse lines of the form ``a < b`` into a poset."""
+    """Parse lines of the form ``a < b`` into a poset.
+
+    Blank lines and lines starting with ``#`` are skipped; any other line
+    without exactly one ``<`` between two nonempty names is a ``ValueError``
+    naming it."""
     covers = []
     names: list[str] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "<" not in line:
+        parts = [part.strip() for part in line.split("<")]
+        if len(parts) != 2 or not all(parts):
             raise ValueError(f"expected 'a < b', got {line!r}")
-        a, b = (part.strip() for part in line.split("<", 1))
+        a, b = parts
         covers.append((a, b))
         for name in (a, b):
             if name not in names:

@@ -52,3 +52,12 @@ def test_no_source_flag(command, message, capsys):
 def test_class_of_word_still_runs(capsys):
     assert main(["enumerate", "--class-of-word", "1,3", "--rank", "4"]) == EXIT_PASS
     assert capsys.readouterr().out == "13\n31\ncount: 2\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+def test_class_breaking_the_quadratic_rule_is_refused(command, capsys):
+    # 1,3,1 has no factor "a a", but 113 and 311 are in its class
+    assert main([command, "--class-of-word", "1,3,1", "--rank", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: letter 1 stacks on itself; class violates the quadratic rule\n"

@@ -1,6 +1,7 @@
 """Posets, extensions, ideals, descents, and the edge-counting theorem."""
 
 import random
+import re
 
 import pytest
 
@@ -239,3 +240,15 @@ class TestParsing:
         assert parse_ideal(poset, "a") == frozenset({"a"})
         with pytest.raises(ValueError):
             parse_ideal(poset, "b")
+
+
+@pytest.mark.parametrize("line", ["a <", "< b", " <  ", "bot < a < top", "a < b < "])
+def test_malformed_cover_line_is_named(line, tmp_path, capsys):
+    from braidhooks.cli import EXIT_USAGE, main
+
+    with pytest.raises(ValueError, match=re.escape(repr(line.strip()))):
+        poset_from_lines(f"a < b\n{line}\n")
+    path = tmp_path / "poset.txt"
+    path.write_text(f"{line}\n")
+    assert main(["verify", "poset-edges", "--poset", str(path), "--ideal", "a"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: expected 'a < b', got {line.strip()!r}\n"

@@ -59,3 +59,21 @@ def test_orbits_on_long_chain(chain_file, capsys):
     assert code == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert report["homomesic"] is True
+
+
+def test_chain_walk_makes_linearly_many_placeability_tests(monkeypatch):
+    # each new down-set's addable list comes from its parent's, so a step
+    # tests only the upper covers of the element it placed
+    from braidhooks import posets
+
+    tests = []
+    placeable = posets._placeable
+
+    def counted(below, mask, i):
+        tests.append(i)
+        return placeable(below, mask, i)
+
+    monkeypatch.setattr(posets, "_placeable", counted)
+    (only,) = linear_extensions(chain_poset(3000))
+    assert only.seq == tuple(range(3000))
+    assert len(tests) <= 2 * 3000
