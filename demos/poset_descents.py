@@ -19,7 +19,7 @@ from braidhooks import (
     shape_poset,
     verify_edges,
 )
-from braidhooks.posets import diamond_poset, heap_as_poset
+from braidhooks.posets import diamond_poset
 
 print("== the diamond ==")
 poset = diamond_poset()
@@ -39,7 +39,7 @@ for p, ext in pairs:
     print(f"({p}, {ext.seq}) -> {image.seq} -> back {back == (p, ext)}")
 
 print("\n== the staircase cells form a bounded poset too ==")
-cells = heap_as_poset(shape_poset(Shape.right((4, 3, 2, 1))))
+cells = shape_poset(Shape.right((4, 3, 2, 1)))
 bottom = cells.minimum()
 report = verify_edges(cells, frozenset({bottom}))
 print(f"12 fillings revisited: lhs {report['lhs']} = rhs {report['rhs']},"

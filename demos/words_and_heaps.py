@@ -43,7 +43,8 @@ print("as expected, braid edges = half the word count:",
 print("\n== rotating the heap onto the staircase ==")
 shape = Shape.right((4, 3, 2, 1))
 poset = heap_poset(w0)
-print(f"heap of {w0}: {poset.size} pieces in columns {sorted(set(poset.columns))}")
+print(f"heap of {w0}: {poset.size} pieces in columns"
+      f" {sorted({column for column, _ in poset.elements})}")
 t = nu(w0, shape)
 print("the drop order, as a standard filling:")
 print(tableau_to_text(t))

@@ -27,7 +27,6 @@ from .errors import (
     UnknownTheoremError,
 )
 from .heaps import (
-    HeapPoset,
     build_order_extension,
     heap_poset,
     nu,

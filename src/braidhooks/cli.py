@@ -53,11 +53,10 @@ def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
 
 
 def _commutation_class(args) -> list[words.Word]:
-    """The class of ``--class-of-word``, after one drop pass of its heap has
-    checked that no word in the class has a factor ``a a``
-    (``QuadraticRuleError``)."""
+    """The class of ``--class-of-word``, after its heap has checked that no
+    word in the class has a factor ``a a`` (``QuadraticRuleError``)."""
     word = parse_word(args.class_of_word, args.rank)
-    heaps._drop(word)
+    heaps.heap_poset(word)
     return words.commutation_class(word, args.cap)
 
 
@@ -311,6 +310,7 @@ def cmd_orbits(args) -> int:
             print("--poset needs --ideal", file=sys.stderr)
             return EXIT_USAGE
         ideal = posets.parse_ideal(poset, args.ideal)
+        posets._require_proper(poset, ideal)
         carrier = posets.linear_extensions(poset, args.cap)
         statistic = lambda ext: len(posets.descents(ext, ideal))  # noqa: E731
         report = homomesy.homomesy_report(carrier, statistic, args.group, "descents")

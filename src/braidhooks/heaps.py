@@ -1,11 +1,16 @@
 """Heaps of pieces: the poset of a word and its rotation onto tableaux.
 
-Dropping a piece for each letter, rightmost letter first, builds a poset
-whose linear extensions are the commutation class of the word: the masks of
-``words._heap_order`` over the letters in drop order, reduced.  Rotating
-the heap by 45 degrees matches it with a justified shape: the piece in
-column c at stack position p corresponds to the p-th cell (top-down) of
-the shape's diagonal c, and the drop order becomes a standard filling.
+A word's heap is a ``Poset`` whose elements are its pieces, (column, stack
+position), listed in that order.  Dropping a piece for each letter,
+rightmost letter first, orders them by the masks of ``words._heap_order``
+over the letters in drop order; the heap's linear extensions are the
+commutation class of the word, and the drop order is one of them.  A class
+breaks the quadratic rule (some word in it has a factor ``a a``) exactly
+when a piece covers a piece of its own column.  Rotating the heap by 45
+degrees matches it with a justified shape: the piece in column c at stack
+position p corresponds to the p-th cell (top-down) of the shape's diagonal
+c, ``shape_poset`` names each cell by that piece, and the drop order
+becomes a standard filling.
 
 ``nu`` builds no heap: it drops the pieces in one pass over the letters and
 checks where each lands against the shape's cover masks.  A heap's order is
@@ -20,16 +25,13 @@ constructors keep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import _bits, transitive_reduction
+from .posets import LinearExtension, Poset, _bits, transitive_reduction
 from .tableaux import Shape, Tableau
 from .words import Word, _heap_order, _no_square, _word
 
 __all__ = [
-    "HeapPoset",
-    "LinearExtensionLabel",
     "heap_poset",
     "build_order_extension",
     "shape_poset",
@@ -39,73 +41,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeapPoset:
-    """Heap elements in canonical (column, stack position) order.
-
-    ``columns[i]`` and ``positions[i]`` locate element i; ``covers`` holds
-    the transitively reduced relation as (lower, upper) index pairs.  Two
-    heaps are isomorphic (as marked posets) exactly when they are equal.
-    """
-
-    columns: tuple[int, ...]
-    positions: tuple[int, ...]
-    covers: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.columns)
-
-
-@dataclass(frozen=True)
-class LinearExtensionLabel:
-    """Labels 1..m on the canonical elements of a heap poset."""
-
-    labels: tuple[int, ...]
-
-
-def _drop(word: Word) -> list[tuple[int, int]]:
-    """Simulate the drops; return each piece's (column, stack position) in
-    drop order."""
-    tops = [0] * (word.rank + 1)
+def _pieces(word: Word) -> list[tuple[int, int]]:
+    """Each letter's piece (column, stack position), in drop order."""
     counts = [0] * (word.rank + 1)
-    pieces: list[tuple[int, int]] = []
+    pieces = []
     for letter in reversed(word.letters):
-        adjacent = max(tops[letter - 1], tops[letter + 1])
-        if tops[letter] > adjacent:
-            # the piece would rest directly on its own column: some word in
-            # the commutation class contains the factor `a a`
-            raise QuadraticRuleError(
-                f"letter {letter} stacks on itself; class violates the quadratic rule"
-            )
-        # adjacent columns never share a height, so the piece rests on a neighbour
-        tops[letter] = adjacent + 1
         counts[letter] += 1
         pieces.append((letter, counts[letter]))
     return pieces
 
 
-def _heap(drop_letters: tuple[int, ...], pieces: list[tuple[int, int]]) -> HeapPoset:
-    """The reduced heap of the letters in drop order.  ``pieces``, sorted, are
-    ``_heap_order``'s piece numbering: (column, stack position)."""
-    covers, _ = transitive_reduction(_heap_order(drop_letters)[1])
-    return HeapPoset(
-        tuple([column for column, _ in pieces]),
-        tuple([position for _, position in pieces]),
-        frozenset((j, i) for i, b in enumerate(covers) for j in _bits(b)),
-    )
+def heap_poset(word: Word) -> Poset:
+    """The heap of a word, with covers between adjacent columns only;
+    ``QuadraticRuleError`` names the first piece, in drop order, that rests
+    directly on its own column."""
+    pieces = _pieces(word)
+    elements = sorted(pieces)  # ``_heap_order``'s piece numbering
+    _, below = _heap_order(word.letters[::-1])
+    heap = Poset(elements, [(elements[j], elements[i])
+                            for i, b in enumerate(below) for j in _bits(b)])
+    for column, p in pieces:
+        if ((column, p - 1), (column, p)) in heap.covers:
+            raise QuadraticRuleError(
+                f"letter {column} stacks on itself; class violates the quadratic rule"
+            )
+    return heap
 
 
-def heap_poset(word: Word) -> HeapPoset:
-    """The heap of a word, with covers between adjacent columns only."""
-    return _heap(word.letters[::-1], sorted(_drop(word)))
-
-
-def build_order_extension(word: Word) -> LinearExtensionLabel:
-    """Label each canonical heap element with its drop step (1 = rightmost)."""
-    pieces = _drop(word)
-    order = sorted(range(len(pieces)), key=pieces.__getitem__)
-    return LinearExtensionLabel(tuple(drop_idx + 1 for drop_idx in order))
+def build_order_extension(word: Word) -> LinearExtension:
+    """The extension of the word's heap that lists its pieces in drop order."""
+    return LinearExtension(heap_poset(word), tuple(_pieces(word)))
 
 
 def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], list[int]]:
@@ -137,14 +102,14 @@ def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, dict[tuple[int, in
     return shape._heap
 
 
-def shape_poset(shape: Shape) -> HeapPoset:
-    """The cell poset of a shape, in diagonal layout order."""
+def shape_poset(shape: Shape) -> Poset:
+    """The cell poset of a shape, each cell named by the piece ``nu`` sends
+    to it, in diagonal layout order."""
     cells, columns, positions = _diagonal_layout(shape)
-    layout = {shape._index[cell]: k for k, cell in enumerate(cells)}
-    covers = frozenset(
-        (layout[j], layout[i]) for i, b in enumerate(shape._below) for j in _bits(b)
-    )
-    return HeapPoset(tuple(columns), tuple(positions), covers)
+    pieces = list(zip(columns, positions))
+    piece = {shape._index[cell]: k for cell, k in zip(cells, pieces)}
+    return Poset(pieces, [(piece[j], piece[i])
+                          for i, b in enumerate(shape._below) for j in _bits(b)])
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
@@ -199,12 +164,14 @@ def nu_inverse(t: Tableau) -> Word:
     return _word(letters, max(letters) + 1)
 
 
-def heap_to_json(poset: HeapPoset) -> str:
+def heap_to_json(poset: Poset) -> str:
+    """A heap or shape poset: each element's index and column, and the
+    covers as index pairs."""
     return json.dumps(
         {
             "elements": [
-                {"id": i, "column": col} for i, col in enumerate(poset.columns)
+                {"id": i, "column": column} for i, (column, _) in enumerate(poset.elements)
             ],
-            "covers": sorted([lo, hi] for lo, hi in poset.covers),
+            "covers": sorted([j, i] for i, b in enumerate(poset._below) for j in _bits(b)),
         }
     )

@@ -1,13 +1,16 @@
 """Finite posets, linear extensions, order ideals, and ideal descents.
 
 Elements are arbitrary hashable names; covers are (lower, upper) pairs and
-are reduced to the transitive reduction at construction.  A linear
-extension is a carrier of the toggle group, like a word or a tableau: it
-has a ``size``, ``taus(indices)`` applying a whole tau word in one pass
-(tau_i swaps labels i and i+1 when the two elements are incomparable),
-``tau(i)``, the one-letter word, and ``key()``, the element indices in
-label order, by which extensions sort.  The even/odd orbit machinery in
-``homomesy`` uses only this interface.
+are reduced to the transitive reduction at construction.  ``Poset`` is the
+one order type: the heap of a word and the cell poset of a shape
+(``heaps``) are posets whose elements are pieces (column, stack position),
+and their linear extensions are the words of the class and the standard
+fillings.  A linear extension is a carrier of the toggle group, like a
+word or a tableau: it has a ``size``, ``taus(indices)`` applying a whole
+tau word in one pass (tau_i swaps labels i and i+1 when the two elements
+are incomparable), ``tau(i)``, the one-letter word, and ``key()``, the
+element indices in label order, by which extensions sort.  The even/odd
+orbit machinery in ``homomesy`` uses only this interface.
 
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
@@ -60,7 +63,6 @@ __all__ = [
     "antichain_poset",
     "poset_from_lines",
     "parse_ideal",
-    "heap_as_poset",
     "transitive_reduction",
 ]
 
@@ -113,7 +115,10 @@ class Poset:
             raise ValueError("duplicate elements")
         given = [0] * len(self.elements)
         for a, b in covers:
-            given[self._index[b]] |= 1 << self._index[a]
+            try:
+                given[self._index[b]] |= 1 << self._index[a]
+            except KeyError as exc:
+                raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
         names = self.elements
         self.covers = frozenset(
@@ -366,6 +371,10 @@ def tau_on_extension(extension: LinearExtension, i: int) -> LinearExtension:
 def _require_bounds_and_proper(poset: Poset, ideal: frozenset) -> None:
     if poset.minimum() is None or poset.maximum() is None:
         raise PosetBoundsError("poset needs a unique minimum and maximum")
+    _require_proper(poset, ideal)
+
+
+def _require_proper(poset: Poset, ideal: frozenset) -> None:
     if not ideal or len(ideal) == poset.size:
         raise TrivialIdealError("ideal must be proper and nonempty")
 
@@ -490,11 +499,6 @@ def random_bounded_poset(rng, size: int) -> Poset:
     covers.extend((a, "top") for a in layers[-1])
     elements = ["bot"] + list(range(middle)) + ["top"]
     return Poset(elements, covers)
-
-
-def heap_as_poset(heap) -> Poset:
-    """View a heap/shape poset through the generic poset interface."""
-    return Poset(range(heap.size), heap.covers)
 
 
 def poset_from_lines(text: str) -> Poset:

@@ -11,7 +11,7 @@ import pytest
 
 from braidhooks.heaps import _diagonal_layout, nu_inverse, shape_poset
 from braidhooks.homomesy import tau_parity
-from braidhooks.posets import LinearExtension, heap_as_poset
+from braidhooks.posets import LinearExtension
 from braidhooks.tableaux import Shape, standard_tableaux, tau
 
 from helpers import partitions, skew_test_shapes, strict_partitions
@@ -39,8 +39,8 @@ def _one_at_a_time(x, parity: str):
 def test_carriers_toggle_alike(family):
     for shape in SHAPES[family]:
         cells, _, _ = _diagonal_layout(shape)
-        element = {cell: k for k, cell in enumerate(cells)}
-        poset = heap_as_poset(shape_poset(shape))
+        poset = shape_poset(shape)
+        element = dict(zip(cells, poset.elements))
         n = shape.size
 
         def extension(t):

@@ -215,6 +215,17 @@ class TestOrbits:
         data = json.loads(capsys.readouterr().out)
         assert all(o["average"] == "1" for o in data["orbits"])
 
+    @pytest.mark.parametrize("ideal", ["", "bot,left,right,top"], ids=["empty", "everything"])
+    def test_poset_trivial_ideal_is_rejected_like_verify(self, ideal, tmp_path, capsys):
+        path = tmp_path / "diamond.txt"
+        path.write_text("bot < left\nbot < right\nleft < top\nright < top\n")
+        for argv in (["orbits"], ["verify", "poset-edges"]):
+            code = main([*argv, "--poset", str(path), "--ideal", ideal])
+            assert code == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.err == "error: ideal must be proper and nonempty\n", argv
+            assert captured.out == "", argv
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -14,6 +14,7 @@ from braidhooks.heaps import (
     nu_inverse,
     shape_poset,
 )
+from braidhooks.posets import linear_extensions
 from braidhooks.tableaux import Shape, braid_hooks, standard_tableaux
 from braidhooks.words import (
     Permutation,
@@ -29,6 +30,11 @@ from braidhooks.words import (
 from helpers import pointed_partitions
 
 
+def order(poset):
+    """What two heap or shape posets share when they are the same order."""
+    return poset.elements, poset.covers
+
+
 class TestHeapConstruction:
     def test_single_letter(self):
         poset = heap_poset(make_reduced_word([1], 2))
@@ -38,16 +44,16 @@ class TestHeapConstruction:
     def test_staircase_heap_matches_shape(self):
         for n in range(2, 7):
             shape = Shape.right(tuple(range(n - 1, 0, -1)))
-            assert heap_poset(staircase_word(n)) == shape_poset(shape)
+            assert order(heap_poset(staircase_word(n))) == order(shape_poset(shape))
 
     def test_class_invariance(self):
         for n in (3, 4):
             for images in itertools.permutations(range(1, n + 1)):
                 perm = Permutation(images)
                 for word in all_reduced_words(perm):
-                    reference = heap_poset(word)
+                    reference = order(heap_poset(word))
                     for other in commutation_class(word):
-                        assert heap_poset(other) == reference
+                        assert order(heap_poset(other)) == reference
 
     def test_quadratic_rule_detected_through_commutation(self):
         # 1 3 1 has no literal aa factor but commutes to 3 1 1
@@ -66,20 +72,20 @@ class TestHeapConstruction:
 
 class TestBuildOrder:
     def test_single_element(self):
-        labels = build_order_extension(make_reduced_word([1], 2)).labels
-        assert labels == (1,)
+        seq = build_order_extension(make_reduced_word([1], 2)).seq
+        assert seq == ((1, 1),)
 
     def test_distinct_words_get_distinct_labelings(self):
         words = commutation_class(staircase_word(5))
-        labelings = {build_order_extension(w).labels for w in words}
+        labelings = {build_order_extension(w).seq for w in words}
         assert len(labelings) == len(words)
 
     def test_labels_respect_covers(self):
         for word in commutation_class(staircase_word(5)):
             poset = heap_poset(word)
-            labels = build_order_extension(word).labels
+            ext = build_order_extension(word)
             for lo, hi in poset.covers:
-                assert labels[lo] < labels[hi]
+                assert ext.label(lo) < ext.label(hi)
 
 
 class TestShapePoset:
@@ -88,7 +94,7 @@ class TestShapePoset:
         assert poset.size == 1
 
     def test_staircase_isomorphism(self):
-        assert shape_poset(Shape.right((4, 3, 2, 1))) == heap_poset(staircase_word(5))
+        assert order(shape_poset(Shape.right((4, 3, 2, 1)))) == order(heap_poset(staircase_word(5)))
 
     def test_521_has_two_extensions(self):
         shape = Shape.right((5, 2, 1))
@@ -160,3 +166,28 @@ class TestNu:
             for t in standard_tableaux(shape):
                 word = nu_inverse(t)
                 assert braid_sites(word)[1] == 0
+
+
+class TestHeapsArePosets:
+    """A word's heap is a ``Poset`` whose linear extensions, read as words,
+    are the word's commutation class; the drop order is one of them."""
+
+    @staticmethod
+    def check(word):
+        def read(ext):  # the drop order lists the letters right to left
+            return make_word([column for column, _ in reversed(ext.seq)], word.rank)
+
+        extensions = linear_extensions(heap_poset(word))
+        assert sorted(map(read, extensions)) == commutation_class(word), word
+        built = build_order_extension(word)
+        assert built in extensions and read(built) == word, word
+
+    def test_every_reduced_word_up_to_s5(self):
+        for n in range(1, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                for word in all_reduced_words(Permutation(images)):
+                    self.check(word)
+
+    def test_staircase_class_of_s6(self):
+        for word in commutation_class(staircase_word(6)):
+            self.check(word)

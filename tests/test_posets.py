@@ -19,7 +19,6 @@ from braidhooks.posets import (
     chain_poset,
     descents,
     diamond_poset,
-    heap_as_poset,
     linear_extensions,
     order_ideals,
     parse_ideal,
@@ -42,6 +41,11 @@ class TestPosetBasics:
         with pytest.raises(ValueError):
             Poset([0, 1], [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("covers", [[("a", "c")], [("c", "a")], [("a", "b"), ("b", "c")]])
+    def test_cover_outside_the_elements_is_named(self, covers):
+        with pytest.raises(ValueError, match="cover element 'c' is not in elements"):
+            Poset("ab", covers)
+
     def test_bounds(self):
         assert diamond_poset().minimum() == "bot"
         assert diamond_poset().maximum() == "top"
@@ -56,7 +60,7 @@ class TestExtensionsAndIdeals:
         assert len(linear_extensions(diamond_poset())) == 2
 
     def test_staircase_cells_have_twelve(self):
-        poset = heap_as_poset(shape_poset(Shape.right((4, 3, 2, 1))))
+        poset = shape_poset(Shape.right((4, 3, 2, 1)))
         assert len(linear_extensions(poset)) == 12
 
     def test_chain_ideals(self):
@@ -193,7 +197,7 @@ class TestVerifyEdges:
         assert [o["average"] for o in report["per_orbit"]] == [1]
 
     def test_staircase_cells(self):
-        poset = heap_as_poset(shape_poset(Shape.right((4, 3, 2, 1))))
+        poset = shape_poset(Shape.right((4, 3, 2, 1)))
         bottom = poset.minimum()
         report = verify_edges(poset, frozenset({bottom}))
         assert report["lhs"] == report["rhs"] == 12
@@ -213,7 +217,7 @@ class TestVerifyEdges:
             if len(o) >= 2
         ]
         for shape in shapes:
-            poset = heap_as_poset(shape_poset(shape))
+            poset = shape_poset(shape)
             assert len(linear_extensions(poset)) == len(standard_tableaux(shape))
 
     def test_rejects_trivial_ideal(self):

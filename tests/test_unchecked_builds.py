@@ -108,7 +108,7 @@ def test_nu_neither_drops_nor_checks_the_filling(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("nu ran a second pass")
 
-    monkeypatch.setattr(heaps, "_drop", forbidden)
+    monkeypatch.setattr(heaps, "heap_poset", forbidden)
     monkeypatch.setattr(tableaux, "_is_extension", forbidden)
     for word in words:
         assert nu_inverse(nu(word, shape)) == word
