@@ -420,13 +420,19 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     ``linear_extensions`` keeps.  Every ideal is then one mask, and an orbit's
     descent sum is the total count of the covers that the mask cuts.  Sums
     are integers; each orbit's average is one ``Fraction``, for the report.
+    Only a call that passed the bounds check stores those counts, so a later
+    call on the same poset skips that check.
     """
     from .homomesy import dihedral_orbits
 
-    _require_bounds_and_proper(poset, ideal)
+    last = _last  # read once: another thread may walk a different poset meanwhile
+    if last.get("poset") is not poset or "windows" not in last:
+        _require_bounds_and_proper(poset, ideal)
+    else:
+        _require_proper(poset, ideal)
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
-    last = _last  # read once: another thread may walk a different poset meanwhile
+    last = _last
     if last.get("poset") is not poset:
         last = {}
     windows = last.get("windows")

@@ -376,6 +376,20 @@ class TestCapVariable:
         assert main(["verify", "poset-edges", "--count", "1"]) == EXIT_USAGE
         assert "BRAIDHOOKS_CAP" in capsys.readouterr().err
 
+    def test_poset_walks_read_it_once(self, monkeypatch, capsys):
+        from braidhooks import cli, errors, posets
+
+        reads = []
+
+        def counted():
+            reads.append(1)
+            return errors.default_cap()
+
+        monkeypatch.setattr(cli, "default_cap", counted)
+        monkeypatch.setattr(posets, "default_cap", counted)
+        assert main(["verify", "poset-edges", "--count", "5"]) == EXIT_PASS
+        assert len(reads) == 1
+
     def test_explicit_cap_does_not_read_it(self, monkeypatch, capsys):
         monkeypatch.setenv("BRAIDHOOKS_CAP", "abc")
         assert main(["--cap", "100", "verify", "reiner", "--n", "3"]) == EXIT_PASS

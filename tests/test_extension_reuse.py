@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from braidhooks import homomesy, posets
-from braidhooks.errors import ExplosionGuardError
+from braidhooks.errors import ExplosionGuardError, PosetBoundsError, TrivialIdealError
 from braidhooks.posets import (
     Poset,
     antichain_poset,
@@ -94,6 +94,24 @@ def test_returned_lists_are_the_callers():
     again = linear_extensions(poset)
     assert again == expected and again is not first
     assert again == linear_extensions(Poset(poset.elements, poset.covers))
+
+
+def test_a_walked_unbounded_poset_still_fails_the_bounds_check():
+    # the walk stores the poset but no orbit windows; only a checked poset has those
+    poset = antichain_poset(3)
+    linear_extensions(poset)
+    with pytest.raises(PosetBoundsError):
+        verify_edges(poset, frozenset({0}))
+
+
+def test_bounds_are_checked_once_per_poset_and_properness_every_call(monkeypatch):
+    poset = seeded_posets(1)[0]
+    ideals = proper_ideals(poset)
+    calls = counting(monkeypatch, Poset, "minimum")
+    reports = [verify_edges(poset, ideal) for ideal in ideals]
+    assert calls == ["minimum"] and all(r["ok"] for r in reports)
+    with pytest.raises(TrivialIdealError):
+        verify_edges(poset, frozenset())
 
 
 def test_no_poset_is_left_in_a_cycle():
