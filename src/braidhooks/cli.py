@@ -1,8 +1,9 @@
 """Command line front end: enumerations, theorem checks, orbit reports.
 
 Exit codes: 0 all requested checks pass, 1 a check fails, 2 usage error,
-3 a state cap was exceeded.  All numbers are exact; averages print as
-fractions.  Output is deterministic for a fixed seed and flag set.
+3 a state cap was exceeded or memory ran out.  All numbers are exact;
+averages print as fractions.  Output is deterministic for a fixed seed and
+flag set.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -507,6 +508,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ExplosionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print(f"error: out of memory in {args.command}; a smaller input or a lower --cap"
+              " stops the enumeration sooner", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

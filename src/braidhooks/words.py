@@ -26,6 +26,13 @@ with the down-set walk of ``posets``.  The heap is compiled once, by
 ``_heap_order``, which ``heaps.heap_poset`` also reads.  Both meet each word
 once, in lexicographic order, with no ``seen`` set or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
+
+``braid_move_stats`` reads its words once, in chunks of a few thousand,
+joins each chunk into one byte buffer (``0`` between words) and counts each
+braid factor with the C-level ``bytes.count``.  A chunk whose sites of one
+kind may overlap (a factor ``a (a+1) a (a+1)``, never in a reduced word) or
+whose letters may pass 15 is counted word by word with ``braid_sites``,
+which stays public as the per-word reference.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
@@ -542,11 +551,15 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
     """Exact braid-move statistics over a collection of words.
 
     Returns total site count, the mean per word, and the up/down split used
-    by the skew-shape difference statistic.
+    by the skew-shape difference statistic.  The words are read once, in
+    chunks of ``_CHUNK`` counted by ``_chunk_sites``, so a generator serves;
+    every total equals the sum of ``braid_sites`` over the same words.
     """
+    words = iter(words)
     up = down = count = 0
-    for count, word in enumerate(words, 1):
-        u, d = braid_sites(word)
+    while chunk := list(islice(words, _CHUNK)):
+        count += len(chunk)
+        u, d = _chunk_sites(chunk)
         up += u
         down += d
     if not count:
@@ -558,6 +571,47 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
         "up": up,
         "down": down,
     }
+
+
+_CHUNK = 4096  # words per byte buffer: about 64 kB for words of S6
+_SCAN_TOP = 15  # the largest letter scanned as bytes; the scan makes 3 passes per letter
+_letters = attrgetter("letters")
+_rank = attrgetter("rank")
+
+
+def _chunk_sites(chunk: list[Word]) -> tuple[int, int]:
+    """The (up, down) braid sites of a nonempty ``chunk``, summed.
+
+    The words are joined into one buffer with ``0`` between them; letters
+    are at least 1, so no window spans two words.  For each letter ``a``
+    below the largest the ranks allow, the C-level ``bytes.count`` counts
+    the factors ``a (a+1) a`` and ``(a+1) a (a+1)``.  It counts matches that
+    do not overlap, and two sites of one kind overlap only inside
+    ``a (a+1) a (a+1) a`` or ``(a+1) a (a+1) a (a+1)``, both of which hold
+    ``a (a+1) a (a+1)``.  A chunk holding that factor (never a reduced
+    word), or whose ranks allow a letter above ``_SCAN_TOP``, is summed
+    word by word with ``braid_sites``: past about 15 letters the passes
+    cost more than the per-word loop, and past 255 ``bytes`` cannot hold
+    them.
+    """
+    top = max(map(_rank, chunk)) - 1
+    if top > _SCAN_TOP:
+        return _summed_sites(chunk)
+    buf = b"\0".join(map(bytes, map(_letters, chunk)))
+    up = down = 0
+    for a in range(1, top):
+        b = a + 1
+        if bytes((a, b, a, b)) in buf:
+            return _summed_sites(chunk)
+        up += buf.count(bytes((a, b, a)))
+        down += buf.count(bytes((b, a, b)))
+    return up, down
+
+
+def _summed_sites(chunk: list[Word]) -> tuple[int, int]:
+    """The (up, down) sums of ``braid_sites`` over a nonempty ``chunk``."""
+    up, down = map(sum, zip(*map(braid_sites, chunk)))
+    return up, down
 
 
 def word_to_string(word: Word) -> str:

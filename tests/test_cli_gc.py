@@ -73,6 +73,20 @@ class TestCollectorState:
             assert gc.isenabled() is enabled
         assert seen == [False]  # paused while the command ran
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_out_of_memory_exits_3_with_a_message(self, enabled, monkeypatch, capsys):
+        def starved(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_window", starved)
+        with collector(enabled):
+            assert main(["window", "--word", "1,2,1", "--rank", "3"]) == EXIT_CAP
+            assert gc.isenabled() is enabled
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory in window;")
+        assert "Traceback" not in captured.err
+
     def test_library_calls_leave_it_alone(self):
         with collector(True):
             words.all_reduced_words(words.Permutation.longest(4))
