@@ -2,14 +2,14 @@
 
 The odd and even operators apply every ``tau_i`` of one parity at once;
 they are involutions, so together they generate a dihedral group.  They
-act on any carrier of the toggle group: tableaux, words and linear
-extensions, all linear extensions of a poset (the shape poset, the heap
-poset, or a general one).  A carrier has a ``size``; ``taus(indices)``,
-which applies a whole tau word in one pass (``tau(i)`` is the one-letter
-word); and ``key()``, its canonical sort key (a tableau's row-reading word,
-an extension's element indices, a word's ``(letters, rank)``).  Orbits and
-their members are ordered by sorting on that key, so the comparisons run
-in C.  All averages are exact fractions.
+act on any carrier of the toggle group (``posets._Carrier``): tableaux,
+words and linear extensions, all linear extensions of a poset (the shape
+poset, the heap poset, or a general one).  A carrier has a ``size``;
+``taus(indices)``, which applies a whole tau word in one pass (``tau(i)`` is
+the one-letter word); and ``key()``, its canonical sort key (a tableau's
+row-reading word, an extension's element indices, a word's ``(letters,
+rank)``).  Orbits and their members are ordered by sorting on that key, so
+the comparisons run in C.  All averages are exact fractions.
 
 Orbits are walked on raw label tuples.  Each carrier names its tuple in
 ``_LABELS`` (``pos``, ``letters``, ``seq``), holds its one commute test in

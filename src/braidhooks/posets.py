@@ -6,27 +6,28 @@ one order type: the heap of a word and the cell poset of a shape
 (``heaps``) are posets whose elements are pieces (column, stack position),
 and their linear extensions are the words of the class and the standard
 fillings.  A linear extension is a carrier of the toggle group, like a
-word or a tableau: it has a ``size``, ``taus(indices)`` applying a whole
-tau word in one pass (tau_i swaps labels i and i+1 when the two elements
-are incomparable), ``tau(i)``, the one-letter word, and ``key()``, the
-element indices in label order, by which extensions sort.  The even/odd
-orbit machinery in ``homomesy`` uses only this interface.
+word or a tableau, and the three share ``_Carrier``: a ``size``,
+``taus(indices)`` applying a whole tau word in one pass (tau_i swaps labels
+i and i+1 when the two elements are incomparable), ``tau(i)``, and
+``key()``, by which carriers sort.  The even/odd orbit machinery in
+``homomesy`` uses only this interface.
 
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
 down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
-``Poset(elements, covers)`` and ``Poset.covers``.  One walk over down-sets
-serves every enumeration: ``_placeable`` is the one place an element
-becomes placeable (all its lower covers placed), ``_addable`` lists those
-elements, and ``_extensions`` places them in every such order, on an
-explicit stack, for the fillings in ``tableaux`` and the commutation
-classes in ``words`` too; it lists a new down-set's addable elements from
-its parent's, testing only the upper covers of the element just placed.
-Covers, bounds and descents read the cover masks, and comparability (the
-toggle's commute test) the down-set masks.  An ideal descent is a window,
-p labelled right before a q that covers it, with p in the ideal and q
-outside, so ``verify_edges`` counts each orbit's windows once per poset
-and checks every ideal as a sum over the covers it cuts.
+``Poset(elements, covers)`` and ``Poset.covers``.  Fillings, words of a
+commutation class and linear extensions are the maximal chains of one
+lattice, the down-sets of the order.  ``_lattice`` lists them by size, each
+with its addable elements (``_placeable`` is the one placeability rule) and
+the number of extensions above it.  ``_extensions`` refuses a count above
+the cap before it makes any object, then walks the table on an explicit
+stack, for ``tableaux`` and ``words`` too; a ``Poset`` keeps its table, and
+``order_ideals`` returns its down-sets.  Covers, bounds and descents read
+the cover masks, and comparability (the toggle's commute test) the
+down-set masks.  An ideal descent is a window, p labelled right before a q
+that covers it, with p in the ideal and q outside, so ``verify_edges``
+counts each orbit's windows once per poset and checks every ideal as a sum
+over the covers it cuts.
 """
 
 from __future__ import annotations
@@ -102,10 +103,35 @@ def transitive_reduction(below: Sequence[int]) -> tuple[list[int], list[int]]:
     return cover, down
 
 
+class _Carrier:
+    """The toggle-group protocol of ``LinearExtension``, ``Tableau`` and
+    ``Word``.  Each names its label tuple in ``_LABELS`` and has its own
+    ``_toggle(labels, indices)``, ``_rebuild(labels)`` and ``key()``."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        return len(getattr(self, self._LABELS))
+
+    def tau(self, i: int):
+        if not 1 <= i < self.size:
+            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
+        return self.taus((i,))
+
+    def taus(self, indices: Iterable[int]):
+        """Apply a tau word in one pass (right action, left factor first);
+        every index lies in 1..size-1."""
+        return self._rebuild(self._toggle(getattr(self, self._LABELS), indices))
+
+    def __lt__(self, other) -> bool:
+        return self.key() < other.key()
+
+
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_down")
+    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_table")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -120,6 +146,7 @@ class Poset:
             except KeyError as exc:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
+        self._table = None  # ``_lattice`` of the order, built on first use
         names = self.elements
         self.covers = frozenset(
             (names[j], names[i]) for i, b in enumerate(self._below) for j in _bits(b)
@@ -128,6 +155,12 @@ class Poset:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    def _downsets(self, cap: int, what: str) -> tuple:
+        """The down-set table, built once: only ints and lists, so no cycle."""
+        if self._table is None:
+            self._table = _lattice(self._below, cap, what)
+        return self._table
 
     def less(self, a: Hashable, b: Hashable) -> bool:
         return bool(self._down[self._index[b]] >> self._index[a] & 1)
@@ -151,7 +184,7 @@ class Poset:
 
 
 @dataclass(frozen=True)
-class LinearExtension:
+class LinearExtension(_Carrier):
     """Order-preserving labelling: ``seq[m-1]`` is the element labelled m.
 
     ``NotALinearExtensionError`` unless ``seq`` lists every element once,
@@ -168,25 +201,11 @@ class LinearExtension:
                 f"{self.seq!r} is not a linear extension of the poset"
             )
 
-    @property
-    def size(self) -> int:
-        return len(self.seq)
-
     def label(self, element: Hashable) -> int:
         return self.seq.index(element) + 1
 
     def element(self, label: int) -> Hashable:
         return self.seq[label - 1]
-
-    def tau(self, i: int) -> "LinearExtension":
-        if not 1 <= i < self.size:
-            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
-        return self.taus((i,))
-
-    def taus(self, indices: Iterable[int]) -> "LinearExtension":
-        """Apply a tau word in one pass (right action, left factor first);
-        every index lies in 1..size-1."""
-        return self._rebuild(self._toggle(self.seq, indices))
 
     _LABELS = "seq"  # the label tuple the orbit walk reads
 
@@ -206,9 +225,6 @@ class LinearExtension:
         """The extension of the same poset with this ``seq``, a toggle of
         this one's own."""
         return _linear_extension(self.poset, seq)
-
-    def __lt__(self, other: "LinearExtension") -> bool:
-        return self.key() < other.key()
 
     def key(self) -> tuple[int, ...]:
         """The canonical sort key: the element indices in label order."""
@@ -254,43 +270,69 @@ def _addable(below: list[int], mask: int) -> list[int]:
     return [i for i in range(len(below)) if _placeable(below, mask, i)]
 
 
-def _extensions(below: list[int], cap: int | None, make, what: str) -> list:
-    """``make(ids)`` for every order of placing all elements after their
-    lower covers, in lexicographic order; ``ExplosionGuardError`` naming
-    ``what`` once more than ``cap`` are found.  The walk keeps its own stack
-    and lists the addable elements of each down-set it meets once: placing
-    i keeps the others addable and adds the upper covers of i whose lower
-    covers are now all placed, so a step tests only the upper covers of i."""
-    cap = default_cap() if cap is None else cap
-    full = (1 << len(below)) - 1
+def _lattice(below: list[int], cap: int, what: str) -> tuple[list, list, list, list]:
+    """The down-sets of ``below`` by size, breadth-first: ``(masks, count,
+    addable, up)``, where ``count[s]`` extensions lie above ``masks[s]`` and
+    placing ``addable[s][k]`` (increasing) leads to ``up[s][k]``.  A child
+    lists its parent's addable elements but the one placed, i, and the upper
+    covers of i whose lower covers are now all placed.  Each down-set lies on
+    an extension, and each extension meets n+1 of them, so past (n+1)*cap
+    down-sets it is ``ExplosionGuardError(cap, what)``."""
+    bound = (len(below) + 1) * cap
+    if bound < 1:
+        raise ExplosionGuardError(cap, what)
     above: list[list[int]] = [[] for _ in below]
     for i, b in enumerate(below):
         for j in _bits(b):
             above[j].append(i)
-    addable = {0: _addable(below, 0)}
-    placed: list[int] = []
-    found = []
-    mask = k = 0
-    while True:
-        if mask == full:
-            if len(found) >= cap:
-                raise ExplosionGuardError(cap, what)
-            found.append(make(placed))
-        options = addable[mask]
-        if k < len(options):
-            i = options[k]
-            placed.append(i)
-            mask |= 1 << i
-            k = 0
-            if mask not in addable:
-                addable[mask] = sorted(
+    masks, addable, up, where = [0], [[i for i, b in enumerate(below) if not b]], [], {0: 0}
+    for mask, options in zip(masks, addable):  # both grow as the loop runs
+        children = []
+        for i in options:
+            child = mask | 1 << i
+            t = where.get(child)
+            if t is None:
+                t = where[child] = len(masks)
+                if t >= bound:
+                    raise ExplosionGuardError(cap, what)
+                masks.append(child)
+                addable.append(sorted(
                     [j for j in options if j != i]
-                    + [u for u in above[i] if _placeable(below, mask, u)]
-                )
-        elif placed:
-            i = placed.pop()
-            mask ^= 1 << i
-            k = addable[mask].index(i) + 1  # resume after the element taken back
+                    + [u for u in above[i] if _placeable(below, child, u)]
+                ))
+            children.append(t)
+        up.append(children)
+    count = [1] * len(masks)
+    for s in range(len(masks) - 2, -1, -1):  # the last down-set is the whole order
+        count[s] = sum([count[t] for t in up[s]])
+    return masks, count, addable, up
+
+
+def _extensions(below: list[int], cap: int | None, make, what: str,
+                lattice: tuple | None = None) -> list:
+    """``make(ids)`` for every order of placing all elements after their
+    lower covers, in lexicographic order.  A count in the down-set table
+    (``lattice``, or built here) above ``cap`` is ``ExplosionGuardError``
+    naming ``what`` before any object is made; the walk keeps its own stack."""
+    cap = default_cap() if cap is None else cap
+    _, count, addable, up = _lattice(below, cap, what) if lattice is None else lattice
+    if count[0] > cap:
+        raise ExplosionGuardError(cap, what)
+    found = [None] * count[0]
+    placed, path = [], []  # the ids placed, and the down-sets below the current one
+    s = k = f = 0
+    while True:
+        options = addable[s]
+        if not options:  # the whole order
+            found[f] = make(placed)
+            f += 1
+        if k < len(options):
+            placed.append(options[k])
+            path.append(s)
+            s, k = up[s][k], 0
+        elif path:
+            s = path.pop()
+            k = addable[s].index(placed.pop()) + 1  # resume after the element taken back
         else:
             return found
 
@@ -316,11 +358,9 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     if last.get("poset") is not poset:
         _last = {}
         names = poset.elements
-        found = _extensions(
-            poset._below, cap,
-            lambda ids: _linear_extension(poset, tuple([names[i] for i in ids])),
-            "linear extensions",
-        )
+        found = _extensions(poset._below, cap,
+                            lambda ids: _linear_extension(poset, tuple([names[i] for i in ids])),
+                            "linear extensions", poset._downsets(cap, "linear extensions"))
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")
@@ -328,29 +368,18 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
 
 
 def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
-    """All downward-closed subsets, from the empty set to the whole poset."""
+    """All downward-closed subsets, from the empty set to the whole poset,
+    sorted by ``(len(s), sorted(map(str, s)))``: the down-sets of the
+    poset's table.  ``ExplosionGuardError`` when there are more than ``cap``."""
     cap = default_cap() if cap is None else cap
-    below = poset._below
-    ideals = {0}
-    frontier = [0]
-    while frontier:
-        mask = frontier.pop()
-        for i in _addable(below, mask):
-            bigger = mask | 1 << i
-            if bigger not in ideals:
-                if len(ideals) >= cap:
-                    raise ExplosionGuardError(cap, "order ideals")
-                ideals.add(bigger)
-                frontier.append(bigger)
+    masks = poset._downsets(cap, "order ideals")[0]
+    if len(masks) > cap:
+        raise ExplosionGuardError(cap, "order ideals")
     names = poset.elements
     labels = [str(e) for e in names]
     by_label = sorted(range(len(names)), key=labels.__getitem__)
-
-    def key(mask: int) -> tuple[int, list[str]]:  # (len(s), sorted(map(str, s)))
-        picked = [labels[i] for i in by_label if mask >> i & 1]
-        return len(picked), picked
-
-    return [frozenset([names[i] for i in _bits(mask)]) for mask in sorted(ideals, key=key)]
+    masks = sorted(masks, key=lambda m: (m.bit_count(), [labels[i] for i in by_label if m >> i & 1]))
+    return [frozenset([names[i] for i in _bits(mask)]) for mask in masks]
 
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:

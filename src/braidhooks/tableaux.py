@@ -6,8 +6,9 @@ removed ("skew-right").  Cells are absolute ``(row, column)`` pairs with
 row 1 at the top, and a standard filling is strictly increasing along rows
 and along absolute columns.  Each cell waits for its left and upper
 neighbours, so the standard fillings are the linear extensions of that
-cell order: ``standard_tableaux`` and ``random_standard_tableau`` run the
-down-set walk of ``posets`` over the order compiled once per shape.
+cell order: ``standard_tableaux`` runs the down-set walk of ``posets``
+over the order compiled once per shape, and ``random_standard_tableau``
+places a random addable cell at each step.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -29,7 +30,7 @@ from .errors import (
     NotABraidHookError,
     ShapeConditionError,
 )
-from .posets import _addable, _extensions, _is_extension
+from .posets import _addable, _Carrier, _extensions, _is_extension
 
 __all__ = [
     "Shape",
@@ -201,7 +202,7 @@ class Shape:
         return True
 
 
-class Tableau:
+class Tableau(_Carrier):
     """A standard filling of a shape; ``pos[v-1]`` is the cell holding v."""
 
     __slots__ = ("shape", "pos", "_entries")
@@ -213,10 +214,6 @@ class Tableau:
         self._entries = None
         if not _checked and not _is_extension(shape._index, shape._below, self.pos):
             raise ValueError(f"filling {self.pos} is not standard on {shape!r}")
-
-    @property
-    def size(self) -> int:
-        return len(self.pos)
 
     def entries(self) -> dict[tuple[int, int], int]:
         if self._entries is None:
@@ -235,16 +232,6 @@ class Tableau:
             [entry[(r, c)] for c in cols]
             for r, cols in sorted(self.shape.row_columns().items())
         ]
-
-    def tau(self, i: int) -> "Tableau":
-        if not 1 <= i < self.size:
-            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
-        return self.taus((i,))
-
-    def taus(self, indices: Iterable[int]) -> "Tableau":
-        """Apply a tau word in one pass (right action, left factor first);
-        every index lies in 1..size-1."""
-        return self._rebuild(self._toggle(self.pos, indices))
 
     _LABELS = "pos"  # the label tuple the orbit walk reads
 
@@ -272,9 +259,6 @@ class Tableau:
 
     def __hash__(self) -> int:
         return hash(self.pos)
-
-    def __lt__(self, other: "Tableau") -> bool:
-        return self.key() < other.key()
 
     def key(self) -> tuple[int, ...]:
         """The canonical sort key: the row-reading word (entries cell by cell)."""

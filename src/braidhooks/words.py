@@ -52,7 +52,7 @@ from .errors import (
     QuadraticRuleError,
     default_cap,
 )
-from .posets import _extensions
+from .posets import _Carrier, _extensions
 
 __all__ = [
     "Word",
@@ -121,7 +121,7 @@ class Permutation:
 
 
 @dataclass(frozen=True, order=True, slots=True)
-class Word:
+class Word(_Carrier):
     """An immutable word in the generators of the symmetric group.
 
     ``letters`` are 1-based generator indices; ``rank`` is the ``n`` of the
@@ -146,30 +146,14 @@ class Word:
     def __str__(self) -> str:
         return word_to_string(self)
 
-    @property
-    def size(self) -> int:
-        return len(self.letters)
-
     def key(self) -> tuple[tuple[int, ...], int]:
         """The canonical sort key, ``(letters, rank)``: the dataclass order."""
         return self.letters, self.rank
 
-    def tau(self, i: int) -> "Word":
-        """Swap the letters at positions ``i`` and ``i+1`` if they commute.
-
-        Positions count from the left.  Under the heap bijection this is the
-        entry swap of ``N-i`` and ``N-i+1``, so the odd/even products agree
-        with the tableau-side ones up to a parity flip when N is odd.
-        """
-        if not 1 <= i < self.size:
-            raise IndexError(f"tau index {i} outside 1..{self.size - 1}")
-        return self.taus((i,))
-
-    def taus(self, indices: Iterable[int]) -> "Word":
-        """Apply a tau word in one pass (right action, left factor first);
-        every index lies in 1..size-1."""
-        return self._rebuild(self._toggle(self.letters, indices))
-
+    # tau_i swaps the letters at positions i and i+1 (from the left) if they
+    # commute.  Under the heap bijection this is the entry swap of N-i and
+    # N-i+1, so the odd/even products agree with the tableau-side ones up to
+    # a parity flip when N is odd.
     _LABELS = "letters"  # the label tuple the orbit walk reads
 
     @staticmethod

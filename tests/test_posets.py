@@ -89,6 +89,9 @@ class TestExtensionsAndIdeals:
             linear_extensions(chain_poset(2), cap=0)
         with pytest.raises(ExplosionGuardError):
             order_ideals(chain_poset(2), cap=0)
+        with pytest.raises(ExplosionGuardError) as raised:
+            order_ideals(Poset([], []), cap=0)
+        assert (raised.value.cap, raised.value.what) == (0, "order ideals")
 
 
 class TestDescents:
