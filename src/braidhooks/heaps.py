@@ -9,17 +9,18 @@ breaks the quadratic rule (some word in it has a factor ``a a``) exactly
 when a piece covers a piece of its own column.  Rotating the heap by 45
 degrees matches it with a justified shape: the piece in column c at stack
 position p corresponds to the p-th cell (top-down) of the shape's diagonal
-c, ``shape_poset`` names each cell by that piece, and the drop order
-becomes a standard filling.
+c, ``shape_poset`` relabels the shape's cell poset by those pieces, and the
+drop order becomes a standard filling.
 
 ``nu`` builds no heap: it drops the pieces in one pass over the letters and
 checks where each lands against the shape's cover masks.  A heap's order is
 generated by its adjacent-column pairs, so that is exact once the shape
-orders every two cells on adjacent diagonals.  The column table (the cell
-at each column and stack position), that condition and each cell's letter
-are built once per ``Shape``; ``nu_inverse`` reads the letters from it and
-builds its word without ``Word``'s range check, which the public
-constructors keep.
+orders every two cells on adjacent diagonals, which the shape's own
+down-set masks tell.  The column table (the cell at each column and stack
+position), that condition and each cell's letter are built once per
+``Shape``; ``nu_inverse`` reads the letters from it and builds its word
+without ``Word``'s range check, which the public constructors keep.  Lists
+kept per column are as long as the word's largest letter, not its rank.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import LinearExtension, Poset, _bits, transitive_reduction
+from .posets import LinearExtension, Poset, _bits
 from .tableaux import Shape, Tableau
 from .words import Word, _heap_order, _no_square, _word
 
@@ -43,7 +44,7 @@ __all__ = [
 
 def _pieces(word: Word) -> list[tuple[int, int]]:
     """Each letter's piece (column, stack position), in drop order."""
-    counts = [0] * (word.rank + 1)
+    counts = [0] * (max(word.letters, default=0) + 1)
     pieces = []
     for letter in reversed(word.letters):
         counts[letter] += 1
@@ -93,7 +94,7 @@ def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, dict[tuple[int, in
         table: list[list[int]] = [[] for _ in range(max(columns) + 1)]
         for cell, column in zip(cells, columns):  # positions ascend within a column
             table[column].append(shape._index[cell])
-        _, down = transitive_reduction(shape._below)
+        down = shape._down
         ordered = all(
             (down[x] >> y | down[y] >> x) & 1
             for lower, upper in zip(table, table[1:]) for x in lower for y in upper
@@ -106,10 +107,9 @@ def shape_poset(shape: Shape) -> Poset:
     """The cell poset of a shape, each cell named by the piece ``nu`` sends
     to it, in diagonal layout order."""
     cells, columns, positions = _diagonal_layout(shape)
-    pieces = list(zip(columns, positions))
-    piece = {shape._index[cell]: k for cell, k in zip(cells, pieces)}
-    return Poset(pieces, [(piece[j], piece[i])
-                          for i, b in enumerate(shape._below) for j in _bits(b)])
+    piece = dict(zip(cells, zip(columns, positions)))
+    return Poset(list(piece.values()),
+                 [(piece[a], piece[b]) for a, b in shape.covers])
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
@@ -124,8 +124,9 @@ def nu(word: Word, shape: Shape) -> Tableau:
     table, ordered, _ = _shape_side(shape)
     below, cells = shape._below, shape.cells
     letters = word.letters
-    fits = ordered and len(letters) == len(below) and max(letters) < len(table)
-    tops = [0] * (word.rank + 1)
+    top = max(letters, default=0)
+    fits = ordered and len(letters) == len(below) and top < len(table)
+    tops = [0] * (top + 2)  # a letter's own column and both neighbours
     counts = [0] * len(table)
     pos = []
     mask = 0

@@ -2,32 +2,34 @@
 
 Elements are arbitrary hashable names; covers are (lower, upper) pairs and
 are reduced to the transitive reduction at construction.  ``Poset`` is the
-one order type: the heap of a word and the cell poset of a shape
-(``heaps``) are posets whose elements are pieces (column, stack position),
-and their linear extensions are the words of the class and the standard
-fillings.  A linear extension is a carrier of the toggle group, like a
-word or a tableau, and the three share ``_Carrier``: a ``size``,
-``taus(indices)`` applying a whole tau word in one pass (tau_i swaps labels
-i and i+1 when the two elements are incomparable), ``tau(i)``, and
-``key()``, by which carriers sort.  The even/odd orbit machinery in
-``homomesy`` uses only this interface.
+one order type: a ``Shape`` is the poset of its cells, and the heap of a
+word (``heaps``) the poset of its pieces (column, stack position); their
+linear extensions are the standard fillings and the words of the class.
+A linear extension is a carrier of the toggle group, like a word or a
+tableau, and the three share ``_Carrier``: a ``size``, ``taus(indices)``
+applying a whole tau word in one pass (tau_i swaps labels i and i+1 when
+the two elements are incomparable), ``tau(i)``, and ``key()``, by which
+carriers sort.  The even/odd orbit machinery in ``homomesy`` uses only
+this interface.
 
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
 down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
 ``Poset(elements, covers)`` and ``Poset.covers``.  Fillings, words of a
 commutation class and linear extensions are the maximal chains of one
-lattice, the down-sets of the order.  ``_lattice`` lists them by size, each
-with its addable elements (``_placeable`` is the one placeability rule) and
-the number of extensions above it.  ``_extensions`` refuses a count above
-the cap before it makes any object, then walks the table on an explicit
-stack, for ``tableaux`` and ``words`` too; a ``Poset`` keeps its table, and
-``order_ideals`` returns its down-sets.  Covers, bounds and descents read
-the cover masks, and comparability (the toggle's commute test) the
-down-set masks.  An ideal descent is a window, p labelled right before a q
-that covers it, with p in the ideal and q outside, so ``verify_edges``
-counts each orbit's windows once per poset and checks every ideal as a sum
-over the covers it cuts.
+lattice, the down-sets of the order.  ``_lattice`` lists them level by
+level, each with its addable elements (``_placeable`` is the one
+placeability rule) and the number of extensions above it, and refuses a
+level whose paths already pass the cap before building it.  Every order
+is a ``Poset`` (a ``Shape`` is one, and ``commutation_class`` builds its
+word's heap as one) and keeps one table: ``_extensions`` takes the order,
+refuses a count above the cap before it makes any object, then walks the
+table on an explicit stack, and ``order_ideals`` returns its down-sets.
+Covers, bounds and descents read the cover masks, and comparability (the
+toggle's commute test) the down-set masks.  An ideal descent is a window,
+p labelled right before a q that covers it, with p in the ideal and q
+outside, so ``verify_edges`` counts each orbit's windows once per poset
+and checks every ideal as a sum over the covers it cuts.
 """
 
 from __future__ import annotations
@@ -156,10 +158,10 @@ class Poset:
     def size(self) -> int:
         return len(self.elements)
 
-    def _downsets(self, cap: int, what: str) -> tuple:
+    def _downsets(self, cap: int, what: str, ideals: bool = False) -> tuple:
         """The down-set table, built once: only ints and lists, so no cycle."""
         if self._table is None:
-            self._table = _lattice(self._below, cap, what)
+            self._table = _lattice(self._below, cap, what, ideals)
         return self._table
 
     def less(self, a: Hashable, b: Hashable) -> bool:
@@ -270,36 +272,56 @@ def _addable(below: list[int], mask: int) -> list[int]:
     return [i for i in range(len(below)) if _placeable(below, mask, i)]
 
 
-def _lattice(below: list[int], cap: int, what: str) -> tuple[list, list, list, list]:
-    """The down-sets of ``below`` by size, breadth-first: ``(masks, count,
-    addable, up)``, where ``count[s]`` extensions lie above ``masks[s]`` and
-    placing ``addable[s][k]`` (increasing) leads to ``up[s][k]``.  A child
-    lists its parent's addable elements but the one placed, i, and the upper
-    covers of i whose lower covers are now all placed.  Each down-set lies on
-    an extension, and each extension meets n+1 of them, so past (n+1)*cap
-    down-sets it is ``ExplosionGuardError(cap, what)``."""
-    bound = (len(below) + 1) * cap
-    if bound < 1:
+def _lattice(below: list[int], cap: int, what: str,
+             ideals: bool = False) -> tuple[list, list, list, list]:
+    """The down-sets of ``below`` by size, built level by level: ``(masks,
+    count, addable, up)``, where ``count[s]`` extensions lie above
+    ``masks[s]`` and placing ``addable[s][k]`` (increasing) leads to
+    ``up[s][k]``.  A child lists its parent's addable elements but the one
+    placed, i, and the upper covers of i whose lower covers are now all
+    placed.  Before a level is built, the paths that reach it (each parent's
+    paths times its addable count) are checked: each starts a different
+    extension, so more than ``cap`` is ``ExplosionGuardError(cap, what)``.
+    With ``ideals``, ``cap`` bounds the down-sets instead: the build stops
+    once it holds more, or once a down-set with a addable elements shows
+    that it would (it lies below 2**a - 1 more, one per nonempty subset)."""
+    if cap < 1:  # the empty down-set is one path and one down-set
         raise ExplosionGuardError(cap, what)
     above: list[list[int]] = [[] for _ in below]
     for i, b in enumerate(below):
         for j in _bits(b):
             above[j].append(i)
-    masks, addable, up, where = [0], [[i for i, b in enumerate(below) if not b]], [], {0: 0}
-    for mask, options in zip(masks, addable):  # both grow as the loop runs
+    roots = [i for i, b in enumerate(below) if not b]
+    masks, addable, up, where = [0], [roots], [], {0: 0}
+    paths = [1]  # paths[s]: the orders of placing masks[s]
+    # when s reaches ``stop``, the level read from there on is built and the
+    # next is not: ``ahead`` paths lead into it, and ``widest`` is the longest
+    # addable list of the level read
+    stop, ahead, widest = 0, len(roots), len(roots)
+    for s, (mask, options, ways) in enumerate(zip(masks, addable, paths)):  # all three grow
+        if s == stop:
+            if (len(masks) - 1 + (1 << widest) if ideals else ahead) > cap:
+                raise ExplosionGuardError(cap, what)
+            stop, ahead, widest = len(masks), 0, 0
         children = []
         for i in options:
             child = mask | 1 << i
             t = where.get(child)
             if t is None:
                 t = where[child] = len(masks)
-                if t >= bound:
+                if ideals and t >= cap:
                     raise ExplosionGuardError(cap, what)
                 masks.append(child)
-                addable.append(sorted(
-                    [j for j in options if j != i]
-                    + [u for u in above[i] if _placeable(below, child, u)]
-                ))
+                paths.append(ways)
+                after = sorted([j for j in options if j != i]
+                               + [u for u in above[i] if _placeable(below, child, u)])
+                addable.append(after)
+                if len(after) > widest:
+                    widest = len(after)
+            else:
+                paths[t] += ways
+                after = addable[t]
+            ahead += ways * len(after)  # the paths that leave the child
             children.append(t)
         up.append(children)
     count = [1] * len(masks)
@@ -308,14 +330,13 @@ def _lattice(below: list[int], cap: int, what: str) -> tuple[list, list, list, l
     return masks, count, addable, up
 
 
-def _extensions(below: list[int], cap: int | None, make, what: str,
-                lattice: tuple | None = None) -> list:
-    """``make(ids)`` for every order of placing all elements after their
-    lower covers, in lexicographic order.  A count in the down-set table
-    (``lattice``, or built here) above ``cap`` is ``ExplosionGuardError``
-    naming ``what`` before any object is made; the walk keeps its own stack."""
+def _extensions(order: Poset, cap: int | None, make, what: str) -> list:
+    """``make(ids)`` for every order of placing all elements of ``order``
+    after their lower covers, in lexicographic order.  A count in the
+    order's down-set table above ``cap`` is ``ExplosionGuardError`` naming
+    ``what`` before any object is made; the walk keeps its own stack."""
     cap = default_cap() if cap is None else cap
-    _, count, addable, up = _lattice(below, cap, what) if lattice is None else lattice
+    _, count, addable, up = order._downsets(cap, what)
     if count[0] > cap:
         raise ExplosionGuardError(cap, what)
     found = [None] * count[0]
@@ -358,9 +379,9 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     if last.get("poset") is not poset:
         _last = {}
         names = poset.elements
-        found = _extensions(poset._below, cap,
+        found = _extensions(poset, cap,
                             lambda ids: _linear_extension(poset, tuple([names[i] for i in ids])),
-                            "linear extensions", poset._downsets(cap, "linear extensions"))
+                            "linear extensions")
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")
@@ -372,7 +393,7 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
     sorted by ``(len(s), sorted(map(str, s)))``: the down-sets of the
     poset's table.  ``ExplosionGuardError`` when there are more than ``cap``."""
     cap = default_cap() if cap is None else cap
-    masks = poset._downsets(cap, "order ideals")[0]
+    masks = poset._downsets(cap, "order ideals", True)[0]
     if len(masks) > cap:
         raise ExplosionGuardError(cap, "order ideals")
     names = poset.elements

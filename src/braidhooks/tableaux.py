@@ -4,11 +4,11 @@ Shapes are partitions drawn with rows flush right ("right"), staggered one
 step per row ("half-right"), or right-justified with an inner partition
 removed ("skew-right").  Cells are absolute ``(row, column)`` pairs with
 row 1 at the top, and a standard filling is strictly increasing along rows
-and along absolute columns.  Each cell waits for its left and upper
-neighbours, so the standard fillings are the linear extensions of that
-cell order: ``standard_tableaux`` runs the down-set walk of ``posets``
-over the order compiled once per shape, and ``random_standard_tableau``
-places a random addable cell at each step.
+and along absolute columns.  A ``Shape`` is the ``Poset`` of its cells,
+each covering its left and upper neighbours, so the standard fillings are
+its linear extensions: ``standard_tableaux`` walks the shape's own down-set
+table, built once per shape, and ``random_standard_tableau`` places a
+random addable cell at each step.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -30,7 +30,7 @@ from .errors import (
     NotABraidHookError,
     ShapeConditionError,
 )
-from .posets import _addable, _Carrier, _extensions, _is_extension
+from .posets import Poset, _addable, _Carrier, _extensions, _is_extension
 
 __all__ = [
     "Shape",
@@ -77,17 +77,19 @@ def _check_partition(parts: Sequence[int], strict: bool = False) -> tuple[int, .
     return parts
 
 
-class Shape:
-    """A finite cell set in one of the justification modes.
+class Shape(Poset):
+    """A finite cell set in one of the justification modes, and its cell
+    poset: the elements are the cells in ``cells`` order, and each cell
+    covers its left and upper neighbours.
 
     ``right``/``skew-right`` anchor every row's rightmost cell at column
     ``outer[0]`` (skew removes the leftmost ``inner[r]`` cells of row r+1);
     ``half-right`` anchors row r's rightmost cell at column ``outer[0]-r+1``.
-    ``cells`` mode carries an explicit cell set (conjugated shapes).
+    ``cells`` mode carries an explicit cell set (conjugated shapes).  Shapes
+    are equal when their cell sets are.
     """
 
-    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags",
-                 "_index", "_below", "_heap")
+    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags", "_heap")
 
     def __init__(self, mode: str, cells: Iterable[tuple[int, int]],
                  outer: tuple[int, ...] | None = None,
@@ -107,12 +109,8 @@ class Shape:
         self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
         self._diags = None
         self._heap = None  # ``nu``'s column table, condition and letters, built by ``heaps``
-        # the cell order: each cell waits for its left and upper neighbours
-        self._index = index = {cell: i for i, cell in enumerate(self.cells)}
-        self._below = [
-            sum(1 << index[nb] for nb in ((r, c - 1), (r - 1, c)) if nb in index)
-            for r, c in self.cells
-        ]
+        super().__init__(self.cells, [(nb, (r, c)) for r, c in self.cells
+                                      for nb in ((r, c - 1), (r - 1, c)) if nb in self.cell_set])
 
     @classmethod
     def right(cls, outer: Sequence[int]) -> "Shape":
@@ -155,10 +153,6 @@ class Shape:
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Shape":
         return cls("cells", cells)
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
         return cell in self.cell_set
@@ -278,7 +272,7 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     cells = shape.cells
     # a tuple copied from a list is allocated at its final size (one built
     # from ``map`` is resized: about 1 MB more peak memory on right:6,5,4,3,2,1)
-    out = _extensions(shape._below, cap,
+    out = _extensions(shape, cap,
                       lambda ids: Tableau(shape, tuple([cells[i] for i in ids]), _checked=True),
                       "fillings")
     out.sort(key=Tableau.key)
@@ -639,23 +633,48 @@ def tableau_to_json(t: Tableau) -> str:
     return json.dumps({"shape": desc, "rows": t.row_values()})
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"tableau JSON: {what} must be a list of integers, not {value!r}")
+    return value
+
+
 def tableau_from_json(text: str) -> Tableau:
+    """The tableau ``tableau_to_json`` wrote.  A malformed document is a
+    ``ValueError`` naming the problem."""
     data = json.loads(text)
-    desc = data["shape"]
-    mode = desc["mode"]
-    if mode == "right":
-        shape = Shape.right(desc["outer"])
-    elif mode == "half-right":
-        shape = Shape.half_right(desc["outer"])
-    elif mode == "skew-right":
-        shape = Shape.skew_right(desc["outer"], desc.get("inner") or ())
-    elif mode == "cells":
-        shape = Shape.from_cells(tuple(map(tuple, desc["cells"])))
+    if not isinstance(data, dict) or not isinstance(data.get("shape"), dict):
+        raise ValueError("tableau JSON must be an object with a 'shape' object")
+    desc, rows = data["shape"], data.get("rows")
+    if not isinstance(rows, list):
+        raise ValueError(f"tableau JSON: 'rows' must be a list of rows, not {rows!r}")
+    values = [v for row in rows for v in _int_list(row, "each row")]
+    mode = desc.get("mode")
+    if mode == "cells":
+        cells = desc.get("cells")
+        if not isinstance(cells, list) or any(len(_int_list(cell, "each cell")) != 2
+                                              for cell in cells):
+            raise ValueError(f"tableau JSON: 'cells' must list [row, column] pairs, not {cells!r}")
+        shape = Shape.from_cells([tuple(cell) for cell in cells])
+    elif mode in ("right", "half-right", "skew-right"):
+        outer = _int_list(desc.get("outer"), "'outer'")
+        inner = _int_list(desc.get("inner") or [], "'inner'") if mode == "skew-right" else []
+        if sum(outer) - sum(inner) != len(values):  # checked before a huge shape is built
+            raise ValueError(f"tableau JSON: the rows hold {len(values)} entries,"
+                             f" the shape {sum(outer) - sum(inner)} cells")
+        if mode == "skew-right":
+            shape = Shape.skew_right(outer, inner)
+        else:
+            shape = Shape.right(outer) if mode == "right" else Shape.half_right(outer)
     else:
         raise ValueError(f"unknown shape mode {mode!r}")
-    entry: dict[tuple[int, int], int] = {}
-    for row, (r, cols) in zip(data["rows"], sorted(shape.row_columns().items())):
+    layout = sorted(shape.row_columns().items())
+    if [len(row) for row in rows] != [len(cols) for _, cols in layout]:
+        raise ValueError(f"tableau JSON: rows {rows} do not fit the rows of {shape!r}")
+    if sorted(values) != list(range(1, shape.size + 1)):
+        raise ValueError(f"tableau JSON: the entries must be 1..{shape.size}, each once")
+    pos = [None] * shape.size
+    for row, (r, cols) in zip(rows, layout):
         for value, c in zip(row, cols):
-            entry[(r, c)] = value
-    pos = [cell for cell, _ in sorted(entry.items(), key=lambda kv: kv[1])]
-    return Tableau(shape, tuple(pos))
+            pos[value - 1] = (r, c)
+    return Tableau(shape, pos)

@@ -52,7 +52,7 @@ from .errors import (
     QuadraticRuleError,
     default_cap,
 )
-from .posets import _Carrier, _extensions
+from .posets import Poset, _bits, _Carrier, _extensions
 
 __all__ = [
     "Word",
@@ -342,10 +342,11 @@ def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """
     w = word.letters
     order, below = _heap_order(w)
+    heap = Poset(range(len(w)), [(j, i) for i, b in enumerate(below) for j in _bits(b)])
     letters, rank = [w[p] for p in order], word.rank
     # a tuple built from a list is allocated once at its size; from a map it
     # is regrown, which fragments the heap (about 1 MB more RSS on S7's class)
-    return _extensions(below, cap, lambda ids: _word(tuple([letters[i] for i in ids]), rank),
+    return _extensions(heap, cap, lambda ids: _word(tuple([letters[i] for i in ids]), rank),
                        "words")
 
 

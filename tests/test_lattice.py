@@ -108,7 +108,7 @@ def test_the_table_holds_no_objects():
 
 
 def test_too_many_down_sets_stop_the_build():
-    # 2**20 down-sets, 21 per extension at most: the build stops past 21 * 5
+    # 20 paths already reach size 1, more than 5: the build stops before that level
     with pytest.raises(ExplosionGuardError) as raised:
         posets._lattice(antichain_poset(20)._below, 5, "things")
     assert (raised.value.cap, raised.value.what) == (5, "things")

@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from braidhooks import heaps
+from braidhooks import heaps, posets
 from braidhooks.errors import QuadraticRuleError, ShapeMismatchError
 from braidhooks.heaps import (
     _diagonal_layout,
@@ -159,6 +159,6 @@ def test_nu_builds_no_heap(monkeypatch):
 
     monkeypatch.setattr(heaps, "heap_poset", forbidden)
     monkeypatch.setattr(heaps, "_heap_order", forbidden)
-    monkeypatch.setattr(heaps, "transitive_reduction", forbidden)
+    monkeypatch.setattr(posets, "transitive_reduction", forbidden)  # no Poset either
     for word in words:
         assert nu_inverse(nu(word, shape)) == word
