@@ -15,6 +15,7 @@ calls keep the collector as it is; ``tests/test_cli_gc.py`` guards the premise.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import os
@@ -22,7 +23,13 @@ import sys
 from fractions import Fraction
 
 from . import heaps, homomesy, posets, tableaux, words
-from .errors import ExplosionGuardError, UnknownTheoremError, WordSpecError, default_cap
+from .errors import (
+    ExplosionGuardError,
+    ShapeSpecError,
+    UnknownTheoremError,
+    WordSpecError,
+    default_cap,
+)
 from .tableaux import Shape
 
 EXIT_PASS = 0
@@ -32,21 +39,27 @@ EXIT_CAP = 3
 
 
 def parse_shape(spec: str) -> Shape:
-    """Parse right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1."""
+    """Parse right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1.  A field that is
+    empty or not an integer is a ``ShapeSpecError`` naming the spec; a skew
+    spec's inner part may be absent or empty."""
     if ":" not in spec:
-        raise ValueError(f"shape spec {spec!r} needs a mode prefix like 'right:'")
+        raise ShapeSpecError(f"shape spec {spec!r} needs a mode prefix like 'right:'")
     mode, _, body = spec.partition(":")
+
+    def parts(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ShapeSpecError(f"shape spec {spec!r} is not comma-separated integers") from None
+
     if mode == "skew":
         outer_part, _, inner_part = body.partition("/")
-        outer = tuple(int(x) for x in outer_part.split(",") if x)
-        inner = tuple(int(x) for x in inner_part.split(",") if x)
-        return Shape.skew_right(outer, inner)
-    parts = tuple(int(x) for x in body.split(",") if x)
+        return Shape.skew_right(parts(outer_part), parts(inner_part) if inner_part else ())
     if mode == "right":
-        return Shape.right(parts)
+        return Shape.right(parts(body))
     if mode == "half":
-        return Shape.half_right(parts)
-    raise ValueError(f"unknown shape mode {mode!r}")
+        return Shape.half_right(parts(body))
+    raise ShapeSpecError(f"unknown shape mode {mode!r}")
 
 
 def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
@@ -72,8 +85,9 @@ def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for row in csv_rows or []:
-            print(",".join(str(x) for x in row))
+            writer.writerow([str(x) for x in row])
     else:
         for line in table_lines or [json.dumps(payload)]:
             print(line)

@@ -95,5 +95,10 @@ class WordSpecError(ValueError):
     """Word spec on the command line has a field that is not an integer."""
 
 
+class ShapeSpecError(ValueError):
+    """Shape spec on the command line lacks a known mode or has a field that
+    is empty or not an integer."""
+
+
 class UnknownTheoremError(ValueError):
     """Verification id not recognised by the command line front end."""

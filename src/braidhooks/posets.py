@@ -15,18 +15,21 @@ this interface.
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
 down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
-``Poset(elements, covers)`` and ``Poset.covers``.  Fillings, words of a
-commutation class and linear extensions are the maximal chains of one
-lattice, the down-sets of the order.  ``_lattice`` lists them level by
-level, each with its addable elements (``_placeable`` is the one
-placeability rule) and the number of extensions above it, and refuses a
-level whose paths already pass the cap before building it.  Every order
-is a ``Poset`` (a ``Shape`` is one, and ``commutation_class`` builds its
-word's heap as one) and keeps one table: ``_extensions`` takes the order,
-refuses a count above the cap before it makes any object, then walks the
-table on an explicit stack, and ``order_ideals`` returns its down-sets.
-Covers, bounds and descents read the cover masks, and comparability (the
-toggle's commute test) the down-set masks.  An ideal descent is a window,
+``Poset(elements, covers)`` and ``Poset.covers``.  Every object counted
+here is a maximal chain of a graded order: fillings, words of a commutation
+class and linear extensions of the down-sets of an order, reduced words
+(``words``) of the weak order.  ``_lattice`` is the one table builder: from
+a root, a ``labels`` rule and a ``step`` rule it lists the states depth
+first, each with its labels, the states they lead to and the number of
+chains from it, and refuses once a partial count passes the cap.
+``_downset_table`` gives it the down-sets (``_placeable`` is the one
+placeability rule).  ``_extensions`` is the one walk: it refuses a count
+above the cap before it makes any object, builds the tails of the states
+near the end once and walks the rest of the table on an explicit stack.
+A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
+``order_ideals`` returns its down-sets.  Covers, bounds and descents read
+the cover masks, and comparability (the toggle's commute test) the
+down-set masks.  An ideal descent is a window,
 p labelled right before a q that covers it, with p in the ideal and q
 outside, so ``verify_edges`` counts each orbit's windows once per poset
 and checks every ideal as a sum over the covers it cuts.
@@ -161,7 +164,7 @@ class Poset:
     def _downsets(self, cap: int, what: str, ideals: bool = False) -> tuple:
         """The down-set table, built once: only ints and lists, so no cycle."""
         if self._table is None:
-            self._table = _lattice(self._below, cap, what, ideals)
+            self._table = _downset_table(self._below, cap, what, ideals)
         return self._table
 
     def less(self, a: Hashable, b: Hashable) -> bool:
@@ -272,88 +275,122 @@ def _addable(below: list[int], mask: int) -> list[int]:
     return [i for i in range(len(below)) if _placeable(below, mask, i)]
 
 
-def _lattice(below: list[int], cap: int, what: str,
-             ideals: bool = False) -> tuple[list, list, list, list]:
-    """The down-sets of ``below`` by size, built level by level: ``(masks,
-    count, addable, up)``, where ``count[s]`` extensions lie above
-    ``masks[s]`` and placing ``addable[s][k]`` (increasing) leads to
-    ``up[s][k]``.  A child lists its parent's addable elements but the one
-    placed, i, and the upper covers of i whose lower covers are now all
-    placed.  Before a level is built, the paths that reach it (each parent's
-    paths times its addable count) are checked: each starts a different
-    extension, so more than ``cap`` is ``ExplosionGuardError(cap, what)``.
-    With ``ideals``, ``cap`` bounds the down-sets instead: the build stops
-    once it holds more, or once a down-set with a addable elements shows
-    that it would (it lies below 2**a - 1 more, one per nonempty subset)."""
-    if cap < 1:  # the empty down-set is one path and one down-set
+def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> tuple:
+    """The table of the graded order that ``step`` walks down from ``root``:
+    ``(states, count, options, up)`` in post-order, each state after every
+    state it leads to, so the root is last.  ``options[s]`` are the
+    ascending labels that leave ``states[s]`` (``labels(state, options,
+    label)`` for a state that ``label`` reaches from one with those
+    ``options``; the root is asked with ``None, None``), ``up[s][k]`` is the
+    index of ``step(states[s], options[s][k])``, and ``count[s]`` the number
+    of maximal chains from ``states[s]``.  The build is depth first, on an
+    explicit stack: it makes a state only when it steps into it, and sums
+    its count once its children are counted.  Every state lies on a chain
+    from the root, so a partial sum above ``cap`` bounds the root's count:
+    ``ExplosionGuardError(cap, what)``.  With ``ideals``, ``cap`` bounds the
+    states instead: the build stops once it would hold more, or at a
+    down-set with a addable elements and 2**a > cap (one down-set at or
+    above it per subset of them)."""
+    first = labels(root, None, None)
+    if cap < 1 or ideals and 1 << len(first) > cap:  # the root is one chain and one state
         raise ExplosionGuardError(cap, what)
+    states, count, options, up = [], [], [], []
+    where = {}  # state -> its index, once counted
+    stack = [[root, first, [], 0]]  # a state, its labels, its children counted and their sum
+    while True:
+        state, out, children, total = frame = stack[-1]
+        if len(children) < len(out):
+            label = out[len(children)]
+            child = step(state, label)
+            t = where.get(child)
+            if t is None:
+                if ideals and len(where) + len(stack) >= cap:
+                    raise ExplosionGuardError(cap, what)
+                after = labels(child, out, label)
+                if ideals and 1 << len(after) > cap:
+                    raise ExplosionGuardError(cap, what)
+                stack.append([child, after, [], 0])
+                continue
+        else:
+            stack.pop()
+            t = where[state] = len(states)
+            states.append(state)
+            count.append(total or 1)
+            options.append(out)
+            up.append(children)
+            if not stack:
+                return states, count, options, up
+            frame = stack[-1]
+        frame[2].append(t)
+        frame[3] += count[t]
+        if frame[3] > cap and not ideals:
+            raise ExplosionGuardError(cap, what)
+
+
+def _place(mask: int, i: int) -> int:
+    """The down-set ``mask`` with element i placed."""
+    return mask | 1 << i
+
+
+def _downset_table(below: list[int], cap: int, what: str, ideals: bool = False) -> tuple:
+    """``_lattice`` of the down-sets of ``below`` (masks; placing element i
+    sets bit i).  A down-set lists its parent's addable elements but the one
+    placed, i, and the upper covers of i whose lower covers are now all
+    placed, so a step on a chain costs one placeability test."""
     above: list[list[int]] = [[] for _ in below]
     for i, b in enumerate(below):
         for j in _bits(b):
             above[j].append(i)
-    roots = [i for i, b in enumerate(below) if not b]
-    masks, addable, up, where = [0], [roots], [], {0: 0}
-    paths = [1]  # paths[s]: the orders of placing masks[s]
-    # when s reaches ``stop``, the level read from there on is built and the
-    # next is not: ``ahead`` paths lead into it, and ``widest`` is the longest
-    # addable list of the level read
-    stop, ahead, widest = 0, len(roots), len(roots)
-    for s, (mask, options, ways) in enumerate(zip(masks, addable, paths)):  # all three grow
-        if s == stop:
-            if (len(masks) - 1 + (1 << widest) if ideals else ahead) > cap:
-                raise ExplosionGuardError(cap, what)
-            stop, ahead, widest = len(masks), 0, 0
-        children = []
-        for i in options:
-            child = mask | 1 << i
-            t = where.get(child)
-            if t is None:
-                t = where[child] = len(masks)
-                if ideals and t >= cap:
-                    raise ExplosionGuardError(cap, what)
-                masks.append(child)
-                paths.append(ways)
-                after = sorted([j for j in options if j != i]
-                               + [u for u in above[i] if _placeable(below, child, u)])
-                addable.append(after)
-                if len(after) > widest:
-                    widest = len(after)
-            else:
-                paths[t] += ways
-                after = addable[t]
-            ahead += ways * len(after)  # the paths that leave the child
-            children.append(t)
-        up.append(children)
-    count = [1] * len(masks)
-    for s in range(len(masks) - 2, -1, -1):  # the last down-set is the whole order
-        count[s] = sum([count[t] for t in up[s]])
-    return masks, count, addable, up
+
+    def addable(mask: int, options: list[int] | None, i: int | None) -> list[int]:
+        if options is None:
+            return _addable(below, mask)
+        return sorted([j for j in options if j != i]
+                      + [u for u in above[i] if _placeable(below, mask, u)])
+
+    return _lattice(0, addable, _place, cap, what, ideals)
 
 
-def _extensions(order: Poset, cap: int | None, make, what: str) -> list:
-    """``make(ids)`` for every order of placing all elements of ``order``
-    after their lower covers, in lexicographic order.  A count in the
-    order's down-set table above ``cap`` is ``ExplosionGuardError`` naming
-    ``what`` before any object is made; the walk keeps its own stack."""
-    cap = default_cap() if cap is None else cap
-    _, count, addable, up = order._downsets(cap, what)
-    if count[0] > cap:
+def _extensions(table: tuple, names: Sequence, build, cap: int, what: str) -> list:
+    """``build(chain)`` for every maximal chain of ``table`` (``_lattice``),
+    ``chain`` the tuple of ``names[label]`` along it, in lexicographic label
+    order.  A root count above ``cap`` is ``ExplosionGuardError(cap, what)``
+    before any object is made.  The tails of the states a third of the
+    chain length from the end are built once, level by level up from the
+    end, each level from the one below, which is then dropped; the walk
+    places the rest on its own stack and completes one chain from each tail
+    of the state it reaches, into a list of the counted size."""
+    _, count, options, up = table
+    if count[-1] > cap:
         raise ExplosionGuardError(cap, what)
-    found = [None] * count[0]
-    placed, path = [], []  # the ids placed, and the down-sets below the current one
-    s = k = f = 0
+    height, levels = [], {}  # the states by their distance from the end
+    for s, children in enumerate(up):  # post-order: children first
+        h = height[children[0]] + 1 if children else 0
+        height.append(h)
+        levels.setdefault(h, []).append(s)
+    length = height[-1]
+    low = length // 3  # the tails' length
+    tails = {s: [()] for s in levels[0]}
+    for h in range(1, low + 1):
+        tails = {s: [(names[a], *t) for a, c in zip(options[s], up[s]) for t in tails[c]]
+                 for s in levels[h]}
+    found = [None] * count[-1]
+    split = length - low
+    placed, path = [], []  # the names placed, and where to resume below each
+    s, k, f = len(up) - 1, 0, 0
     while True:
-        options = addable[s]
-        if not options:  # the whole order
-            found[f] = make(placed)
-            f += 1
-        if k < len(options):
-            placed.append(options[k])
-            path.append(s)
+        if len(placed) == split:
+            here, prefix = tails[s], tuple(placed)
+            found[f:f + len(here)] = [build(prefix + t) for t in here]
+            f += len(here)
+            k = len(up[s])
+        if k < len(up[s]):
+            placed.append(names[options[s][k]])
+            path.append((s, k + 1))
             s, k = up[s][k], 0
         elif path:
-            s = path.pop()
-            k = addable[s].index(placed.pop()) + 1  # resume after the element taken back
+            placed.pop()
+            s, k = path.pop()
         else:
             return found
 
@@ -378,10 +415,8 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     last = _last
     if last.get("poset") is not poset:
         _last = {}
-        names = poset.elements
-        found = _extensions(poset, cap,
-                            lambda ids: _linear_extension(poset, tuple([names[i] for i in ids])),
-                            "linear extensions")
+        found = _extensions(poset._downsets(cap, "linear extensions"), poset.elements,
+                            lambda seq: _linear_extension(poset, seq), cap, "linear extensions")
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")

@@ -29,6 +29,7 @@ from .errors import (
     DisconnectedShapeError,
     NotABraidHookError,
     ShapeConditionError,
+    default_cap,
 )
 from .posets import Poset, _addable, _Carrier, _extensions, _is_extension
 
@@ -269,12 +270,9 @@ class Tableau(_Carrier):
 def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     """All standard fillings, sorted lexicographically by row-reading word;
     ``ExplosionGuardError`` when there are more than ``cap``."""
-    cells = shape.cells
-    # a tuple copied from a list is allocated at its final size (one built
-    # from ``map`` is resized: about 1 MB more peak memory on right:6,5,4,3,2,1)
-    out = _extensions(shape, cap,
-                      lambda ids: Tableau(shape, tuple([cells[i] for i in ids]), _checked=True),
-                      "fillings")
+    cap = default_cap() if cap is None else cap
+    out = _extensions(shape._downsets(cap, "fillings"), shape.cells,
+                      lambda pos: Tableau(shape, pos, _checked=True), cap, "fillings")
     out.sort(key=Tableau.key)
     return out
 

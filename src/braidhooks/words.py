@@ -17,12 +17,11 @@ whose letters are in range by construction, through the unchecked
 state cap (``BRAIDHOOKS_CAP`` in the environment).
 
 ``all_reduced_words`` lists the maximal chains of the weak order below a
-permutation, which are its reduced words.  It counts them first, summing
-over left descents up from the identity, so a count above the cap raises
-before any word is built; then it builds the tails of every permutation in
-the lowest third of the interval once, and walks the upper part down to
-them.  ``commutation_class`` lists the linear extensions of the word's heap
-with the down-set walk of ``posets``.  The heap is compiled once, by
+permutation, which are its reduced words, and ``commutation_class`` those
+of the down-sets of the word's heap (its linear extensions).  Both build
+their table with ``posets._lattice``, which counts the chains and refuses a
+count above the cap before any word is built, and list it with the one
+walk, ``posets._extensions``.  The heap is compiled once, by
 ``_heap_order``, which ``heaps.heap_poset`` also reads.  Both meet each word
 once, in lexicographic order, with no ``seen`` set or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
@@ -45,14 +44,13 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
-    ExplosionGuardError,
     InvalidSiteError,
     LetterRangeError,
     NotReducedError,
     QuadraticRuleError,
     default_cap,
 )
-from .posets import Poset, _bits, _Carrier, _extensions
+from .posets import _Carrier, _downset_table, _extensions, _lattice
 
 __all__ = [
     "Word",
@@ -336,18 +334,15 @@ def _heap_order(letters: tuple[int, ...]) -> tuple[list[int], list[int]]:
 def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """All words reachable by commutation moves only, lexicographically sorted.
 
-    They are the linear extensions of the word's heap (``_heap_order``).
-    Pieces of one letter form a chain, so no two placeable pieces share a
-    letter and the walk's order is letter order.
+    They are the maximal chains of the down-sets of the word's heap
+    (``_heap_order``).  Pieces of one letter form a chain, so no two
+    placeable pieces share a letter and the walk's order is letter order.
     """
-    w = word.letters
-    order, below = _heap_order(w)
-    heap = Poset(range(len(w)), [(j, i) for i, b in enumerate(below) for j in _bits(b)])
-    letters, rank = [w[p] for p in order], word.rank
-    # a tuple built from a list is allocated once at its size; from a map it
-    # is regrown, which fragments the heap (about 1 MB more RSS on S7's class)
-    return _extensions(heap, cap, lambda ids: _word(tuple([letters[i] for i in ids]), rank),
-                       "words")
+    cap = default_cap() if cap is None else cap
+    order, below = _heap_order(word.letters)
+    letters, rank = [word.letters[p] for p in order], word.rank
+    return _extensions(_downset_table(below, cap, "words"), letters,
+                       lambda seq: _word(seq, rank), cap, "words")
 
 
 def _first_reduced_word(perm: Permutation) -> Word:
@@ -364,30 +359,15 @@ def _first_reduced_word(perm: Permutation) -> Word:
     return Word(tuple(reversed(popped)), perm.n)
 
 
-def _below_each(top: tuple[int, ...], memo: dict, combine) -> None:
-    """Fill ``memo`` for ``top`` and every state below it in the weak order.
+def _descents(state: tuple[int, ...], *_) -> list[int]:
+    """The left descents of a weak-order state ``(0, pos[1], ..., pos[n])``,
+    ``pos[v]`` the place of value v: the letters a with a+1 before a."""
+    return [a for a in range(1, len(state) - 1) if state[a] > state[a + 1]]
 
-    A state is ``(0, pos[1], ..., pos[n], -1)``, where ``pos[v]`` is where value
-    ``v`` stands.  ``memo[u] = combine([(a, memo[u with values a, a+1 swapped])
-    for each left descent a of u, ascending])``; the identity must be seeded.
-    An explicit stack holds the path from ``top``, so a long chain never
-    recurses, and each state is combined once.
-    """
-    if top in memo:
-        return
-    stack = [(top, 1)]
-    while stack:
-        u, a = stack.pop()
-        while a < len(u) - 2:  # a runs over the letters 1..n-1
-            if u[a] > u[a + 1]:
-                v = u[:a] + (u[a + 1], u[a]) + u[a + 2:]
-                if v not in memo:
-                    stack += ((u, a + 1), (v, 1))
-                    break
-            a += 1
-        else:
-            memo[u] = combine([(a, memo[u[:a] + (u[a + 1], u[a]) + u[a + 2:]])
-                               for a in range(1, len(u) - 2) if u[a] > u[a + 1]])
+
+def _swap(state: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The state below ``state`` by the left descent a: values a, a+1 swapped."""
+    return state[:a] + (state[a + 1], state[a]) + state[a + 2:]
 
 
 def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
@@ -395,67 +375,16 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
 
     A word's first letter ``a`` is a left descent of ``perm`` (``a+1`` stands
     before ``a``), and the rest is a reduced word of ``perm`` with values
-    ``a``, ``a+1`` swapped.  Three steps, none of them recursive:
-
-    - count first: ``|Red(u)|`` for every ``u`` below ``perm`` in the weak
-      order, summed over left descents up from the identity.  Every ``u``
-      lies on a chain from ``perm``, so a count above ``cap`` is a total
-      above ``cap``, and that raises before any word or tail is built;
-    - list the lower third once: the tails (lexicographic letter tuples) of
-      every ``u`` the walk below meets at a third of ``perm``'s length, each
-      list built once from those below it;
-    - walk the upper two thirds on a stack, placing the next left descent
-      and taking it back; where a third of the letters remain, each tail of
-      what remains completes one word, written into a list of the counted
-      size.  Every letter is a left descent, in ``1..n-1``, so the words
-      are built without ``Word``'s letter-range check.
+    ``a``, ``a+1`` swapped: the words are the maximal chains of the weak
+    order below ``perm``, listed by the table walk of ``posets``.  Every
+    letter is a left descent, in ``1..n-1``, so the words are built without
+    ``Word``'s letter-range check.
     """
     cap = default_cap() if cap is None else cap
     n = perm.n
-    # pos[v] is where value v stands; the -1 past the end stops the scan at a = n
-    pos = [0, *sorted(range(n), key=perm.images.__getitem__), -1]
-    identity = (0, *range(n), -1)
-
-    def total(parts: list[tuple[int, int]]) -> int:
-        count = sum(c for _, c in parts)
-        if count > cap:
-            raise ExplosionGuardError(cap, "words")
-        return count
-
-    def join(parts: list[tuple[int, list]]) -> list[tuple[int, ...]]:
-        return [(a, *t) for a, below in parts for t in below]
-
-    top = tuple(pos)
-    counts = {identity: total([(0, 1)])}  # the empty word: cap 0 raises
-    _below_each(top, counts, total)
-    found: list = [None] * counts[top]
-    tails = {identity: [()]}
-    length = perm.length()
-    split = length - length // 3  # letters placed by the walk; the tails hold the rest
-    placed: list[int] = []
-    i = 0
-    a = 1
-    while True:
-        if len(placed) == split:
-            key = tuple(pos)
-            _below_each(key, tails, join)
-            here = tails[key]
-            prefix = tuple(placed)
-            found[i:i + len(here)] = [_word(prefix + t, n) for t in here]
-            i += len(here)
-            a = n  # the split state is left to its tails
-        while pos[a] < pos[a + 1]:
-            a += 1
-        if a < n:
-            placed.append(a)
-            pos[a], pos[a + 1] = pos[a + 1], pos[a]
-            a = 1
-        elif placed:
-            a = placed.pop()
-            pos[a], pos[a + 1] = pos[a + 1], pos[a]
-            a += 1
-        else:
-            return found
+    top = (0, *sorted(range(n), key=perm.images.__getitem__))
+    return _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n),
+                       lambda letters: _word(letters, n), cap, "words")
 
 
 @dataclass(frozen=True)

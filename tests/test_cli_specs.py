@@ -1,9 +1,14 @@
-"""Word specs and empty source flags on the command line."""
+"""Word and shape specs, empty source flags and CSV rows on the command line."""
+
+import csv
+import io
+import re
 
 import pytest
 
-from braidhooks.cli import EXIT_PASS, EXIT_USAGE, main, parse_word
-from braidhooks.errors import WordSpecError
+from braidhooks.cli import EXIT_PASS, EXIT_USAGE, main, parse_shape, parse_word
+from braidhooks.errors import ShapeSpecError, WordSpecError
+from braidhooks.tableaux import Shape
 from braidhooks.words import Word
 
 
@@ -61,3 +66,52 @@ def test_class_breaking_the_quadratic_rule_is_refused(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: letter 1 stacks on itself; class violates the quadratic rule\n"
+
+
+@pytest.mark.parametrize("spec", [
+    "right:4,x", "right:4,,3", "right:4,3,", "right:", "half:5,,1", "skew:4,3,,1/1",
+    "skew:4,3/1,x", "skew:4,3/1,", "skew:/1",
+])
+def test_bad_shape_field_is_typed(spec, capsys):
+    with pytest.raises(ShapeSpecError, match=re.escape(repr(spec))):
+        parse_shape(spec)
+    assert main(["enumerate", "--shape", spec]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: shape spec {spec!r} is not comma-separated integers\n"
+
+
+@pytest.mark.parametrize("spec, shape", [
+    ("skew:4,3", Shape.skew_right((4, 3))),
+    ("skew:4,3/", Shape.skew_right((4, 3))),
+    ("skew:4,3/1", Shape.skew_right((4, 3), (1,))),
+    ("right:3,1", Shape.right((3, 1))),
+])
+def test_good_shape_spec(spec, shape):
+    assert parse_shape(spec) == shape
+
+
+def test_shape_spec_errors_are_value_errors():
+    assert issubclass(ShapeSpecError, ValueError)
+    with pytest.raises(ShapeSpecError, match="mode prefix"):
+        parse_shape("4,3")
+    with pytest.raises(ShapeSpecError, match="unknown shape mode 'diag'"):
+        parse_shape("diag:4,3")
+
+
+def read_csv(argv, capsys) -> list[list[str]]:
+    main(argv)
+    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["enumerate", "--class-of-word", "10,12,11", "--rank", "13"], "10,12,11"),
+    (["verify", "homomesy", "--shape", "right:3,1"], "right:3,1"),
+    (["verify", "poset-edges", "--poset", "{diamond}", "--ideal", "a"],
+     "[{'size': 2, 'average': '1'}]"),
+])
+def test_csv_fields_with_commas_read_back_whole(argv, field, capsys, tmp_path):
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text("a < b\na < c\nb < d\nc < d\n")
+    argv = [arg.format(diamond=diamond) for arg in argv] + ["--format", "csv"]
+    header, *rows = read_csv(argv, capsys)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert field in rows[0]

@@ -1,9 +1,10 @@
-"""The down-set table behind every enumeration: counts first, then the walk.
+"""The table behind every enumeration: counts first, then the walk.
 
-``posets._lattice`` lists an order's down-sets by size with the number of
-extensions above each, so ``count[0]`` must equal the length of every
-enumeration, and a cap below it must be refused before any object is made.
-A ``Poset`` builds its table once, and ``order_ideals`` reads its down-sets.
+``posets._lattice`` lists the states of a graded order in post-order with
+the number of maximal chains from each, so the root's count (the last) must
+equal the length of every enumeration, and a cap below it must be refused
+before any object is made.  A ``Poset`` builds its down-set table once, and
+``order_ideals`` reads its down-sets.
 """
 
 import io
@@ -47,7 +48,7 @@ def seeded_posets(count=60):
 
 
 def count(below) -> int:
-    return posets._lattice(below, 10**9, "test")[1][0]
+    return posets._downset_table(below, 10**9, "test")[1][-1]
 
 
 def test_counts_equal_the_fillings():
@@ -96,7 +97,7 @@ def test_one_table_per_poset(monkeypatch):
     extensions = linear_extensions(poset)
     assert len(calls) == 1
     masks, counts, _, _ = poset._table
-    assert (len(masks), counts[0]) == (len(ideals), len(extensions))
+    assert (len(masks), counts[-1]) == (len(ideals), len(extensions))
 
 
 def test_the_table_holds_no_objects():
@@ -108,15 +109,20 @@ def test_the_table_holds_no_objects():
 
 
 def test_too_many_down_sets_stop_the_build():
-    # 20 paths already reach size 1, more than 5: the build stops before that level
+    # the down-set of 17 elements has 3! = 6 extensions above it, more than 5
     with pytest.raises(ExplosionGuardError) as raised:
-        posets._lattice(antichain_poset(20)._below, 5, "things")
+        posets._downset_table(antichain_poset(20)._below, 5, "things")
     assert (raised.value.cap, raised.value.what) == (5, "things")
+
+
+SHARED = Shape.right((4, 3, 2, 1))  # its table, built at the default cap, is kept
 
 
 @pytest.mark.parametrize("what, enumerate_, module", [
     ("fillings", lambda cap: standard_tableaux(Shape.right((4, 3, 2, 1)), cap), tableaux),
+    ("fillings", lambda cap: standard_tableaux(SHARED, cap), tableaux),
     ("words", lambda cap: commutation_class(staircase_word(5), cap), words),
+    ("words", lambda cap: words.all_reduced_words(words.Permutation.longest(4), cap), words),
     ("linear extensions", lambda cap: linear_extensions(antichain_poset(4), cap), posets),
 ])
 def test_each_caller_refuses_before_making_an_object(monkeypatch, what, enumerate_, module):
@@ -124,11 +130,11 @@ def test_each_caller_refuses_before_making_an_object(monkeypatch, what, enumerat
     made = []
     walk = posets._extensions
 
-    def counting(below, cap, make, name, *rest):
-        def counted(ids):
-            made.append(ids)
-            return make(ids)
-        return walk(below, cap, counted, name, *rest)
+    def counting(table, names, build, cap, name):
+        def counted(chain):
+            made.append(chain)
+            return build(chain)
+        return walk(table, names, counted, cap, name)
 
     monkeypatch.setattr(module, "_extensions", counting)
     with pytest.raises(ExplosionGuardError) as raised:

@@ -1,20 +1,20 @@
 """Refusals that hold before memory is committed.
 
-``posets._lattice`` builds the down-set table level by level.  For a walk,
-a level's paths (each parent's paths times its addable count) start
-different extensions, so more paths than the cap refuse the build before
-that level exists.  For ``order_ideals`` the cap bounds the down-sets
-held, and a down-set with a addable elements shows 2**a - 1 more above it.
+``posets._lattice`` builds a table depth first.  For a walk, every state
+lies on a chain from the root, so a partial sum of chains above the cap
+refuses the build while it holds only the states counted so far.  For
+``order_ideals`` the cap bounds the down-sets held, and a down-set with a
+addable elements shows 2**a - 1 more above it.
 Heaps size their per-column lists by the largest letter, not the rank.
 """
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from braidhooks import posets
-from braidhooks.cli import EXIT_PASS, main
+from braidhooks.cli import EXIT_CAP, EXIT_PASS, main
 from braidhooks.errors import ExplosionGuardError
 from braidhooks.heaps import build_order_extension, nu
 from braidhooks.posets import (
@@ -55,6 +55,25 @@ def test_a_wide_order_is_refused_before_its_table_is_built(enumerate_, what):
     assert (raised[0].cap, raised[0].what) == (10**4, what)
 
 
+def test_a_wide_poset_file_exits_on_the_default_cap_in_little_memory(monkeypatch, tmp_path):
+    # bot < m0..m27 < top has 28! linear extensions and 2**28 + 2 down-sets;
+    # the build refuses inside the first down-set with 12 middle elements left
+    monkeypatch.delenv("BRAIDHOOKS_CAP", raising=False)
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"bot < m{i}\nm{i} < top\n" for i in range(28)))
+    err = io.StringIO()
+    codes = []
+
+    def run():
+        with redirect_stderr(err):
+            codes.append(main(["verify", "poset-edges", "--poset", str(path), "--ideal", "bot"]))
+
+    assert peak_while(run) < 5 * 2**20
+    assert codes == [EXIT_CAP]
+    assert err.getvalue() == (
+        "error: enumeration of linear extensions exceeded the state cap of 100000000\n")
+
+
 def built_down_sets(monkeypatch) -> list:
     """Each down-set after the empty one gets one sorted addable list."""
     made = []
@@ -67,12 +86,14 @@ def built_down_sets(monkeypatch) -> list:
     return made
 
 
-def test_the_path_check_stops_before_the_level_it_bounds(monkeypatch):
-    # 16 * 15 * 14 = 3,360 paths reach size 3, and 43,680 reach size 4
+def test_a_partial_sum_stops_the_build_inside_the_first_state_it_bounds(monkeypatch):
+    # a down-set with j elements left has j! extensions, and 7! <= 10^4 < 8!.
+    # The build goes down to {0..7}, counts its first child {0..8} (5,040,
+    # its 2**7 down-sets), then its second {0..7, 9} (2**6 new ones): 10,080
     made = built_down_sets(monkeypatch)
     with pytest.raises(ExplosionGuardError):
-        posets._lattice(antichain_poset(16)._below, 10**4, "test")
-    assert len(made) == 16 + 120 + 560
+        posets._downset_table(antichain_poset(16)._below, 10**4, "test")
+    assert 1 + len(made) == 9 + 2**7 + 2**6
 
 
 def test_ideals_stop_once_more_than_the_cap_are_held(monkeypatch):
@@ -87,14 +108,15 @@ def test_ideals_stop_once_more_than_the_cap_are_held(monkeypatch):
 @pytest.mark.parametrize("order", SHAPES + ORDERS,
                          ids=[repr(s) for s in SHAPES] + [f"poset{i}" for i in range(len(ORDERS))])
 def test_exact_caps_pass_and_one_less_is_refused(order):
-    count = len(posets._lattice(order._below, 10**9, "test")[0])
-    extensions = posets._lattice(order._below, 10**9, "test")[1][0]
-    assert posets._lattice(order._below, extensions, "test")[1][0] == extensions
-    assert len(posets._lattice(order._below, count, "test", True)[0]) == count
+    table = posets._downset_table
+    count = len(table(order._below, 10**9, "test")[0])
+    extensions = table(order._below, 10**9, "test")[1][-1]
+    assert table(order._below, extensions, "test")[1][-1] == extensions
+    assert len(table(order._below, count, "test", True)[0]) == count
     with pytest.raises(ExplosionGuardError):
-        posets._lattice(order._below, extensions - 1, "test")
+        table(order._below, extensions - 1, "test")
     with pytest.raises(ExplosionGuardError):
-        posets._lattice(order._below, count - 1, "test", True)
+        table(order._below, count - 1, "test", True)
 
 
 HUGE = 10**7

@@ -1,11 +1,13 @@
 """Reduced words are counted before they are listed.
 
-``all_reduced_words`` first counts ``|Red(u)|`` for every ``u`` below the
-permutation in the weak order, raising when a count passes the cap, then
-builds the tails of the lowest third once and walks the rest down to them.
-It must list exactly what the plain stack walk lists, in the same order,
-meet the cap at exactly the word count, agree with Stanley's hook-length
-count of ``Red(w0)``, and raise on a huge interval before building a word.
+``all_reduced_words`` builds the weak order below the permutation as a
+``posets._lattice`` table, depth first, counting ``|Red(u)|`` for each
+``u`` and raising once a partial count passes the cap; then the table walk
+of ``posets._extensions`` builds the tails of the lowest third once and
+walks the rest down to them.  It must list exactly what the plain stack
+walk lists, in the same order, meet the cap at exactly the word count,
+agree with Stanley's hook-length count of ``Red(w0)``, and raise on a huge
+interval, in little memory, before building a word.
 The integer per-orbit sums of ``verify_edges`` and the one-``str``-per-element
 key of ``order_ideals`` must give what their plain forms give.
 """
@@ -110,36 +112,51 @@ def test_staircase_hook_count_known_values():
 
 
 def test_reiner_7_exits_on_the_default_cap_in_little_memory(monkeypatch, capsys):
-    # |Red(w0)| in S7 is 1,100,742,656, above the default cap of 10^8
+    # |Red(w0)| in S7 is 1,100,742,656, above the default cap of 10^8; the
+    # build refuses near the identity, so a larger n costs little more
     monkeypatch.delenv("BRAIDHOOKS_CAP", raising=False)
-    tracemalloc.start()
-    try:
-        code = main(["verify", "reiner", "--n", "7"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_CAP
-    assert "enumeration of words exceeded the state cap of 100000000" in capsys.readouterr().err
-    assert peak < 5 * 2**20
+    for n in (7, 8, 12, 20):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "reiner", "--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAP, n
+        assert capsys.readouterr().err == (
+            "error: enumeration of words exceeded the state cap of 100000000\n"), n
+        assert peak < 5 * 2**20, n
 
 
 def test_huge_interval_raises_before_any_tail_or_word(monkeypatch):
-    filled = []
-    below_each = words._below_each
+    walks = []
 
-    def recording(top, memo, combine):
-        filled.append(combine)
-        below_each(top, memo, combine)
+    def no_walk(*args):
+        walks.append(args)
+        raise AssertionError("the walk started before the count passed the cap")
 
     def no_word(*args):
         raise AssertionError("a word was built before the count passed the cap")
 
-    monkeypatch.setattr(words, "_below_each", recording)
+    monkeypatch.setattr(words, "_extensions", no_walk)
+    monkeypatch.setattr(words, "_word", no_word)
     monkeypatch.setattr(words, "Word", no_word)
-    with pytest.raises(ExplosionGuardError) as raised:
-        all_reduced_words(Permutation.longest(60), cap=5)
-    assert (raised.value.cap, raised.value.what) == (5, "words")
-    assert len(filled) == 1  # the count pass only: no tails were built
+    raised = []
+
+    def run():
+        with pytest.raises(ExplosionGuardError) as info:
+            all_reduced_words(Permutation.longest(60), cap=5)
+        raised.append(info.value)
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (raised[0].cap, raised[0].what) == (5, "words")
+    assert walks == []  # the table build refused: no tail was built
+    assert peak < 5 * 2**20
 
 
 def test_order_ideals_keep_the_string_key_order():
