@@ -86,8 +86,9 @@ def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows or []:
-            writer.writerow([str(x) for x in row])
+        for row in csv_rows or []:  # a list or dict field is written as JSON text
+            writer.writerow([json.dumps(x) if isinstance(x, (list, dict)) else str(x)
+                             for x in row])
     else:
         for line in table_lines or [json.dumps(payload)]:
             print(line)

@@ -19,6 +19,15 @@ involutions every orbit is a path or a cycle whose edges alternate, so
 ``_walk`` applies them in turn until the start comes back or a state is
 fixed, and from a path end walks the other way from the start: one toggle
 pass per state and no set per orbit.
+
+Orbit statistics are window counts summed per collection.  A braid hook is
+three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
+(r+1, c) outside the shape, and a braid site three consecutive letters
+``a, a±1, a``.  ``tableau_statistic`` and ``word_statistic`` return a
+function of one state that carries ``total(states)``, which joins the
+states' label strings and counts every window in one C-level scan
+(``tableaux._hook_total``, ``words._site_totals``); ``orbit_average`` sums
+an orbit with it, and any other statistic state by state.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
 from .heaps import nu_inverse
-from .tableaux import Shape, Tableau, braid_hooks, random_standard_tableau, standard_tableaux
-from .words import Word, braid_sites
+from .tableaux import Shape, Tableau, _hook_total, random_standard_tableau, standard_tableaux
+from .words import Word, _site_totals
 
 __all__ = [
     "Orbit",
@@ -181,9 +190,14 @@ def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
 
 
 def orbit_average(orbit: Orbit, statistic: Callable) -> Fraction:
+    """The orbit's exact average, summed by the statistic's ``total`` when it
+    has one (a window count over the whole orbit), else state by state."""
     if not orbit.members:
         raise ValueError("orbit is empty")
-    return Fraction(sum(statistic(x) for x in orbit.members), orbit.size)
+    total = getattr(statistic, "total", None)
+    if total is None:
+        return Fraction(sum(map(statistic, orbit.members)), orbit.size)
+    return Fraction(total(orbit.members), orbit.size)
 
 
 def homomesy_report(carrier: Iterable, statistic: Callable, mode: str = "dihedral",
@@ -206,15 +220,33 @@ def homomesy_report(carrier: Iterable, statistic: Callable, mode: str = "dihedra
     }
 
 
+def _window_statistic(total: Callable[[Iterable], int]) -> Callable:
+    """A statistic of one state that carries ``total(states)``, its sum over
+    a collection; the one-state call is ``total`` on that state alone."""
+
+    def statistic(x) -> int:
+        return total((x,))
+
+    statistic.total = total
+    return statistic
+
+
+def _braid_move_total(words: Iterable[Word]) -> int:
+    _, up, down = _site_totals(words)
+    return up + down
+
+
 def tableau_statistic(name: str) -> Callable[[Tableau], int]:
+    """The named statistic of one filling; ``.total(fillings)`` sums it."""
     if name == "braid-hooks":
-        return lambda t: len(braid_hooks(t))
+        return _window_statistic(_hook_total)
     raise ValueError(f"unknown tableau statistic {name!r}")
 
 
 def word_statistic(name: str) -> Callable[[Word], int]:
+    """The named statistic of one word; ``.total(words)`` sums it."""
     if name == "braid-moves":
-        return lambda w: sum(braid_sites(w))
+        return _window_statistic(_braid_move_total)
     raise ValueError(f"unknown word statistic {name!r}")
 
 
@@ -321,7 +353,7 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
         orbit = _walk(start.pos, steps, start._toggle)
         visited.update(orbit)
         members = [start._rebuild(pos) for pos in orbit]
-        average = Fraction(sum(len(braid_hooks(t)) for t in members), len(members))
+        average = Fraction(_hook_total(members), len(members))
         if average != 1:
             return {
                 "seed": seed,

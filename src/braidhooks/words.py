@@ -465,17 +465,11 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
     """Exact braid-move statistics over a collection of words.
 
     Returns total site count, the mean per word, and the up/down split used
-    by the skew-shape difference statistic.  The words are read once, in
-    chunks of ``_CHUNK`` counted by ``_chunk_sites``, so a generator serves;
-    every total equals the sum of ``braid_sites`` over the same words.
+    by the skew-shape difference statistic.  The words are read once, by
+    ``_site_totals``, so a generator serves; every total equals the sum of
+    ``braid_sites`` over the same words.
     """
-    words = iter(words)
-    up = down = count = 0
-    while chunk := list(islice(words, _CHUNK)):
-        count += len(chunk)
-        u, d = _chunk_sites(chunk)
-        up += u
-        down += d
+    count, up, down = _site_totals(words)
     if not count:
         raise ValueError("braid_move_stats needs a nonempty collection")
     total = up + down
@@ -491,6 +485,19 @@ _CHUNK = 4096  # words per byte buffer: about 64 kB for words of S6
 _SCAN_TOP = 15  # the largest letter scanned as bytes; the scan makes 3 passes per letter
 _letters = attrgetter("letters")
 _rank = attrgetter("rank")
+
+
+def _site_totals(words: Iterable[Word]) -> tuple[int, int, int]:
+    """The number of ``words`` and their (up, down) braid sites, summed; the
+    words are read once, in chunks of ``_CHUNK`` counted by ``_chunk_sites``."""
+    words = iter(words)
+    up = down = count = 0
+    while chunk := list(islice(words, _CHUNK)):
+        count += len(chunk)
+        u, d = _chunk_sites(chunk)
+        up += u
+        down += d
+    return count, up, down
 
 
 def _chunk_sites(chunk: list[Word]) -> tuple[int, int]:

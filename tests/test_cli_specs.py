@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import re
 
 import pytest
@@ -106,7 +107,7 @@ def read_csv(argv, capsys) -> list[list[str]]:
     (["enumerate", "--class-of-word", "10,12,11", "--rank", "13"], "10,12,11"),
     (["verify", "homomesy", "--shape", "right:3,1"], "right:3,1"),
     (["verify", "poset-edges", "--poset", "{diamond}", "--ideal", "a"],
-     "[{'size': 2, 'average': '1'}]"),
+     '[{"size": 2, "average": "1"}]'),
 ])
 def test_csv_fields_with_commas_read_back_whole(argv, field, capsys, tmp_path):
     diamond = tmp_path / "diamond.txt"
@@ -115,3 +116,19 @@ def test_csv_fields_with_commas_read_back_whole(argv, field, capsys, tmp_path):
     header, *rows = read_csv(argv, capsys)
     assert rows and all(len(row) == len(header) for row in rows)
     assert field in rows[0]
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["verify", "homomesy", "--shape", "right:3,2,1"], "averages", ["1"]),
+    (["verify", "poset-edges", "--poset", "{diamond}", "--ideal", "a"],
+     "per_orbit", [{"size": 2, "average": "1"}]),
+    (["orbits", "--shape", "right:7,6,5,4,3,2,1", "--sample", "10", "--group", "gyration"],
+     "orbit", {"seed": 1, "size": 28, "average": "15/14", "representative":
+               "1 2 3 4 5 6 17|7 8 10 11 14 19|9 12 13 16 24|15 18 20 25|21 22 26|23 27|28"}),
+])
+def test_csv_list_and_dict_fields_are_json(argv, name, value, capsys, tmp_path):
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text("a < b\na < c\nb < d\nc < d\n")
+    argv = [arg.format(diamond=diamond) for arg in argv] + ["--format", "csv"]
+    header, row = read_csv(argv, capsys)
+    assert json.loads(row[header.index(name)]) == value
