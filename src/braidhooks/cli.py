@@ -97,7 +97,7 @@ def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
 def _serialise(obj) -> str:
     if isinstance(obj, words.Word):
         return words.word_to_string(obj)
-    if isinstance(obj, tableaux.Tableau):
+    if isinstance(obj, tableaux.Tableau):  # before its base class, LinearExtension
         return "|".join(" ".join(map(str, row)) for row in obj.row_values())
     if isinstance(obj, posets.LinearExtension):
         return " ".join(str(e) for e in obj.seq)

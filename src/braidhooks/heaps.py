@@ -16,9 +16,10 @@ drop order becomes a standard filling.
 checks where each lands against the shape's cover masks.  A heap's order is
 generated by its adjacent-column pairs, so that is exact once the shape
 orders every two cells on adjacent diagonals, which the shape's own
-down-set masks tell.  The column table (the cell at each column and stack
-position), that condition and each cell's letter are built once per
-``Shape``; ``nu_inverse`` reads the letters from it and builds its word
+down-set masks tell.  The column table (the cell id at each column and
+stack position), that condition and each cell id's letter are built once
+per ``Shape``; ``nu`` places cell ids, the filling's own labels, and
+``nu_inverse`` reads the letters of a filling's ids and builds its word
 without ``Word``'s range check, which the public constructors keep.  Lists
 kept per column are as long as the word's largest letter, not its rank.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import LinearExtension, Poset, _bits
+from .posets import LinearExtension, Poset, _bits, _build
 from .tableaux import Shape, Tableau
 from .words import Word, _heap_order, _no_square, _word
 
@@ -84,22 +85,25 @@ def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], li
     return cells, columns, positions
 
 
-def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, dict[tuple[int, int], int]]:
+def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int]]:
     """The shape's side of ``nu``, built once per shape: ``table[column][p]``
     is the id of the cell at stack position p+1 of that column (column 0 is
     empty), ``ordered`` says whether the shape orders every two cells on
-    adjacent diagonals, and ``letter`` maps each cell to its column."""
+    adjacent diagonals, and ``letter[i]`` is the column of cell id i."""
     if shape._heap is None:
         cells, columns, _ = _diagonal_layout(shape)
         table: list[list[int]] = [[] for _ in range(max(columns) + 1)]
+        letter = [0] * shape.size
         for cell, column in zip(cells, columns):  # positions ascend within a column
-            table[column].append(shape._index[cell])
+            i = shape._index[cell]
+            table[column].append(i)
+            letter[i] = column
         down = shape._down
         ordered = all(
             (down[x] >> y | down[y] >> x) & 1
             for lower, upper in zip(table, table[1:]) for x in lower for y in upper
         )
-        shape._heap = table, ordered, dict(zip(cells, columns))
+        shape._heap = table, ordered, letter
     return shape._heap
 
 
@@ -122,13 +126,13 @@ def nu(word: Word, shape: Shape) -> Tableau:
     mismatch the drops go on, so the quadratic rule is reported first.
     """
     table, ordered, _ = _shape_side(shape)
-    below, cells = shape._below, shape.cells
+    below = shape._below
     letters = word.letters
     top = max(letters, default=0)
     fits = ordered and len(letters) == len(below) and top < len(table)
     tops = [0] * (top + 2)  # a letter's own column and both neighbours
     counts = [0] * len(table)
-    pos = []
+    ids = []
     mask = 0
     for a in reversed(letters):
         left, right = tops[a - 1], tops[a + 1]
@@ -145,14 +149,14 @@ def nu(word: Word, shape: Shape) -> Tableau:
                 i = column[p]
                 if below[i] & mask == below[i]:
                     mask |= 1 << i
-                    pos.append(cells[i])
+                    ids.append(i)
                     continue
             fits = False
     if not fits:
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )
-    return Tableau(shape, tuple(pos), _checked=True)
+    return _build(Tableau, shape, tuple(ids))
 
 
 def nu_inverse(t: Tableau) -> Word:
@@ -160,7 +164,7 @@ def nu_inverse(t: Tableau) -> Word:
     diagonal) of the cell holding N+1-p.  A disconnected skew shape can read
     back a factor ``a a``: ``QuadraticRuleError``."""
     letter = _shape_side(t.shape)[2]
-    letters = tuple([letter[cell] for cell in reversed(t.pos)])
+    letters = tuple([letter[i] for i in reversed(t.ids)])
     _no_square(letters)
     return _word(letters, max(letters) + 1)
 

@@ -2,9 +2,9 @@
 
 The odd and even operators apply every ``tau_i`` of one parity at once;
 they are involutions, so together they generate a dihedral group.  They
-act on any carrier of the toggle group (``posets._Carrier``): tableaux,
-words and linear extensions, all linear extensions of a poset (the shape
-poset, the heap poset, or a general one).  A carrier has a ``size``;
+act on any carrier of the toggle group (``posets._Carrier``): linear
+extensions of a poset, a standard filling being one of its shape, and
+words, the linear extensions of a heap.  A carrier has a ``size``;
 ``taus(indices)``, which applies a whole tau word in one pass (``tau(i)`` is
 the one-letter word); and ``key()``, its canonical sort key (a tableau's
 row-reading word, an extension's element indices, a word's ``(letters,
@@ -12,9 +12,10 @@ rank)``).  Orbits and their members are ordered by sorting on that key, so
 the comparisons run in C.  All averages are exact fractions.
 
 Orbits are walked on raw label tuples.  Each carrier names its tuple in
-``_LABELS`` (``pos``, ``letters``, ``seq``), holds its one commute test in
-``_toggle(labels, indices)``, which ``taus`` also calls, and builds a state
-of its own shape, rank or poset with ``_rebuild(labels)``.  Under two
+``_LABELS`` (an extension's element ``ids``, a word's ``letters``), holds
+its one commute test in ``_toggle(labels, indices)``, which ``taus`` also
+calls, and builds a state of its own type and poset, or rank, with
+``_rebuild(labels)``.  Under two
 involutions every orbit is a path or a cycle whose edges alternate, so
 ``_walk`` applies them in turn until the start comes back or a state is
 fixed, and from a path end walks the other way from the start: one toggle
@@ -348,11 +349,11 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
     for seed in range(seed_start, max_seeds):
         rng = random.Random(f"{base_seed}/{seed}")
         start = random_standard_tableau(shape, rng)
-        if start.pos in visited:
+        if start.ids in visited:
             continue
-        orbit = _walk(start.pos, steps, start._toggle)
+        orbit = _walk(start.ids, steps, start._toggle)
         visited.update(orbit)
-        members = [start._rebuild(pos) for pos in orbit]
+        members = [start._rebuild(ids) for ids in orbit]
         average = Fraction(_hook_total(members), len(members))
         if average != 1:
             return {

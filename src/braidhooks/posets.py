@@ -5,10 +5,12 @@ are reduced to the transitive reduction at construction.  ``Poset`` is the
 one order type: a ``Shape`` is the poset of its cells, and the heap of a
 word (``heaps``) the poset of its pieces (column, stack position); their
 linear extensions are the standard fillings and the words of the class.
-A linear extension is a carrier of the toggle group, like a word or a
-tableau, and the three share ``_Carrier``: a ``size``, ``taus(indices)``
-applying a whole tau word in one pass (tau_i swaps labels i and i+1 when
-the two elements are incomparable), ``tau(i)``, and ``key()``, by which
+A linear extension holds the element ids (indices) in label order, and a
+standard filling (``tableaux.Tableau``) is a linear extension of its shape.
+It is a carrier of the toggle group, like a word, and the two share
+``_Carrier``: a ``size``, ``taus(indices)`` applying a whole tau word in
+one pass (tau_i swaps labels i and i+1 when the two elements are
+incomparable, one down-set bit), ``tau(i)``, and ``key()``, by which
 carriers sort.  The even/odd orbit machinery in ``homomesy`` uses only
 this interface.
 
@@ -38,10 +40,9 @@ and checks every ideal as a sum over the covers it cuts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
+from functools import partial, reduce
+from operator import attrgetter, itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -109,9 +110,9 @@ def transitive_reduction(below: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 class _Carrier:
-    """The toggle-group protocol of ``LinearExtension``, ``Tableau`` and
-    ``Word``.  Each names its label tuple in ``_LABELS`` and has its own
-    ``_toggle(labels, indices)``, ``_rebuild(labels)`` and ``key()``."""
+    """The toggle-group protocol of ``LinearExtension`` (a ``Tableau`` is
+    one) and ``Word``.  Each names its label tuple in ``_LABELS`` and has its
+    own ``_toggle(labels, indices)``, ``_rebuild(labels)`` and ``key()``."""
 
     __slots__ = ()
 
@@ -188,67 +189,85 @@ class Poset:
         return maxs[0] if len(maxs) == 1 else None
 
 
-@dataclass(frozen=True)
 class LinearExtension(_Carrier):
-    """Order-preserving labelling: ``seq[m-1]`` is the element labelled m.
+    """Order-preserving labelling: ``ids[m-1]`` is the index of the element
+    labelled m, and ``seq`` the elements themselves in label order.
 
     ``NotALinearExtensionError`` unless ``seq`` lists every element once,
     each after its lower covers; the walks here, which place elements only
-    that way, build extensions without the check.
+    that way, build extensions from their ids without the check.
     """
 
-    poset: Poset
-    seq: tuple[Hashable, ...]
+    __slots__ = ("poset", "ids")
+    _LABELS = "ids"  # the label tuple the orbit walk reads
 
-    def __post_init__(self):
-        if not _is_extension(self.poset._index, self.poset._below, self.seq):
-            raise NotALinearExtensionError(
-                f"{self.seq!r} is not a linear extension of the poset"
-            )
+    def __init__(self, poset: Poset, seq: Sequence[Hashable]):
+        if not _is_extension(poset._index, poset._below, seq):
+            raise NotALinearExtensionError(f"{seq!r} is not a linear extension of the poset")
+        _set_poset(self, poset)
+        _set_ids(self, tuple(map(poset._index.__getitem__, seq)))
+
+    @property
+    def seq(self) -> tuple[Hashable, ...]:
+        ids = self.ids
+        if len(ids) > 1:
+            return itemgetter(*ids)(self.poset.elements)
+        return tuple([self.poset.elements[i] for i in ids])  # itemgetter of one id is no tuple
 
     def label(self, element: Hashable) -> int:
-        return self.seq.index(element) + 1
+        # an element outside the poset has no id: ``index(None)`` is a ValueError
+        return self.ids.index(self.poset._index.get(element)) + 1
 
     def element(self, label: int) -> Hashable:
-        return self.seq[label - 1]
+        if not 1 <= label <= self.size:
+            raise IndexError(f"label {label} outside 1..{self.size}")
+        return self.poset.elements[self.ids[label - 1]]
 
-    _LABELS = "seq"  # the label tuple the orbit walk reads
-
-    def _toggle(self, seq: tuple, indices: Iterable[int]) -> tuple:
-        """A tau word on a raw extension ``seq`` of this poset: tau_i swaps
-        labels i and i+1 when the two elements are incomparable.  The element
-        labelled i is never above the one labelled i+1, so one bit decides."""
-        index = self.poset._index
+    def _toggle(self, ids: tuple, indices: Iterable[int]) -> tuple:
+        """A tau word on raw ``ids`` of this poset: tau_i swaps labels i and
+        i+1 when the two elements are incomparable.  The element labelled i
+        is never above the one labelled i+1, so one down-set bit decides."""
         down = self.poset._down
-        seq = list(seq)
+        ids = list(ids)
         for i in indices:
-            if not down[index[seq[i]]] >> index[seq[i - 1]] & 1:
-                seq[i - 1], seq[i] = seq[i], seq[i - 1]
-        return tuple(seq)
+            a, b = ids[i - 1], ids[i]
+            if not down[b] >> a & 1:
+                ids[i - 1], ids[i] = b, a
+        return tuple(ids)
 
-    def _rebuild(self, seq: tuple) -> "LinearExtension":
-        """The extension of the same poset with this ``seq``, a toggle of
-        this one's own."""
-        return _linear_extension(self.poset, seq)
+    def _rebuild(self, ids: tuple) -> "LinearExtension":
+        """The extension of the same poset and type with these ``ids``, a
+        toggle of this one's own."""
+        return _build(type(self), self.poset, ids)
 
     def key(self) -> tuple[int, ...]:
         """The canonical sort key: the element indices in label order."""
-        index = self.poset._index
-        return tuple([index[e] for e in self.seq])
+        return self.ids
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearExtension) and self.seq == other.seq
+        return (isinstance(other, LinearExtension) and self.ids == other.ids
+                and self.poset.elements == other.poset.elements)
 
     def __hash__(self) -> int:
-        return hash(self.seq)
+        return hash(self.ids)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(poset={self.poset!r}, seq={self.seq!r})"
 
 
-def _linear_extension(poset: Poset, seq: tuple) -> LinearExtension:
-    """A ``LinearExtension`` without the check, for ``seq`` an extension of
-    ``poset`` by construction."""
-    ext = object.__new__(LinearExtension)
-    ext.__dict__.update(poset=poset, seq=seq)
-    return ext
+_new = object.__new__
+_set_poset = LinearExtension.poset.__set__
+_set_ids = LinearExtension.ids.__set__
+
+
+def _build(cls: type, poset: Poset, ids: tuple[int, ...]) -> LinearExtension:
+    """A ``cls`` (``LinearExtension`` or a subclass) of ``poset`` without the
+    check, for ``ids`` an extension by construction: it fills the two slots
+    as the checked constructor would."""
+    x = _new(cls)
+    _set_poset(x, poset)
+    _set_ids(x, ids)
+    return x
 
 
 def _placeable(below: list[int], mask: int, i: int) -> bool:
@@ -415,8 +434,8 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     last = _last
     if last.get("poset") is not poset:
         _last = {}
-        found = _extensions(poset._downsets(cap, "linear extensions"), poset.elements,
-                            lambda seq: _linear_extension(poset, seq), cap, "linear extensions")
+        found = _extensions(poset._downsets(cap, "linear extensions"), range(poset.size),
+                            partial(_build, LinearExtension, poset), cap, "linear extensions")
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")
@@ -440,11 +459,11 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
     """Elements p of the ideal covered by the element labelled L(p)+1 outside it."""
-    index, below = extension.poset._index, extension.poset._below
-    seq = extension.seq
+    names, below = extension.poset.elements, extension.poset._below
+    ids = extension.ids
     return {
-        p for p, q in zip(seq, seq[1:])
-        if p in ideal and q not in ideal and below[index[q]] >> index[p] & 1
+        names[p] for p, q in zip(ids, ids[1:])
+        if below[q] >> p & 1 and names[p] in ideal and names[q] not in ideal
     }
 
 
@@ -483,10 +502,10 @@ def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Has
 
     _require_bounds_and_proper(extension.poset, ideal)
     current = extension
-    previous_element = current.seq[0]
+    previous_element = current.element(1)
     for k in range(2, extension.size + 1):
         moved = _tau_oi(k - 1)(current)
-        element = moved.seq[k - 1]
+        element = moved.element(k)
         if previous_element in ideal and element not in ideal:
             return previous_element, moved
         current = moved
@@ -544,7 +563,7 @@ def _cover_windows(below: list[int], orbit) -> tuple[int, list[tuple[int, int, i
     p < q that n of its members label consecutively, p then q."""
     counts = Counter(
         (p, q)
-        for ids in map(LinearExtension.key, orbit.members)
+        for ids in map(attrgetter("ids"), orbit.members)
         for p, q in zip(ids, ids[1:])
         if below[q] >> p & 1
     )
@@ -599,7 +618,7 @@ def poset_from_lines(text: str) -> Poset:
     without exactly one ``<`` between two nonempty names is a ``ValueError``
     naming it."""
     covers = []
-    names: list[str] = []
+    names: dict[str, None] = {}  # first-seen order
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -609,9 +628,7 @@ def poset_from_lines(text: str) -> Poset:
             raise ValueError(f"expected 'a < b', got {line!r}")
         a, b = parts
         covers.append((a, b))
-        for name in (a, b):
-            if name not in names:
-                names.append(name)
+        names[a] = names[b] = None
     return Poset(names, covers)
 
 

@@ -5,10 +5,12 @@ step per row ("half-right"), or right-justified with an inner partition
 removed ("skew-right").  Cells are absolute ``(row, column)`` pairs with
 row 1 at the top, and a standard filling is strictly increasing along rows
 and along absolute columns.  A ``Shape`` is the ``Poset`` of its cells,
-each covering its left and upper neighbours, so the standard fillings are
-its linear extensions: ``standard_tableaux`` walks the shape's own down-set
-table, built once per shape, and ``random_standard_tableau`` places a
-random addable cell at each step.
+each covering its left and upper neighbours, and a ``Tableau`` is a
+``LinearExtension`` of it: it holds the cell ids in value order, toggles
+by the extension's down-set bit, and adds only the tableau reading
+(``pos``, ``entries``, the row-reading ``key``).  ``standard_tableaux``
+walks the shape's own down-set table, built once per shape, and
+``random_standard_tableau`` places a random addable cell at each step.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -32,7 +35,8 @@ from .errors import (
     ShapeConditionError,
     default_cap,
 )
-from .posets import Poset, _addable, _Carrier, _extensions, _is_extension
+from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _is_extension,
+                     _set_ids, _set_poset)
 
 __all__ = [
     "Shape",
@@ -200,70 +204,39 @@ class Shape(Poset):
         return True
 
 
-class Tableau(_Carrier):
-    """A standard filling of a shape; ``pos[v-1]`` is the cell holding v."""
+class Tableau(LinearExtension):
+    """A standard filling of a shape: a linear extension of its cell poset,
+    so ``ids[v-1]`` is the index of the cell holding v, ``pos[v-1]`` that
+    cell, and ``shape`` the poset."""
 
-    __slots__ = ("shape", "pos", "_entries")
+    __slots__ = ()
 
     def __init__(self, shape: Shape, pos: Iterable[tuple[int, int]],
                  _checked: bool = False):
-        self.shape = shape
-        self.pos = tuple(pos)
-        self._entries = None
-        if not _checked and not _is_extension(shape._index, shape._below, self.pos):
-            raise ValueError(f"filling {self.pos} is not standard on {shape!r}")
+        pos = tuple(pos)
+        if not _checked and not _is_extension(shape._index, shape._below, pos):
+            raise ValueError(f"filling {pos} is not standard on {shape!r}")
+        _set_poset(self, shape)
+        _set_ids(self, tuple(map(shape._index.__getitem__, pos)))
+
+    shape = LinearExtension.poset
+    pos = LinearExtension.seq
+    cell_of = LinearExtension.element
+    entry = LinearExtension.label
 
     def entries(self) -> dict[tuple[int, int], int]:
-        if self._entries is None:
-            self._entries = {cell: v + 1 for v, cell in enumerate(self.pos)}
-        return self._entries
-
-    def entry(self, cell: tuple[int, int]) -> int:
-        return self.entries()[cell]
-
-    def cell_of(self, value: int) -> tuple[int, int]:
-        return self.pos[value - 1]
+        return dict(zip(self.shape.cells, self.key()))
 
     def row_values(self) -> list[list[int]]:
-        entry = self.entries()
-        return [
-            [entry[(r, c)] for c in cols]
-            for r, cols in sorted(self.shape.row_columns().items())
-        ]
-
-    _LABELS = "pos"  # the label tuple the orbit walk reads
-
-    @staticmethod
-    def _toggle(pos: tuple, indices: Iterable[int]) -> tuple:
-        """A tau word on a raw ``pos``: tau_i swaps entries i and i+1 when
-        they share neither row nor column."""
-        pos = list(pos)
-        for i in indices:
-            a, b = pos[i - 1], pos[i]
-            if a[0] != b[0] and a[1] != b[1]:
-                pos[i - 1], pos[i] = b, a
-        return tuple(pos)
-
-    def _rebuild(self, pos: tuple) -> "Tableau":
-        """The filling of the same shape with this ``pos``."""
-        return Tableau(self.shape, pos, _checked=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tableau)
-            and self.pos == other.pos
-            and self.shape.cell_set == other.shape.cell_set
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.pos)
+        word = iter(self.key())  # cells in ``cells`` order, so row by row
+        rows = sorted(self.shape.row_columns().items())
+        return [list(islice(word, len(cols))) for _, cols in rows]
 
     def key(self) -> tuple[int, ...]:
         """The canonical sort key: the row-reading word (entries cell by cell)."""
-        index = self.shape._index
-        word = [0] * len(self.pos)
-        for v, cell in enumerate(self.pos, 1):
-            word[index[cell]] = v
+        word = [0] * len(self.ids)
+        for v, i in enumerate(self.ids, 1):
+            word[i] = v
         return tuple(word)
 
     def __repr__(self) -> str:
@@ -274,8 +247,8 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     """All standard fillings, sorted lexicographically by row-reading word;
     ``ExplosionGuardError`` when there are more than ``cap``."""
     cap = default_cap() if cap is None else cap
-    out = _extensions(shape._downsets(cap, "fillings"), shape.cells,
-                      lambda pos: Tableau(shape, pos, _checked=True), cap, "fillings")
+    out = _extensions(shape._downsets(cap, "fillings"), range(shape.size),
+                      partial(_build, Tableau, shape), cap, "fillings")
     out.sort(key=Tableau.key)
     return out
 
@@ -283,38 +256,39 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
 def random_standard_tableau(shape: Shape, rng) -> Tableau:
     """A standard filling sampled by choosing a random addable cell each step."""
     below = shape._below
-    mask, pos = 0, []
+    mask, ids = 0, []
     for _ in below:
         i = rng.choice(_addable(below, mask))
         mask |= 1 << i
-        pos.append(shape.cells[i])
-    return Tableau(shape, tuple(pos), _checked=True)
+        ids.append(i)
+    return _build(Tableau, shape, tuple(ids))
 
 
 def braid_hooks(t: Tableau) -> list[int]:
     """All k with k-1 left of k, k+1 below k, and no cell below k-1."""
     hooks = []
-    shape = t.shape
+    shape, pos = t.shape, t.pos
     for k in range(2, t.size):
-        r, c = t.pos[k - 2]
-        if t.pos[k - 1] == (r, c + 1) and t.pos[k] == (r + 1, c + 1):
+        r, c = pos[k - 2]
+        if pos[k - 1] == (r, c + 1) and pos[k] == (r + 1, c + 1):
             if (r + 1, c) not in shape:
                 hooks.append(k)
     return hooks
 
 
-def _hook_windows(shape: Shape) -> tuple[dict, list[str]]:
-    """The shape's cell labels and braid-hook windows, built once per shape.
+def _hook_windows(shape: Shape) -> tuple[list[str], list[str]]:
+    """The shape's cell labels, indexed by id, and braid-hook windows, built
+    once per shape.
 
     Cell i (in ``cells`` order) is labelled ``chr(i + 1)``, so no label is
     ``chr(0)``; ``str`` has no 255-cell limit.  A window is the labels of the
     cells (r, c), (r, c+1), (r+1, c+1) with (r+1, c) outside the shape.
     """
     if shape._hooks is None:
-        label = {cell: chr(i + 1) for i, cell in enumerate(shape.cells)}
-        windows = [label[r, c] + label[r, c + 1] + label[r + 1, c + 1]
+        label, index = [chr(i + 1) for i in range(shape.size)], shape._index
+        windows = [label[index[r, c]] + label[index[r, c + 1]] + label[index[r + 1, c + 1]]
                    for r, c in shape.cells
-                   if (r, c + 1) in label and (r + 1, c + 1) in label and (r + 1, c) not in label]
+                   if (r, c + 1) in index and (r + 1, c + 1) in index and (r + 1, c) not in index]
         shape._hooks = label, windows
     return shape._hooks
 
@@ -336,7 +310,7 @@ def _hook_total(fillings: Iterable[Tableau]) -> int:
     total = 0
     while chunk := list(islice(fillings, _CHUNK)):
         label, windows = _hook_windows(chunk[0].shape)
-        text = "\0".join(["".join(map(label.__getitem__, t.pos)) for t in chunk])
+        text = "\0".join(["".join(map(label.__getitem__, t.ids)) for t in chunk])
         total += sum(map(text.count, windows))
     return total
 
@@ -368,70 +342,45 @@ def inverse_promotion_via_taus(t: Tableau) -> Tableau:
     return partial_inverse_promotion(t, t.size)
 
 
-def _slide_forward(t: Tableau) -> tuple[Tableau, tuple[tuple[int, int], ...]]:
-    """Remove 1, slide the smaller of right/lower neighbours, append N+1."""
+def _slide(t: Tableau, forward: bool) -> tuple[Tableau, tuple[tuple[int, int], ...]]:
+    """Forward: remove 1, slide the smaller of the right/lower neighbours,
+    append N+1.  Backward: remove N, slide the larger of the left/upper
+    neighbours, prepend 1.  The path runs top-left to bottom-right."""
     n = t.size
     grid = dict(zip(t.pos, range(1, n + 1)))
-    empty = t.pos[0]
+    step, pick, last = (1, min, n + 1) if forward else (-1, max, 0)
+    empty = t.cell_of(1 if forward else n)
     path = [empty]
     del grid[empty]
     while True:
         r, c = empty
         candidates = [
             (grid[cell], cell)
-            for cell in ((r, c + 1), (r + 1, c))
+            for cell in ((r, c + step), (r + step, c))
             if cell in grid
         ]
         if not candidates:
             break
-        value, cell = min(candidates)
+        value, cell = pick(candidates)
         grid[empty] = value
         del grid[cell]
         empty = cell
         path.append(empty)
-    grid[empty] = n + 1
-    pos: list[tuple[int, int] | None] = [None] * n
+    grid[empty] = last
+    index, ids = t.shape._index, [0] * n
     for cell, value in grid.items():
-        pos[value - 2] = cell
-    return Tableau(t.shape, tuple(pos), _checked=True), tuple(path)
-
-
-def _slide_backward(t: Tableau) -> tuple[Tableau, tuple[tuple[int, int], ...]]:
-    """Remove N, slide the larger of left/upper neighbours, prepend 1."""
-    n = t.size
-    grid = dict(zip(t.pos, range(1, n + 1)))
-    empty = t.pos[n - 1]
-    path = [empty]
-    del grid[empty]
-    while True:
-        r, c = empty
-        candidates = [
-            (grid[cell], cell)
-            for cell in ((r, c - 1), (r - 1, c))
-            if cell in grid
-        ]
-        if not candidates:
-            break
-        value, cell = max(candidates)
-        grid[empty] = value
-        del grid[cell]
-        empty = cell
-        path.append(empty)
-    grid[empty] = 0
-    pos: list[tuple[int, int] | None] = [None] * n
-    for cell, value in grid.items():
-        pos[value] = cell
-    return Tableau(t.shape, tuple(pos), _checked=True), tuple(reversed(path))
+        ids[value - 2 if forward else value] = index[cell]
+    return _build(Tableau, t.shape, tuple(ids)), tuple(path if forward else path[::-1])
 
 
 def promotion(t: Tableau) -> Tableau:
     """Full promotion by jeu-de-taquin sliding."""
-    return _slide_forward(t)[0]
+    return _slide(t, True)[0]
 
 
 def inverse_promotion(t: Tableau) -> Tableau:
     """Full inverse promotion by jeu-de-taquin sliding."""
-    return _slide_backward(t)[0]
+    return _slide(t, False)[0]
 
 
 @dataclass(frozen=True)
@@ -453,12 +402,12 @@ class SlidingPath:
 
 def promotion_path(t: Tableau) -> SlidingPath:
     """Cells visited by the empty slot during promotion, from the cell of 1."""
-    return SlidingPath(_slide_forward(t)[1], "promotion")
+    return SlidingPath(_slide(t, True)[1], "promotion")
 
 
 def inverse_promotion_path(t: Tableau) -> SlidingPath:
     """Cells visited during inverse promotion, reordered top-left first."""
-    return SlidingPath(_slide_backward(t)[1], "inverse-promotion")
+    return SlidingPath(_slide(t, False)[1], "inverse-promotion")
 
 
 @dataclass(frozen=True)
@@ -571,15 +520,16 @@ def staircase_pair(t: Tableau) -> Tableau:
     """
     n = t.size
     partner = conjugate(evacuation(t))
-    top_row = min(r for r, _ in t.pos)
-    anchor_col = max(c for r, c in t.pos if r == top_row)
+    own = t.pos
+    top_row = min(r for r, _ in own)
+    anchor_col = max(c for r, c in own if r == top_row)
     top_cell = min(partner.shape.cells)  # unique cell in the top row
     dr = top_row - top_cell[0]
     dc = anchor_col + 1 - top_cell[1]
     shifted = [(r + dr, c + dc) for (r, c) in partner.pos]
-    if set(shifted) & set(t.pos):
+    if set(shifted) & set(own):
         raise ShapeConditionError("staircase pair parts overlap")
-    pos = t.pos + tuple(shifted)
+    pos = own + tuple(shifted)
     union = sorted(set(pos))
     rows: dict[int, list[int]] = {}
     for r, c in union:

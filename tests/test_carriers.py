@@ -3,8 +3,9 @@
 A standard filling of a shape, the word ``nu_inverse`` reads from it and
 the linear extension of the shape's cell poset it defines are one object,
 and ``tau_i`` (swap labels i and i+1 when the two elements are
-incomparable) must act on all three in the same way.  Each carrier holds
-its own commute test, so this pins down that the three tests agree.
+incomparable) must act on all three in the same way.  A filling is a
+linear extension, so two commute tests remain, the down-set bit and the
+word's letter distance, and this pins down that they agree.
 """
 
 import pytest

@@ -1,10 +1,15 @@
-"""``verify`` output of the braid-move checks pinned byte for byte.
+"""``verify`` and ``enumerate`` output pinned byte for byte.
 
 ``golden_verify.json`` holds the stdout, stderr and exit code of
 ``verify reiner --n 3..6`` and ``verify commutation-class --n 3..7`` in
 json, table and csv, recorded while ``braid_move_stats`` still summed the
 per-word ``braid_sites``.  Both commands count their braid moves with it,
-so the byte scan must leave every line as it was.
+so the byte scan must leave every line as it was.  It also holds the
+filling outputs recorded while a ``Tableau`` kept its own cell-pair labels
+and row/column commute test: ``enumerate --shape right:5,4,3,2,1`` (json)
+and ``--shape half:5,3,1``, ``verify braid-hooks|homomesy --shape
+right:5,4,3,2,1``, and ``verify skew-balance --shape skew:4,3,2,1/1``,
+whose crossings run the jeu-de-taquin slides.
 """
 
 import json

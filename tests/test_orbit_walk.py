@@ -31,7 +31,7 @@ def closure(start, mode: str) -> set:
 
 
 def walk(x, mode: str) -> list[tuple]:
-    return _walk(x.pos, _tau_words(_generators(mode), x.size), x._toggle)
+    return _walk(x.ids, _tau_words(_generators(mode), x.size), x._toggle)
 
 
 def is_path(orbit) -> bool:
@@ -39,10 +39,10 @@ def is_path(orbit) -> bool:
 
 
 def assert_walks_meet_each_state_once(orbit, mode: str) -> None:
-    states = {t.pos for t in orbit.members}
+    states = {t.ids for t in orbit.members}
     for t in orbit.members:
         found = walk(t, mode)
-        assert found[0] == t.pos
+        assert found[0] == t.ids
         assert len(found) == len(states) and set(found) == states, (mode, t.pos)
 
 
@@ -65,7 +65,7 @@ def test_right_54321_has_cycle_orbits():
 @pytest.mark.parametrize("mode", MODES)
 def test_walk_matches_the_search_closure(mode):
     for t in standard_tableaux(Shape.right((5, 4, 3, 2, 1)))[::7]:
-        assert {t.pos for t in closure(t, mode)} == set(walk(t, mode))
+        assert {t.ids for t in closure(t, mode)} == set(walk(t, mode))
         assert len(set(walk(t, mode))) == len(walk(t, mode))
 
 

@@ -241,6 +241,12 @@ class TestParsing:
     def test_poset_from_lines(self):
         poset = poset_from_lines("a < b\nb < c\n# comment\na < c\n")
         assert poset.covers == frozenset({("a", "b"), ("b", "c")})
+        # each name once, in the order of its first appearance
+        poset = poset_from_lines("c < a\nd < a\nc < b\nd < b\nb < e\na < e\nc < a\n")
+        assert poset.elements == ("c", "a", "d", "b", "e")
+        assert poset.covers == frozenset(
+            {("c", "a"), ("d", "a"), ("c", "b"), ("d", "b"), ("b", "e"), ("a", "e")}
+        )
 
     def test_parse_ideal_checks_closure(self):
         poset = poset_from_lines("a < b\n")

@@ -77,7 +77,7 @@ def test_read_back_words_are_like_checked_ones():
                 # a disconnected shape can read back `a a`, which the checked
                 # constructor rejects too
                 letter = heaps._shape_side(shape)[2]
-                letters = [letter[cell] for cell in reversed(t.pos)]
+                letters = [letter[i] for i in reversed(t.ids)]
                 with pytest.raises(QuadraticRuleError):
                     make_word(letters, max(letters) + 1)
                 outcomes.add(QuadraticRuleError)
