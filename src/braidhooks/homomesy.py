@@ -25,9 +25,9 @@ Orbit statistics are window counts summed per collection.  A braid hook is
 three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
 (r+1, c) outside the shape, and a braid site three consecutive letters
 ``a, a±1, a``.  ``tableau_statistic`` and ``word_statistic`` return a
-function of one state that carries ``total(states)``, which joins the
-states' label strings and counts every window in one C-level scan
-(``tableaux._hook_total``, ``words._site_totals``); ``orbit_average`` sums
+function of one state that carries ``total(states)``, which counts the
+states' windows (``tableaux._hook_windows``, ``words._braid_windows``) with
+the one window counter, ``posets._window_counts``; ``orbit_average`` sums
 an orbit with it, and any other statistic state by state.
 """
 
@@ -42,8 +42,10 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
 from .heaps import nu_inverse
-from .tableaux import Shape, Tableau, _hook_total, random_standard_tableau, standard_tableaux
-from .words import Word, _site_totals
+from .posets import _window_counts
+from .tableaux import (Shape, Tableau, _hook_total, _hook_windows, random_standard_tableau,
+                       standard_tableaux)
+from .words import Word, _braid_windows
 
 __all__ = [
     "Orbit",
@@ -221,9 +223,13 @@ def homomesy_report(carrier: Iterable, statistic: Callable, mode: str = "dihedra
     }
 
 
-def _window_statistic(total: Callable[[Iterable], int]) -> Callable:
-    """A statistic of one state that carries ``total(states)``, its sum over
-    a collection; the one-state call is ``total`` on that state alone."""
+def _window_statistic(windows: Callable[[list], list]) -> Callable:
+    """A statistic of one state, its number of windows (``windows(chunk)``
+    lists a chunk's), that carries ``total(states)``, their number over a
+    collection; the one-state call is ``total`` on that state alone."""
+
+    def total(states: Iterable) -> int:
+        return sum(_window_counts(states, windows)[1].values())
 
     def statistic(x) -> int:
         return total((x,))
@@ -232,22 +238,17 @@ def _window_statistic(total: Callable[[Iterable], int]) -> Callable:
     return statistic
 
 
-def _braid_move_total(words: Iterable[Word]) -> int:
-    _, up, down = _site_totals(words)
-    return up + down
-
-
 def tableau_statistic(name: str) -> Callable[[Tableau], int]:
     """The named statistic of one filling; ``.total(fillings)`` sums it."""
     if name == "braid-hooks":
-        return _window_statistic(_hook_total)
+        return _window_statistic(_hook_windows)
     raise ValueError(f"unknown tableau statistic {name!r}")
 
 
 def word_statistic(name: str) -> Callable[[Word], int]:
     """The named statistic of one word; ``.total(words)`` sums it."""
     if name == "braid-moves":
-        return _window_statistic(_braid_move_total)
+        return _window_statistic(_braid_windows)
     raise ValueError(f"unknown word statistic {name!r}")
 
 

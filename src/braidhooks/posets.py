@@ -31,19 +31,19 @@ near the end once and walks the rest of the table on an explicit stack.
 A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
 ``order_ideals`` returns its down-sets.  Covers, bounds and descents read
 the cover masks, and comparability (the toggle's commute test) the
-down-set masks.  An ideal descent is a window,
-p labelled right before a q that covers it, with p in the ideal and q
-outside, so ``verify_edges`` counts each orbit's windows once per poset
-and checks every ideal as a sum over the covers it cuts.
+down-set masks.  Each statistic is a window, a label tuple that a carrier
+holds consecutively (an ideal descent's cover (p, q), a braid site's
+letters, a braid hook's cell ids), counted by the one ``_window_counts``;
+``verify_edges`` counts each orbit's cover windows once per poset.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, or_
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     ExplosionGuardError,
@@ -346,6 +346,67 @@ def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> t
             raise ExplosionGuardError(cap, what)
 
 
+_CHUNK = 4096  # carriers per joined buffer: about 64 kB for the words of S6
+
+
+def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tuple, int]]:
+    """The number of ``carriers`` and how often each window, a tuple of
+    labels, appears as consecutive labels of a carrier, summed.
+
+    The carriers are read once, in chunks of ``_CHUNK``, and the windows
+    ``windows(chunk)`` are counted in the chunk's ``_joined`` buffer by the
+    C-level ``count``, which skips a match overlapping one it counted.  That
+    needs a border (``w[:k] == w[-k:]``, so ``w[0]`` recurs in w): a window
+    with a ``_stretches`` run in the buffer is counted by ``_overlapping``.
+    """
+    carriers, count, totals = iter(carriers), 0, {}
+    while chunk := list(islice(carriers, _CHUNK)):
+        count += len(chunk)
+        found = windows(chunk)
+        buf, encode = _joined(chunk, attrgetter(chunk[0]._LABELS), found)
+        looked = {}  # a stretch -> in the buffer, looked for once a chunk
+        for w in found:
+            pattern = encode(w)
+            n = buf.count(pattern)
+            if n and w[0] in w[1:] and any(
+                    looked[s] if s in looked else looked.setdefault(s, encode(s) in buf)
+                    for s in _stretches(w)):
+                n = _overlapping(buf, pattern)
+            totals[w] = totals.get(w, 0) + n
+    return count, totals
+
+
+def _joined(chunk: list, labels: Callable, windows: Sequence[tuple]) -> tuple:
+    """The chunk's label tuples in one buffer, between them a separator no
+    window holds, and a window's encoding: ``bytes`` and 255 when labels are
+    below 256 and window labels below 255, else ``str`` with window labels
+    ``chr(1)`` up and every other label, like the separator, ``chr(0)``."""
+    if max(map(max, windows), default=0) < 255:
+        try:
+            return b"\xff".join(map(bytes, map(labels, chunk))), bytes
+        except ValueError:  # a label above 255, which no window holds
+            pass
+    code = {a: chr(i) for i, a in enumerate(dict.fromkeys(chain.from_iterable(windows)), 1)}
+    text = "\0".join(["".join(map(code.get, t, repeat("\0"))) for t in map(labels, chunk)])
+    return text, lambda w: "".join(map(code.__getitem__, w))
+
+
+def _stretches(w: tuple) -> list[tuple]:
+    """For each border k of w, the least run of len(w) + 1 labels in
+    ``w + w[k:]``, two matches sharing k labels, so shifts of one periodic
+    run (``a b a``, ``b a b``) share it: without it there is no such pair."""
+    return [min([(w + w[k:])[j:j + len(w) + 1] for j in range(len(w) - k)])
+            for k in range(1, len(w)) if w[:k] == w[-k:]]
+
+
+def _overlapping(buf, pattern) -> int:
+    """The matches of ``pattern`` in ``buf``, overlapping ones too."""
+    n, i = 0, buf.find(pattern)
+    while i >= 0:
+        n, i = n + 1, buf.find(pattern, i + 1)
+    return n
+
+
 def _place(mask: int, i: int) -> int:
     """The down-set ``mask`` with element i placed."""
     return mask | 1 << i
@@ -519,8 +580,8 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     A descent of the ideal is a window: p labelled right before q, q covering
     p, p in the ideal and q outside it.  The extensions and their dihedral
     orbits do not depend on the ideal, so the first call on a ``Poset`` object
-    closes the orbits once and counts, per orbit, the members placing each
-    cover's q right after its p; those counts are kept beside the extensions
+    closes the orbits once and counts, per orbit, each cover's window (p, q),
+    its q placed right after its p; those counts are kept beside the extensions
     ``linear_extensions`` keeps.  Every ideal is then one mask, and an orbit's
     descent sum is the total count of the covers that the mask cuts.  Sums
     are integers; each orbit's average is one ``Fraction``, for the report.
@@ -541,8 +602,11 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
         last = {}
     windows = last.get("windows")
     if windows is None:
-        orbits = dihedral_orbits(extensions, "dihedral")
-        windows = last["windows"] = [_cover_windows(poset._below, orbit) for orbit in orbits]
+        covers = [(p, q) for q, b in enumerate(poset._below) for p in _bits(b)]
+        windows = last["windows"] = [
+            (orbit.size, [(1 << p, 1 << q, n) for (p, q), n in
+                          _window_counts(orbit.members, lambda chunk: covers)[1].items() if n])
+            for orbit in dihedral_orbits(extensions, "dihedral")]
     mask = sum([1 << i for e, i in poset._index.items() if e in ideal])
     sums = [sum([n for p, q, n in counts if mask & p and not mask & q])
             for _, counts in windows]
@@ -556,18 +620,6 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
             for (size, _), s in zip(windows, sums)
         ],
     }
-
-
-def _cover_windows(below: list[int], orbit) -> tuple[int, list[tuple[int, int, int]]]:
-    """The orbit's size and a ``(p bit, q bit, n)`` triple for each cover
-    p < q that n of its members label consecutively, p then q."""
-    counts = Counter(
-        (p, q)
-        for ids in map(attrgetter("ids"), orbit.members)
-        for p, q in zip(ids, ids[1:])
-        if below[q] >> p & 1
-    )
-    return orbit.size, [(1 << p, 1 << q, n) for (p, q), n in counts.items()]
 
 
 def chain_poset(n: int) -> Poset:

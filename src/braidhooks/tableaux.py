@@ -5,12 +5,14 @@ step per row ("half-right"), or right-justified with an inner partition
 removed ("skew-right").  Cells are absolute ``(row, column)`` pairs with
 row 1 at the top, and a standard filling is strictly increasing along rows
 and along absolute columns.  A ``Shape`` is the ``Poset`` of its cells,
-each covering its left and upper neighbours, and a ``Tableau`` is a
-``LinearExtension`` of it: it holds the cell ids in value order, toggles
-by the extension's down-set bit, and adds only the tableau reading
-(``pos``, ``entries``, the row-reading ``key``).  ``standard_tableaux``
-walks the shape's own down-set table, built once per shape, and
-``random_standard_tableau`` places a random addable cell at each step.
+each covering the nearest cell to its left in its row and the nearest
+above it in its column, and a ``Tableau`` is a ``LinearExtension`` of it:
+it holds the cell ids in value order, toggles by the extension's down-set
+bit, and adds only the tableau reading (``pos``, ``entries``, the
+row-reading ``key``).  ``standard_tableaux`` walks the shape's own
+down-set table, built once per shape, and ``random_standard_tableau``
+places a random addable cell at each step.  A braid hook is a window of
+three cell ids (``_hook_windows``); ``braid_hooks`` lists one filling's.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -36,7 +38,7 @@ from .errors import (
     default_cap,
 )
 from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _is_extension,
-                     _set_ids, _set_poset)
+                     _set_ids, _set_poset, _window_counts)
 
 __all__ = [
     "Shape",
@@ -86,7 +88,7 @@ def _check_partition(parts: Sequence[int], strict: bool = False) -> tuple[int, .
 class Shape(Poset):
     """A finite cell set in one of the justification modes, and its cell
     poset: the elements are the cells in ``cells`` order, and each cell
-    covers its left and upper neighbours.
+    covers the nearest cell to its left in its row and above it in its column.
 
     ``right``/``skew-right`` anchor every row's rightmost cell at column
     ``outer[0]`` (skew removes the leftmost ``inner[r]`` cells of row r+1);
@@ -111,14 +113,17 @@ class Shape(Poset):
         self.outer = outer
         self.inner = inner
         rows: dict[int, list[int]] = {}
-        for r, c in self.cells:
+        columns: dict[int, list[int]] = {}
+        for r, c in self.cells:  # sorted, so each list ascends
             rows.setdefault(r, []).append(c)
-        self._rows = {r: tuple(sorted(cs)) for r, cs in rows.items()}
+            columns.setdefault(c, []).append(r)
+        self._rows = {r: tuple(cs) for r, cs in rows.items()}
         self._diags = None
         self._heap = None  # ``nu``'s column table, condition and letters, built by ``heaps``
-        self._hooks = None  # cell labels and braid-hook windows, built by ``_hook_windows``
-        super().__init__(self.cells, [(nb, (r, c)) for r, c in self.cells
-                                      for nb in ((r, c - 1), (r - 1, c)) if nb in self.cell_set])
+        self._hooks = None  # braid-hook windows as cell-id triples, built by ``_hook_windows``
+        super().__init__(self.cells, [
+            *[((r, a), (r, b)) for r, cs in rows.items() for a, b in zip(cs, cs[1:])],
+            *[((a, c), (b, c)) for c, rs in columns.items() for a, b in zip(rs, rs[1:])]])
 
     @classmethod
     def right(cls, outer: Sequence[int]) -> "Shape":
@@ -276,43 +281,23 @@ def braid_hooks(t: Tableau) -> list[int]:
     return hooks
 
 
-def _hook_windows(shape: Shape) -> tuple[list[str], list[str]]:
-    """The shape's cell labels, indexed by id, and braid-hook windows, built
-    once per shape.
-
-    Cell i (in ``cells`` order) is labelled ``chr(i + 1)``, so no label is
-    ``chr(0)``; ``str`` has no 255-cell limit.  A window is the labels of the
-    cells (r, c), (r, c+1), (r+1, c+1) with (r+1, c) outside the shape.
-    """
+def _hook_windows(chunk: list[Tableau]) -> list[tuple[int, int, int]]:
+    """The braid-hook windows of the chunk's shape, built once: the ids of
+    cells (r, c), (r, c+1), (r+1, c+1) with (r+1, c) outside the shape."""
+    shape = chunk[0].shape
     if shape._hooks is None:
-        label, index = [chr(i + 1) for i in range(shape.size)], shape._index
-        windows = [label[index[r, c]] + label[index[r, c + 1]] + label[index[r + 1, c + 1]]
-                   for r, c in shape.cells
-                   if (r, c + 1) in index and (r + 1, c + 1) in index and (r + 1, c) not in index]
-        shape._hooks = label, windows
+        index = shape._index
+        shape._hooks = [(index[r, c], index[r, c + 1], index[r + 1, c + 1])
+                        for r, c in shape.cells
+                        if (r, c + 1) in index and (r + 1, c + 1) in index
+                        and (r + 1, c) not in index]
     return shape._hooks
 
 
-_CHUNK = 4096  # fillings per joined string
-
-
 def _hook_total(fillings: Iterable[Tableau]) -> int:
-    """The braid hooks of ``fillings``, all of one shape, summed.
-
-    The fillings are read in chunks of ``_CHUNK``.  Each chunk's label
-    strings (the label of the cell holding 1, 2, ...) are joined with
-    ``chr(0)``, which is no label, so no window spans two fillings, and
-    ``str.count`` counts each window in C.  The count is exact: a window's
-    three cells are distinct, so two matches of one window cannot overlap.
-    It equals the sum of ``len(braid_hooks(t))``, the per-filling reference.
-    """
-    fillings = iter(fillings)
-    total = 0
-    while chunk := list(islice(fillings, _CHUNK)):
-        label, windows = _hook_windows(chunk[0].shape)
-        text = "\0".join(["".join(map(label.__getitem__, t.ids)) for t in chunk])
-        total += sum(map(text.count, windows))
-    return total
+    """The braid hooks of ``fillings``, all of one shape, summed: the sum of
+    ``len(braid_hooks(t))``, counted as windows by ``posets._window_counts``."""
+    return sum(_window_counts(fillings, _hook_windows)[1].values())
 
 
 def tau(t: Tableau, i: int) -> Tableau:

@@ -26,12 +26,11 @@ walk, ``posets._extensions``.  The heap is compiled once, by
 once, in lexicographic order, with no ``seen`` set or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
 
-``braid_move_stats`` reads its words once, in chunks of a few thousand,
-joins each chunk into one byte buffer (``0`` between words) and counts each
-braid factor with the C-level ``bytes.count``.  A chunk whose sites of one
-kind may overlap (a factor ``a (a+1) a (a+1)``, never in a reduced word) or
-whose letters may pass 15 is counted word by word with ``braid_sites``,
-which stays public as the per-word reference.
+A braid site is a window of three letters, ``a (a+1) a`` or
+``(a+1) a (a+1)``.  ``braid_move_stats`` reads its words once, through the
+one window counter ``posets._window_counts``, which joins each chunk of a
+few thousand words into one buffer and counts each window with the C-level
+``count``; ``braid_sites`` stays public as the per-word reference.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import attrgetter
 from typing import Iterable
 
@@ -50,7 +48,7 @@ from .errors import (
     QuadraticRuleError,
     default_cap,
 )
-from .posets import _Carrier, _downset_table, _extensions, _lattice
+from .posets import _Carrier, _downset_table, _extensions, _lattice, _window_counts
 
 __all__ = [
     "Word",
@@ -481,58 +479,21 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
     }
 
 
-_CHUNK = 4096  # words per byte buffer: about 64 kB for words of S6
-_SCAN_TOP = 15  # the largest letter scanned as bytes; the scan makes 3 passes per letter
-_letters = attrgetter("letters")
-_rank = attrgetter("rank")
-
-
 def _site_totals(words: Iterable[Word]) -> tuple[int, int, int]:
-    """The number of ``words`` and their (up, down) braid sites, summed; the
-    words are read once, in chunks of ``_CHUNK`` counted by ``_chunk_sites``."""
-    words = iter(words)
-    up = down = count = 0
-    while chunk := list(islice(words, _CHUNK)):
-        count += len(chunk)
-        u, d = _chunk_sites(chunk)
-        up += u
-        down += d
-    return count, up, down
+    """The number of ``words`` and their (up, down) braid sites, summed."""
+    count, found = _window_counts(words, _braid_windows)
+    up = sum([n for w, n in found.items() if w[0] < w[1]])
+    return count, up, sum(found.values()) - up
 
 
-def _chunk_sites(chunk: list[Word]) -> tuple[int, int]:
-    """The (up, down) braid sites of a nonempty ``chunk``, summed.
-
-    The words are joined into one buffer with ``0`` between them; letters
-    are at least 1, so no window spans two words.  For each letter ``a``
-    below the largest the ranks allow, the C-level ``bytes.count`` counts
-    the factors ``a (a+1) a`` and ``(a+1) a (a+1)``.  It counts matches that
-    do not overlap, and two sites of one kind overlap only inside
-    ``a (a+1) a (a+1) a`` or ``(a+1) a (a+1) a (a+1)``, both of which hold
-    ``a (a+1) a (a+1)``.  A chunk holding that factor (never a reduced
-    word), or whose ranks allow a letter above ``_SCAN_TOP``, is summed
-    word by word with ``braid_sites``: past about 15 letters the passes
-    cost more than the per-word loop, and past 255 ``bytes`` cannot hold
-    them.
-    """
-    top = max(map(_rank, chunk)) - 1
-    if top > _SCAN_TOP:
-        return _summed_sites(chunk)
-    buf = b"\0".join(map(bytes, map(_letters, chunk)))
-    up = down = 0
-    for a in range(1, top):
-        b = a + 1
-        if bytes((a, b, a, b)) in buf:
-            return _summed_sites(chunk)
-        up += buf.count(bytes((a, b, a)))
-        down += buf.count(bytes((b, a, b)))
-    return up, down
-
-
-def _summed_sites(chunk: list[Word]) -> tuple[int, int]:
-    """The (up, down) sums of ``braid_sites`` over a nonempty ``chunk``."""
-    up, down = map(sum, zip(*map(braid_sites, chunk)))
-    return up, down
+def _braid_windows(chunk: list[Word]) -> list[tuple[int, int, int]]:
+    """The windows ``a (a+1) a`` and ``(a+1) a (a+1)`` of each letter a below
+    the chunk's top letter, or, if more than its words, of each a it holds."""
+    letters = range(1, max(map(attrgetter("rank"), chunk)) - 1)
+    if len(letters) > len(chunk):
+        held = set().union(*[w.letters for w in chunk])
+        letters = sorted([a for a in held if a + 1 in held])
+    return [w for a in letters for w in ((a, a + 1, a), (a + 1, a, a + 1))]
 
 
 def word_to_string(word: Word) -> str:

@@ -1,10 +1,11 @@
-"""``braid_move_stats`` counts braid sites with byte scans, exactly.
+"""``braid_move_stats`` counts braid sites as windows, exactly.
 
-It joins each chunk of words into one buffer and counts the factors
-``a (a+1) a`` and ``(a+1) a (a+1)`` with ``bytes.count``; a chunk whose
-sites of one kind may overlap, or whose letters may pass ``_SCAN_TOP``, is
-counted word by word.  Every case here must equal the sums of the per-word
-reference ``braid_sites`` over the same words.
+The window counter ``posets._window_counts`` joins each chunk of words into
+one buffer and counts the factors ``a (a+1) a`` and ``(a+1) a (a+1)`` with
+the C-level ``count``; a factor whose matches may overlap in that buffer
+(it holds ``a (a+1) a (a+1)``, never in a reduced word) is counted by the
+exact ``find`` loop ``posets._overlapping``.  Every case here must equal the
+sums of the per-word reference ``braid_sites`` over the same words.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from helpers import partitions
 
-from braidhooks import words
+from braidhooks import posets
 from braidhooks.homomesy import rw_class
 from braidhooks.tableaux import Shape
 from braidhooks.words import (
@@ -38,12 +39,12 @@ def reference(ws):
 
 
 def scan_only(monkeypatch):
-    """Make the word-by-word count fail, so a pass shows the byte scan ran."""
+    """Make the exact overlap count fail, so a pass shows ``count`` alone ran."""
 
-    def refuse(chunk):
-        raise AssertionError("counted word by word")
+    def refuse(buf, pattern):
+        raise AssertionError(f"{pattern!r} counted one match at a time")
 
-    monkeypatch.setattr(words, "_summed_sites", refuse)
+    monkeypatch.setattr(posets, "_overlapping", refuse)
 
 
 def random_word(rng, rank, length):
@@ -71,7 +72,7 @@ CLASSES = {
 def test_red_w0(n, monkeypatch):
     red = all_reduced_words(Permutation.longest(n))
     expected = reference(red)
-    scan_only(monkeypatch)  # reduced words never need the word-by-word count
+    scan_only(monkeypatch)  # reduced words never need the exact overlap count
     assert braid_move_stats(red) == expected
 
 
@@ -95,25 +96,26 @@ def test_overlapping_sites():
     assert braid_move_stats([make_word([2, 1, 2, 1, 2], 3)])["down"] == 2
 
 
-def word_by_word_chunks(monkeypatch):
-    """The list of the chunks counted word by word, filled as they are."""
-    chunks = []
-    summed = words._summed_sites
+def exact_counts(monkeypatch):
+    """The list of the windows of a ``bytes`` buffer that the exact overlap
+    count counted, each as its label tuple, filled as they are."""
+    counted = []
+    overlapping = posets._overlapping
 
-    def spy(chunk):
-        chunks.append(chunk)
-        return summed(chunk)
+    def spy(buf, pattern):
+        counted.append(tuple(pattern))
+        return overlapping(buf, pattern)
 
-    monkeypatch.setattr(words, "_summed_sites", spy)
-    return chunks
+    monkeypatch.setattr(posets, "_overlapping", spy)
+    return counted
 
 
-def test_overlap_takes_the_word_by_word_count(monkeypatch):
-    chunks = word_by_word_chunks(monkeypatch)
+def test_overlap_takes_the_exact_count(monkeypatch):
+    counted = exact_counts(monkeypatch)
     ws = all_reduced_words(Permutation.longest(4)) + [make_word([2, 3, 2, 3], 4)]
     expected = reference(ws)
     assert braid_move_stats(ws) == expected
-    assert chunks == [ws]
+    assert counted == [(2, 3, 2), (3, 2, 3)]  # both hold the stretch 2 3 2 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -140,7 +142,7 @@ def test_many_chunks_of_mixed_words(monkeypatch):
     rng = random.Random(7)
     pools = [all_reduced_words(Permutation.longest(n)) for n in (3, 4, 5)]
     ws = []
-    while len(ws) < 3 * words._CHUNK + 17:
+    while len(ws) < 3 * posets._CHUNK + 17:
         ws.append(Word((), rng.randint(1, 6)))
         ws.append(Word((rng.randint(1, 4),), 5))
         ws.extend(rng.sample(rng.choice(pools), 2))
@@ -151,24 +153,34 @@ def test_many_chunks_of_mixed_words(monkeypatch):
     assert braid_move_stats(ws)["total"] > 0
 
 
-def test_large_letters_take_the_word_by_word_count(monkeypatch):
+def test_ranks_across_the_bytes_and_str_boundary(monkeypatch):
+    """Letters up to 254 are joined as bytes; a window holding 255, or a
+    letter past 255, sends the chunk to ``str``."""
+    joined = []
+    join = posets._joined
+
+    def spy(chunk, labels, windows):
+        buf, encode = join(chunk, labels, windows)
+        joined.append(type(buf))
+        return buf, encode
+
+    monkeypatch.setattr(posets, "_joined", spy)
+    scan_only(monkeypatch)
+    chunk = posets._CHUNK
     rng = random.Random(3)
-    chunk = words._CHUNK
-    reduced = all_reduced_words(Permutation.longest(5)) + [staircase_word(words._SCAN_TOP + 1)]
-    small = rng.choices(reduced, k=chunk)
-    large = rng.choices([staircase_word(words._SCAN_TOP + 2), make_word((20, 21, 20, 1, 2, 1), 30)],
-                        k=chunk)  # reduced, so only the letter range sends them word by word
-    ws = small + [Word((), 3)] * chunk + large + small[:5]
-    expected = reference(ws)
-    chunks = word_by_word_chunks(monkeypatch)
-    assert braid_move_stats(ws) == expected
-    assert chunks == [large]
+    for rank, kind in ((255, bytes), (256, str), (257, str)):
+        top = rank - 1  # the largest letter
+        ws = rng.choices([staircase_word(5), make_word((top - 1, top, top - 1, 1, 2, 1), rank),
+                          make_word((top, top - 1, top, top - 2, top - 1), rank)], k=chunk + 5)
+        joined.clear()
+        assert braid_move_stats(ws) == reference(ws), rank
+        assert joined == [kind, kind], rank
 
 
 def test_a_generator_is_read_once():
     red = all_reduced_words(Permutation.longest(5))
     pool = red * 6  # more than one chunk
-    assert len(pool) > words._CHUNK
+    assert len(pool) > posets._CHUNK
     reads = []
 
     def once():

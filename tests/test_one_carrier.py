@@ -4,7 +4,9 @@ A ``Tableau`` is a ``LinearExtension`` of its ``Shape`` over the cells'
 integer ids, so it toggles by the extension's one commute test, the
 down-set bit.  The reference here is the test fillings once had of their
 own: tau_i swaps the cells of i and i+1 when they share neither row nor
-column.  The two agree on every shape whose rows and columns have no gaps.
+column.  The two agree on every shape, gaps in its rows and columns too,
+because each cell covers the nearest cell before it in its row and in its
+column.
 """
 
 import pytest
@@ -23,7 +25,10 @@ from braidhooks.tableaux import Shape, Tableau, standard_tableaux
 
 from test_carriers import SHAPES
 
-FAMILIES = {**SHAPES, "staircase": [Shape.right((6, 5, 4, 3, 2, 1))]}
+GAPS = [[(1, 1), (1, 3)], [(1, 1), (3, 1)], [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)],
+        [(1, 2), (1, 4), (2, 1), (2, 4), (4, 1), (4, 2)]]
+FAMILIES = {**SHAPES, "staircase": [Shape.right((6, 5, 4, 3, 2, 1))],
+            "gaps": [Shape.from_cells(cells) for cells in GAPS]}
 
 
 def row_column_toggle(pos: tuple, i: int) -> tuple:
@@ -109,8 +114,11 @@ def test_operators_keep_the_filling_type():
     assert moved
 
 
-def test_a_gap_in_a_row_leaves_its_cells_incomparable():
-    # the down-set bit swaps what a row/column test would not
-    t = Tableau(Shape.from_cells([(1, 1), (1, 3)]), [(1, 1), (1, 3)])
-    assert t.tau(1).pos == ((1, 3), (1, 1))
-    assert row_column_toggle(t.pos, 1) == t.pos
+def test_a_gap_in_a_row_or_column_keeps_its_cells_ordered():
+    for cells in GAPS[:2]:
+        shape = Shape.from_cells(cells)
+        t = Tableau(shape, cells)
+        assert t.tau(1).pos == row_column_toggle(t.pos, 1) == t.pos
+        assert standard_tableaux(shape) == [t]
+        with pytest.raises(ValueError, match="not standard"):
+            Tableau(shape, cells[::-1])

@@ -1,7 +1,7 @@
 """Standardness and poset queries read off the lower-cover masks.
 
 ``Tableau(shape, pos)`` must accept a filling exactly when a rule written
-here from each cell's right and lower neighbours does, and ``covers_of``,
+here from the next cell along each row and each column does, and ``covers_of``,
 ``minimum``, ``maximum`` and ``descents`` must equal brute force over the
 reduced cover pairs ``poset.covers``.  ``less``, ``leq`` and the toggle's
 commute test read the strict down-set masks, and ``transitive_reduction``
@@ -48,16 +48,14 @@ SHAPES = {
 
 
 def neighbour_standard(shape: Shape, pos) -> bool:
-    """Every cell once, and each entry below its right and lower neighbours'."""
+    """Every cell once, and each entry below the entries of the next cells
+    along its row and its column, across any gap."""
     if len(pos) != shape.size or set(pos) != set(shape.cells):
         return False
     value = {cell: v for v, cell in enumerate(pos)}
-    return all(
-        value[(r, c)] < value[nb]
-        for r, c in shape.cells
-        for nb in ((r, c + 1), (r + 1, c))
-        if nb in value
-    )
+    rows = [sorted(cell for cell in value if cell[0] == r) for r, _ in value]
+    columns = [sorted(cell for cell in value if cell[1] == c) for _, c in value]
+    return all(value[a] < value[b] for line in rows + columns for a, b in zip(line, line[1:]))
 
 
 def accepts(shape: Shape, pos) -> bool:

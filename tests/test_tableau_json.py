@@ -59,6 +59,8 @@ RIGHT_21 = {"mode": "right", "outer": [2, 1]}
     ({"shape": {"mode": "cells", "cells": [[1, 1], [1, 1]]}, "rows": [[1, 2]]}, "duplicate cells"),
     ({"shape": {"mode": "cells"}, "rows": []}, "'cells' must list"),
     ({"shape": {"mode": "cells", "cells": [[1, 1], [1, 2]]}, "rows": [[1]]}, "do not fit the rows"),
+    ({"shape": {"mode": "cells", "cells": [[1, 1], [1, 3]]}, "rows": [[2, 1]]}, "is not standard"),
+    ({"shape": {"mode": "cells", "cells": [[1, 1], [3, 1]]}, "rows": [[2], [1]]}, "is not standard"),
     ({"shape": {"mode": "diagonal"}, "rows": []}, "unknown shape mode 'diagonal'"),
 ])
 def test_malformed_documents_are_refused(document, message):

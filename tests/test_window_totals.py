@@ -1,8 +1,9 @@
 """Orbit statistics summed as window counts equal the per-object references.
 
 ``tableau_statistic("braid-hooks")`` and ``word_statistic("braid-moves")``
-carry ``total(states)``, which counts the statistic's windows in one joined
-string per collection (``tableaux._hook_total``, ``words._site_totals``).
+carry ``total(states)``, which counts the statistic's windows with the one
+window counter, ``posets._window_counts``, through ``tableaux._hook_total``
+and ``words._site_totals``.
 Every total here must equal the sum of ``len(braid_hooks(t))`` or of
 ``braid_sites(w)`` over the same states, per orbit in every group mode.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import partitions, skew_test_shapes, strict_partitions
-from test_braid_scan import CLASSES, word_by_word_chunks
+from test_braid_scan import CLASSES, exact_counts
 
 from braidhooks.cli import main
 from braidhooks.homomesy import (
@@ -83,7 +84,7 @@ def test_hook_total_is_exact_on_every_order_of_the_cells(outer):
 
 
 def test_hook_total_past_255_cells():
-    outer = tuple(range(23, 0, -1))  # 276 cells: labels past chr(255)
+    outer = tuple(range(23, 0, -1))  # 276 cells: ids past 255
     shape = Shape.right(outer)
     rng = random.Random(repr(outer))
     draws = [random_standard_tableau(shape, rng) for _ in range(20)]
@@ -110,15 +111,15 @@ def test_braid_move_totals_per_orbit(build):
     check_orbit_totals(build(), word_statistic("braid-moves"), lambda w: sum(braid_sites(w)))
 
 
-@pytest.mark.parametrize("ws", [
-    [make_word([1, 2, 1, 2], 3), make_word([1, 2, 1, 3, 2, 3], 4)],  # sites may overlap
-    [Word((16, 17, 16, 1, 2, 1), 18), Word((2, 1, 2), 3)],  # letters past _SCAN_TOP
+@pytest.mark.parametrize("ws, exact", [
+    ([make_word([1, 2, 1, 2], 3), make_word([1, 2, 1, 3, 2, 3], 4)], [(1, 2, 1), (2, 1, 2)]),
+    ([Word((16, 17, 16, 1, 2, 1), 18), Word((2, 1, 2), 3)], []),
 ], ids=["overlap", "rank 18"])
-def test_braid_move_total_takes_the_word_by_word_count(ws, monkeypatch):
-    chunks = word_by_word_chunks(monkeypatch)
+def test_braid_move_total_takes_the_exact_count_on_overlaps(ws, exact, monkeypatch):
+    counted = exact_counts(monkeypatch)
     statistic = word_statistic("braid-moves")
     assert statistic.total(ws) == sum(sum(braid_sites(w)) for w in ws)
-    assert chunks == [ws]
+    assert counted == exact  # 1 2 1 2 holds the stretch of 1 2 1 and of 2 1 2
     assert [statistic(w) for w in ws] == [sum(braid_sites(w)) for w in ws]
 
 
