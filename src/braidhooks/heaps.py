@@ -12,16 +12,24 @@ position p corresponds to the p-th cell (top-down) of the shape's diagonal
 c, ``shape_poset`` relabels the shape's cell poset by those pieces, and the
 drop order becomes a standard filling.
 
-``nu`` builds no heap: it drops the pieces in one pass over the letters and
-checks where each lands against the shape's cover masks.  A heap's order is
-generated by its adjacent-column pairs, so that is exact once the shape
-orders every two cells on adjacent diagonals, which the shape's own
-down-set masks tell.  The column table (the cell id at each column and
-stack position), that condition and each cell id's letter are built once
-per ``Shape``; ``nu`` places cell ids, the filling's own labels, and
-``nu_inverse`` reads the letters of a filling's ids and builds its word
-without ``Word``'s range check, which the public constructors keep.  Lists
-kept per column are as long as the word's largest letter, not its rank.
+``nu`` builds no heap: it places the pieces in one pass over the letters
+and checks where each lands against the shape's cover masks.  A heap's
+order is generated by its adjacent-column pairs, so that is exact once the
+shape orders every two cells on adjacent diagonals, which the shape's own
+down-set masks tell.  Built once per ``Shape``: the column table (the cell
+id at each column and stack position), that condition, each cell id's
+letter, and whether the shape is separated, that is, meets the condition
+with a cell of a neighbouring column strictly between each two consecutive
+cells of a column.  A pass that places every piece on a separated shape
+stacks none on its own column, so there ``nu`` places cell ids, the
+filling's own labels, without drop heights, and ``nu_inverse`` reads back
+no factor ``a a``.  On any other shape, or for a word that pass cannot
+place, ``_drops`` drops the pieces by column heights, so the quadratic rule
+is reported first; only off a separated shape does ``nu_inverse`` check for
+``a a``.  It reads the letters of a filling's ids and builds its word
+without ``Word``'s range check, which the public constructors keep.  Drop
+heights are kept for the columns up to the word's largest letter, not its
+rank.
 """
 
 from __future__ import annotations
@@ -85,11 +93,13 @@ def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], li
     return cells, columns, positions
 
 
-def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int]]:
+def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int], bool]:
     """The shape's side of ``nu``, built once per shape: ``table[column][p]``
     is the id of the cell at stack position p+1 of that column (column 0 is
     empty), ``ordered`` says whether the shape orders every two cells on
-    adjacent diagonals, and ``letter[i]`` is the column of cell id i."""
+    adjacent diagonals, ``letter[i]`` is the column of cell id i, and
+    ``separated`` says whether, besides, some cell of a neighbouring column
+    lies strictly between each two consecutive cells of a column."""
     if shape._heap is None:
         cells, columns, _ = _diagonal_layout(shape)
         table: list[list[int]] = [[] for _ in range(max(columns) + 1)]
@@ -103,7 +113,13 @@ def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int]]:
             (down[x] >> y | down[y] >> x) & 1
             for lower, upper in zip(table, table[1:]) for x in lower for y in upper
         )
-        shape._heap = table, ordered, letter
+        # once ``ordered``, a neighbour below y and not below x lies above x
+        bits = [sum(1 << i for i in column) for column in table] + [0]
+        separated = ordered and all(
+            down[y] & ~down[x] & (bits[c - 1] | bits[c + 1])
+            for c in range(1, len(table)) for x, y in zip(table[c], table[c][1:])
+        )
+        shape._heap = table, ordered, letter, separated
     return shape._heap
 
 
@@ -119,13 +135,41 @@ def shape_poset(shape: Shape) -> Poset:
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells.
 
-    One pass drops the pieces, rightmost letter first: each rests on the
-    taller neighbouring column (``QuadraticRuleError`` if its own is taller)
-    and takes its column's next stack position, so the cell the column table
-    holds there, whose lower covers must already be placed.  After a
-    mismatch the drops go on, so the quadratic rule is reported first.
+    Each piece, rightmost letter first, takes its column's next stack
+    position, so the cell the column table holds there, whose lower covers
+    must already be placed.  On a separated shape no such placement stacks a
+    piece on its own column, so one lean pass settles the word; any other
+    shape, and any word that pass cannot place, goes through ``_drops``.
     """
-    table, ordered, _ = _shape_side(shape)
+    table, _, _, separated = _shape_side(shape)
+    below = shape._below
+    letters = word.letters
+    if separated and len(letters) == len(below):
+        counts = [0] * len(table)
+        ids = []
+        mask = 0
+        try:
+            for a in reversed(letters):
+                p = counts[a]
+                counts[a] = p + 1
+                i = table[a][p]
+                if below[i] & ~mask:  # a lower cover not yet placed
+                    break
+                mask |= 1 << i
+                ids.append(i)
+            else:
+                return _build(Tableau, shape, tuple(ids))
+        except IndexError:  # a letter past the table, or a full column
+            pass
+    return _drops(word, shape)
+
+
+def _drops(word: Word, shape: Shape) -> Tableau:
+    """``nu`` by dropping the pieces: each rests on the taller neighbouring
+    column (``QuadraticRuleError`` if its own is taller) and takes its
+    column's next stack position as in ``nu``.  After a mismatch the drops
+    go on, so the quadratic rule is reported first."""
+    table, ordered, _, _ = _shape_side(shape)
     below = shape._below
     letters = word.letters
     top = max(letters, default=0)
@@ -161,12 +205,14 @@ def nu(word: Word, shape: Shape) -> Tableau:
 
 def nu_inverse(t: Tableau) -> Word:
     """Read the word back: letter p from the left is the column (normalised
-    diagonal) of the cell holding N+1-p.  A disconnected skew shape can read
-    back a factor ``a a``: ``QuadraticRuleError``."""
-    letter = _shape_side(t.shape)[2]
+    diagonal) of the cell holding N+1-p.  A separated shape reads back no
+    factor ``a a``; any other, a disconnected skew shape say, can:
+    ``QuadraticRuleError``."""
+    table, _, letter, separated = _shape_side(t.shape)
     letters = tuple([letter[i] for i in reversed(t.ids)])
-    _no_square(letters)
-    return _word(letters, max(letters) + 1)
+    if not separated:
+        _no_square(letters)
+    return _word(letters, len(table))
 
 
 def heap_to_json(poset: Poset) -> str:

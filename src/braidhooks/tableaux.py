@@ -119,7 +119,10 @@ class Shape(Poset):
             columns.setdefault(c, []).append(r)
         self._rows = {r: tuple(cs) for r, cs in rows.items()}
         self._diags = None
-        self._heap = None  # ``nu``'s column table, condition and letters, built by ``heaps``
+        # ``nu``'s column table, condition, letters and whether the shape is
+        # separated: drop heights and ``nu_inverse``'s ``a a`` check run only off
+        # a separated shape, or on a word ``nu`` cannot place; built by ``heaps``
+        self._heap = None
         self._hooks = None  # braid-hook windows as cell-id triples, built by ``_hook_windows``
         super().__init__(self.cells, [
             *[((r, a), (r, b)) for r, cs in rows.items() for a, b in zip(cs, cs[1:])],

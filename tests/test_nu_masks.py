@@ -1,4 +1,4 @@
-"""``nu`` against the heap comparison it replaced.
+"""``nu`` against the heap comparison it replaced, and against its drop loop.
 
 ``nu`` checks a word against the shape's cover masks without building the
 word's heap.  The reference kept beside it builds both posets and compares
@@ -6,9 +6,15 @@ their pieces and covers.  The two must agree on
 the result and on the error, including on disconnected skew shapes, where
 two cells on adjacent diagonals can be incomparable although every filling
 passes the mask rule.
+
+On a separated shape ``nu`` places the pieces in one lean pass and drops
+them (``heaps._drops``) only when that pass misses; the two must give the
+same filling, or the same error and message, on every shape here, the
+gapped ``from_cells`` shapes too.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -23,9 +29,11 @@ from braidhooks.heaps import (
     shape_poset,
 )
 from braidhooks.tableaux import Shape, standard_tableaux
-from braidhooks.words import Permutation, all_reduced_words, make_word
+from braidhooks.words import (BRAID_DOWN, BRAID_UP, Permutation, Word, all_reduced_words,
+                              apply_move, list_moves, make_word)
 
 from helpers import partitions, skew_test_shapes, strict_partitions
+from test_one_carrier import GAPS
 
 MAX_CELLS = 7
 
@@ -162,3 +170,122 @@ def test_nu_builds_no_heap(monkeypatch):
     monkeypatch.setattr(posets, "transitive_reduction", forbidden)  # no Poset either
     for word in words:
         assert nu_inverse(nu(word, shape)) == word
+
+
+FAMILIES = {**SHAPES, "gaps": [Shape.from_cells(cells) for cells in GAPS]}
+
+
+def read_word(t) -> Word:
+    """The word ``nu_inverse`` reads from a filling, a factor ``a a`` kept."""
+    letter = heaps._shape_side(t.shape)[2]
+    letters = tuple([letter[i] for i in reversed(t.ids)])
+    return Word(letters, max(letters) + 1)
+
+
+def mutants(word: Word, rng: random.Random) -> list[Word]:
+    """One random braid move of ``word``, if it has one, and ``word`` with one
+    random letter replaced by another in range."""
+    found = []
+    braids = [site for site in list_moves(word) if site.kind in (BRAID_UP, BRAID_DOWN)]
+    if braids:
+        found.append(apply_move(word, rng.choice(braids)))
+    letters = list(word.letters)
+    p = rng.randrange(len(letters))
+    others = [a for a in range(1, word.rank) if a != letters[p]]
+    if others:
+        letters[p] = rng.choice(others)
+        found.append(Word(tuple(letters), word.rank))
+    return found
+
+
+def misfits(word: Word) -> list[Word]:
+    """``word`` one letter short, one letter long, and with its last letter,
+    the first piece dropped, moved past the shape's columns."""
+    letters, rank = word.letters, word.rank
+    return [Word(letters[1:], rank), Word(letters + (1,), rank),
+            Word(letters[:-1] + (rank,), rank + 1)]
+
+
+def answer(run, word, shape):
+    """The filling ``run`` returns, or the type and message of its error."""
+    try:
+        return run(word, shape).pos
+    except (QuadraticRuleError, ShapeMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_nu_matches_its_drop_loop(family):
+    kinds = set()
+    for shape in FAMILIES[family]:
+        rng = random.Random(f"drops {shape!r}")
+        cases = list(WORDS.get(shape.size, []))
+        for t in standard_tableaux(shape):
+            word = read_word(t)
+            cases += [word, *mutants(word, rng), *misfits(word)]
+        for word in cases:
+            expected = answer(heaps._drops, word, shape)
+            assert answer(nu, word, shape) == expected, (word, shape)
+            kinds.add(expected[0] if isinstance(expected[0], type) else "filling")
+    assert kinds == {"filling", QuadraticRuleError, ShapeMismatchError}, family
+
+
+def separated_by_less(shape: Shape) -> bool:
+    """Every two cells on adjacent diagonals are comparable, and some cell of
+    a neighbouring diagonal lies strictly between each two consecutive cells
+    of a diagonal."""
+    diagonals = shape.diagonals()
+    less = shape.less
+    ordered = all(less(x, y) or less(y, x)
+                  for d in diagonals for x in diagonals[d] for y in diagonals.get(d + 1, ()))
+    return ordered and all(
+        any(less(x, z) and less(z, y) for z in diagonals.get(d - 1, ()) + diagonals.get(d + 1, ()))
+        for d, cells in diagonals.items() for x, y in zip(cells, cells[1:])
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_separated_is_read_off_the_order(family):
+    flags = set()
+    for shape in FAMILIES[family]:
+        separated = heaps._shape_side(shape)[3]
+        assert separated == separated_by_less(shape), shape
+        flags.add(separated)
+        if separated:
+            for t in standard_tableaux(shape):
+                word = read_word(t)
+                assert all(a != b for a, b in zip(word.letters, word.letters[1:])), (t.pos, shape)
+                assert nu_inverse(t) == word
+    assert True in flags, family
+    if family in ("disconnected", "gaps"):
+        assert False in flags, family
+
+
+def test_a_shape_that_is_not_separated_reads_back_a_square():
+    squares = 0
+    for shape in SHAPES["disconnected"]:
+        if heaps._shape_side(shape)[3]:
+            continue
+        for t in standard_tableaux(shape):
+            word = read_word(t)
+            if any(a == b for a, b in zip(word.letters, word.letters[1:])):
+                with pytest.raises(QuadraticRuleError, match="violates the quadratic rule"):
+                    nu_inverse(t)
+                squares += 1
+            else:
+                assert nu_inverse(t) == word
+    assert squares
+
+
+def test_separated_shapes_place_their_words_without_drops(monkeypatch):
+    shapes = [shape for shapes in FAMILIES.values() for shape in shapes
+              if heaps._shape_side(shape)[3]]
+    fillings = [t for shape in shapes for t in standard_tableaux(shape)]
+    words = [nu_inverse(t) for t in fillings]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nu dropped the pieces")
+
+    monkeypatch.setattr(heaps, "_drops", forbidden)
+    for t, word in zip(fillings, words):
+        assert nu(word, t.shape) == t

@@ -5,19 +5,20 @@ word up to seven cells.  Here a fixed seed draws shapes inside the right
 staircase 9,...,1 (45 cells) and the half-right trapezoid 11,9,7,5,3,1,
 and random standard fillings of them.  Each filling's word must come back
 to it, both by ``nu`` and by the heap comparison; a word one braid move or
-one letter away must get the same answer from both, filling or error type.
+one letter away must get the same answer from both, filling or error type,
+and the same filling or error message from ``nu`` and its drop loop.
 """
 
 import random
 
 import pytest
 
+from braidhooks import heaps
 from braidhooks.errors import QuadraticRuleError, ShapeMismatchError
 from braidhooks.heaps import nu, nu_inverse
 from braidhooks.tableaux import Shape, random_standard_tableau
-from braidhooks.words import BRAID_DOWN, BRAID_UP, Word, apply_move, list_moves
 
-from test_nu_masks import reference
+from test_nu_masks import answer, misfits, mutants, reference
 
 SEED = 20150401
 RIGHT = tuple(range(9, 0, -1))
@@ -70,22 +71,6 @@ def test_nu_inverts_nu_inverse(shape):
         assert reference(word, shape) == t.pos
 
 
-def mutants(word: Word, rng: random.Random) -> list[Word]:
-    """One random braid move of ``word``, if it has one, and ``word`` with one
-    random letter replaced by another in range."""
-    found = []
-    braids = [site for site in list_moves(word) if site.kind in (BRAID_UP, BRAID_DOWN)]
-    if braids:
-        found.append(apply_move(word, rng.choice(braids)))
-    letters = list(word.letters)
-    p = rng.randrange(len(letters))
-    others = [a for a in range(1, word.rank) if a != letters[p]]
-    if others:
-        letters[p] = rng.choice(others)
-        found.append(Word(tuple(letters), word.rank))
-    return found
-
-
 def test_mutated_words_agree_with_the_heap_comparison():
     answers = set()
     for shape in SHAPES:
@@ -97,3 +82,13 @@ def test_mutated_words_agree_with_the_heap_comparison():
                 answers.add(expected)
     # a mutant lies in another commutation class, so its heap is another poset
     assert answers == {QuadraticRuleError, ShapeMismatchError}
+
+
+def test_nu_matches_its_drop_loop_past_the_exhaustive_bound():
+    for shape in SHAPES:
+        assert heaps._shape_side(shape)[3], shape
+        rng = random.Random(f"{SEED} drops {shape!r}")
+        for _ in range(8):
+            word = nu_inverse(random_standard_tableau(shape, rng))
+            for w in [word, *mutants(word, rng), *misfits(word)]:
+                assert answer(nu, w, shape) == answer(heaps._drops, w, shape), (w, shape)
