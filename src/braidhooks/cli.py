@@ -74,10 +74,10 @@ def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
 
 
 def _commutation_class(args) -> list[words.Word]:
-    """The class of ``--class-of-word``, after its heap has checked that no
-    word in the class has a factor ``a a`` (``QuadraticRuleError``)."""
+    """The class of ``--class-of-word``, after ``heaps._stacks`` has checked
+    that no word in the class has a factor ``a a`` (``QuadraticRuleError``)."""
     word = parse_word(args.class_of_word, args.rank)
-    heaps.heap_poset(word)
+    heaps._stacks(word.letters)
     return words.commutation_class(word, args.cap)
 
 

@@ -15,21 +15,21 @@ drop order becomes a standard filling.
 ``nu`` builds no heap: it places the pieces in one pass over the letters
 and checks where each lands against the shape's cover masks.  A heap's
 order is generated by its adjacent-column pairs, so that is exact once the
-shape orders every two cells on adjacent diagonals, which the shape's own
-down-set masks tell.  Built once per ``Shape``: the column table (the cell
-id at each column and stack position), that condition, each cell id's
-letter, and whether the shape is separated, that is, meets the condition
-with a cell of a neighbouring column strictly between each two consecutive
-cells of a column.  A pass that places every piece on a separated shape
-stacks none on its own column, so there ``nu`` places cell ids, the
-filling's own labels, without drop heights, and ``nu_inverse`` reads back
-no factor ``a a``.  On any other shape, or for a word that pass cannot
-place, ``_drops`` drops the pieces by column heights, so the quadratic rule
-is reported first; only off a separated shape does ``nu_inverse`` check for
-``a a``.  It reads the letters of a filling's ids and builds its word
-without ``Word``'s range check, which the public constructors keep.  Drop
-heights are kept for the columns up to the word's largest letter, not its
-rank.
+shape is ordered: each of its covers joins adjacent diagonals and it orders
+every two cells on adjacent diagonals, which its own masks tell.  Built
+once per ``Shape``: the column table (the cell id at each column and stack
+position), that condition, each cell id's letter, and whether the shape is
+separated, that is, ordered with a cell of a neighbouring column strictly
+between each two consecutive cells of a column.  ``_stacks`` is the one
+check of the quadratic rule, a scan of column heights in drop order.  A
+pass that places every piece on a separated shape stacks none on its own
+column, so there ``nu`` skips ``_stacks`` and places cell ids, the
+filling's own labels, without drop heights.  On any other shape, and for
+a word the pass cannot place, ``_stacks`` runs before the answer is given,
+so the quadratic rule is reported first; ``heap_poset`` runs it too.  Only
+off a separated shape does ``nu_inverse`` check for ``a a``.  It reads the
+letters of a filling's ids and builds its word without ``Word``'s range
+check, which the public constructors keep.
 """
 
 from __future__ import annotations
@@ -61,21 +61,31 @@ def _pieces(word: Word) -> list[tuple[int, int]]:
     return pieces
 
 
+def _stacks(letters: tuple[int, ...]) -> None:
+    """The column-height scan: drop the pieces, rightmost letter first, each
+    on the taller neighbouring column.  ``QuadraticRuleError`` names the
+    first piece whose own column is taller, one that would rest directly on
+    its own column: then some word of the class has a factor ``a a``."""
+    tops = [0] * (max(letters, default=0) + 2)  # a letter's own column and both neighbours
+    for a in reversed(letters):
+        left, right = tops[a - 1], tops[a + 1]
+        height = left if left > right else right
+        if tops[a] > height:
+            raise QuadraticRuleError(
+                f"letter {a} stacks on itself; class violates the quadratic rule"
+            )
+        tops[a] = height + 1
+
+
 def heap_poset(word: Word) -> Poset:
     """The heap of a word, with covers between adjacent columns only;
-    ``QuadraticRuleError`` names the first piece, in drop order, that rests
-    directly on its own column."""
-    pieces = _pieces(word)
-    elements = sorted(pieces)  # ``_heap_order``'s piece numbering
+    ``QuadraticRuleError`` (``_stacks``) for a class that breaks the
+    quadratic rule."""
+    _stacks(word.letters)
+    elements = sorted(_pieces(word))  # ``_heap_order``'s piece numbering
     _, below = _heap_order(word.letters[::-1])
-    heap = Poset(elements, [(elements[j], elements[i])
+    return Poset(elements, [(elements[j], elements[i])
                             for i, b in enumerate(below) for j in _bits(b)])
-    for column, p in pieces:
-        if ((column, p - 1), (column, p)) in heap.covers:
-            raise QuadraticRuleError(
-                f"letter {column} stacks on itself; class violates the quadratic rule"
-            )
-    return heap
 
 
 def build_order_extension(word: Word) -> LinearExtension:
@@ -83,33 +93,21 @@ def build_order_extension(word: Word) -> LinearExtension:
     return LinearExtension(heap_poset(word), tuple(_pieces(word)))
 
 
-def _diagonal_layout(shape: Shape) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Cells in canonical (normalised diagonal, row) order with columns/positions."""
-    diagonals = shape.diagonals()
-    shift = 1 - min(diagonals)
-    layout = [(cell, d + shift, p) for d in sorted(diagonals)
-              for p, cell in enumerate(diagonals[d], start=1)]
-    cells, columns, positions = map(list, zip(*layout))
-    return cells, columns, positions
-
-
 def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int], bool]:
     """The shape's side of ``nu``, built once per shape: ``table[column][p]``
-    is the id of the cell at stack position p+1 of that column (column 0 is
-    empty), ``ordered`` says whether the shape orders every two cells on
-    adjacent diagonals, ``letter[i]`` is the column of cell id i, and
-    ``separated`` says whether, besides, some cell of a neighbouring column
-    lies strictly between each two consecutive cells of a column."""
+    is the id of the cell at stack position p+1 of that column, its
+    normalised diagonal (column 0 is empty), ``ordered`` and ``separated``
+    are the module's conditions, and ``letter[i]`` is the column of cell id i."""
     if shape._heap is None:
-        cells, columns, _ = _diagonal_layout(shape)
-        table: list[list[int]] = [[] for _ in range(max(columns) + 1)]
-        letter = [0] * shape.size
-        for cell, column in zip(cells, columns):  # positions ascend within a column
-            i = shape._index[cell]
-            table[column].append(i)
-            letter[i] = column
-        down = shape._down
+        diagonals, index = shape.diagonals(), shape._index
+        shift = 1 - min(diagonals)
+        table = [[index[cell] for cell in diagonals.get(c - shift, ())]  # top-down
+                 for c in range(max(diagonals) + shift + 1)]
+        letter = [c - r + 1 + shift for r, c in shape.cells]  # cell id i is cells[i]
+        below, down = shape._below, shape._down
         ordered = all(
+            abs(letter[i] - letter[j]) == 1 for i, b in enumerate(below) for j in _bits(b)
+        ) and all(
             (down[x] >> y | down[y] >> x) & 1
             for lower, upper in zip(table, table[1:]) for x in lower for y in upper
         )
@@ -125,28 +123,28 @@ def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int], bool]:
 
 def shape_poset(shape: Shape) -> Poset:
     """The cell poset of a shape, each cell named by the piece ``nu`` sends
-    to it, in diagonal layout order."""
-    cells, columns, positions = _diagonal_layout(shape)
-    piece = dict(zip(cells, zip(columns, positions)))
+    to it, in column table order."""
+    piece = {i: (c, p) for c, column in enumerate(_shape_side(shape)[0])
+             for p, i in enumerate(column, start=1)}
     return Poset(list(piece.values()),
-                 [(piece[a], piece[b]) for a, b in shape.covers])
+                 [(piece[j], piece[i]) for i, b in enumerate(shape._below) for j in _bits(b)])
 
 
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells.
 
-    Each piece, rightmost letter first, takes its column's next stack
-    position, so the cell the column table holds there, whose lower covers
-    must already be placed.  On a separated shape no such placement stacks a
-    piece on its own column, so one lean pass settles the word; any other
-    shape, and any word that pass cannot place, goes through ``_drops``.
+    On an ordered shape, each piece, rightmost letter first, takes its
+    column's next stack position, so the cell the column table holds there,
+    whose lower covers must already be placed.  Unless that pass placed
+    every piece on a separated shape, ``_stacks`` checks the quadratic rule
+    before the answer.
     """
-    table, _, _, separated = _shape_side(shape)
+    table, ordered, _, separated = _shape_side(shape)
     below = shape._below
     letters = word.letters
-    if separated and len(letters) == len(below):
+    ids = []
+    if ordered and len(letters) == len(below):
         counts = [0] * len(table)
-        ids = []
         mask = 0
         try:
             for a in reversed(letters):
@@ -157,46 +155,12 @@ def nu(word: Word, shape: Shape) -> Tableau:
                     break
                 mask |= 1 << i
                 ids.append(i)
-            else:
-                return _build(Tableau, shape, tuple(ids))
         except IndexError:  # a letter past the table, or a full column
             pass
-    return _drops(word, shape)
-
-
-def _drops(word: Word, shape: Shape) -> Tableau:
-    """``nu`` by dropping the pieces: each rests on the taller neighbouring
-    column (``QuadraticRuleError`` if its own is taller) and takes its
-    column's next stack position as in ``nu``.  After a mismatch the drops
-    go on, so the quadratic rule is reported first."""
-    table, ordered, _, _ = _shape_side(shape)
-    below = shape._below
-    letters = word.letters
-    top = max(letters, default=0)
-    fits = ordered and len(letters) == len(below) and top < len(table)
-    tops = [0] * (top + 2)  # a letter's own column and both neighbours
-    counts = [0] * len(table)
-    ids = []
-    mask = 0
-    for a in reversed(letters):
-        left, right = tops[a - 1], tops[a + 1]
-        height = left if left > right else right
-        if tops[a] > height:
-            raise QuadraticRuleError(
-                f"letter {a} stacks on itself; class violates the quadratic rule"
-            )
-        tops[a] = height + 1
-        if fits:
-            column, p = table[a], counts[a]
-            counts[a] = p + 1
-            if p < len(column):
-                i = column[p]
-                if below[i] & mask == below[i]:
-                    mask |= 1 << i
-                    ids.append(i)
-                    continue
-            fits = False
-    if not fits:
+    placed = len(ids) == len(below)  # no ids off an ordered shape, and a shape has cells
+    if not (placed and separated):
+        _stacks(letters)
+    if not placed:
         raise ShapeMismatchError(
             f"heap of {word} is not isomorphic to the poset of {shape!r}"
         )

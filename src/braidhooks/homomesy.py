@@ -29,6 +29,11 @@ function of one state that carries ``total(states)``, which counts the
 states' windows (``tableaux._hook_windows``, ``words._braid_windows``) with
 the one window counter, ``posets._window_counts``; ``orbit_average`` sums
 an orbit with it, and any other statistic state by state.
+
+The moving window is the one ``posets`` keeps for any carrier: the parity
+words are ``posets._o``, ``window_table`` and ``big_phi_inverse`` walk the
+states w^(j) = w^(j-1)·tau_{o(j)} of ``_window``, and ``big_phi`` is
+``_unwind``, tau_{o(k-2)}...tau_{o(1)} in one pass, once the braid is checked.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
 from .heaps import nu_inverse
-from .posets import _window_counts
+from .posets import _o, _unwind, _window, _window_counts
 from .tableaux import (Shape, Tableau, _hook_total, _hook_windows, random_standard_tableau,
                        standard_tableaux)
 from .words import Word, _braid_windows
@@ -75,7 +80,7 @@ def tau_parity(x, parity: str):
     """Apply every tau_i with i of the given parity (they commute)."""
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
-    return x.taus(range(1 if parity == "odd" else 2, x.size, 2))
+    return x.taus(_o(1 if parity == "odd" else 2, x.size))
 
 
 def tau_odd(x):
@@ -107,7 +112,7 @@ def _generators(mode: str) -> list[tuple[int, ...]]:
 
 def _tau_words(generators: list[tuple[int, ...]], size: int) -> list[list[int]]:
     """The parity words as tau words on a carrier of ``size`` labels."""
-    return [[i for p in word for i in range(p, size, 2)] for word in generators]
+    return [[i for p in word for i in _o(p, size)] for word in generators]
 
 
 @dataclass(frozen=True)
@@ -277,21 +282,12 @@ class WindowTable:
         return "\n".join(lines)
 
 
-def _tau_oi(i: int) -> Callable:
-    return tau_odd if i % 2 == 1 else tau_even
-
-
 def window_table(word: Word) -> WindowTable:
     """Track the length-two window of w^(j) = w.tau_{o(1)}...tau_{o(j)}."""
-    n = len(word)
-    rows = []
-    current = word
-    for i in range(2, n):
-        a = current.letters[i - 2]
-        c = current.letters[i]
-        rows.append((i, current, a, c))
-        current = _tau_oi(i - 1)(current)
-    return WindowTable(word, tuple(rows))
+    return WindowTable(word, tuple(
+        (i, current, current.letters[i - 2], current.letters[i])
+        for i, current in zip(range(2, len(word)), _window(word))
+    ))
 
 
 def _is_braid_at(word: Word, k: int) -> bool:
@@ -307,23 +303,18 @@ def big_phi(k: int, word: Word) -> Word:
     """Phi(k, w) = w.tau_{o(k-2)} ... tau_{o(1)}, defined when k is a braid."""
     if not _is_braid_at(word, k):
         raise NotABraidError(f"position {k} is not the centre of a braid in {word}")
-    for j in range(k - 2, 0, -1):
-        word = _tau_oi(j)(word)
-    return word
+    return _unwind(word, k - 2)
 
 
 def big_phi_inverse(word: Word) -> tuple[int, Word]:
     """Find the unique k with a_k = c_k; the preimage is (k, w^(k-2))."""
-    n = len(word)
-    current = word
-    for i in range(2, n):
+    for i, current in zip(range(2, len(word)), _window(word)):
         if current.letters[i - 2] == current.letters[i]:
             if not _is_braid_at(current, i):
                 raise NoPreimageError(
                     f"window closes at {i} but {current} has no braid there"
                 )
             return i, current
-        current = _tau_oi(i - 1)(current)
     raise NoPreimageError(f"{word} admits no preimage")
 
 

@@ -12,7 +12,10 @@ It is a carrier of the toggle group, like a word, and the two share
 one pass (tau_i swaps labels i and i+1 when the two elements are
 incomparable, one down-set bit), ``tau(i)``, and ``key()``, by which
 carriers sort.  The even/odd orbit machinery in ``homomesy`` uses only
-this interface.
+this interface, and so does the moving window behind Phi, written here
+once for every carrier: ``_o(j, size)`` is the parity word of tau_{o(j)},
+``_window(x)`` yields x^(0) = x and then x^(j) = x^(j-1)·tau_{o(j)}, and
+``_unwind(x, m)`` applies tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
 
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -132,6 +135,25 @@ class _Carrier:
 
     def __lt__(self, other) -> bool:
         return self.key() < other.key()
+
+
+def _o(j: int, size: int) -> range:
+    """The tau word of tau_{o(j)} on ``size`` labels: every tau_i with i of
+    the parity of j (they commute)."""
+    return range(2 - j % 2, size, 2)
+
+
+def _window(x) -> Iterator:
+    """The moving window of a carrier: x^(0) = x, then x^(j) =
+    x^(j-1)·tau_{o(j)}, each made only when asked for."""
+    for j in count(1):
+        yield x
+        x = x.taus(_o(j, x.size))
+
+
+def _unwind(x, m: int):
+    """x·tau_{o(m)}...tau_{o(1)}, in one ``taus`` pass."""
+    return x.taus([i for j in range(m, 0, -1) for i in _o(j, x.size)])
 
 
 class Poset:
@@ -546,30 +568,22 @@ def _require_proper(poset: Poset, ideal: frozenset) -> None:
 
 def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> LinearExtension:
     """Phi(p, L) = L.tau_{o(L(p))} ... tau_{o(1)} for a descent p of L."""
-    from .homomesy import _tau_oi
-
     _require_bounds_and_proper(extension.poset, ideal)
     if p not in descents(extension, ideal):
         ideal_text = _ideal_text(extension.poset, ideal)
         raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {ideal_text}")
-    for j in range(extension.label(p), 0, -1):
-        extension = _tau_oi(j)(extension)
-    return extension
+    return _unwind(extension, extension.label(p))
 
 
 def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Hashable, LinearExtension]:
     """Scan M, M.tau_{o(1)}, ... for the unique step leaving the ideal."""
-    from .homomesy import _tau_oi
-
     _require_bounds_and_proper(extension.poset, ideal)
-    current = extension
-    previous_element = current.element(1)
-    for k in range(2, extension.size + 1):
-        moved = _tau_oi(k - 1)(current)
+    window = _window(extension)
+    previous_element = next(window).element(1)
+    for k, moved in zip(range(2, extension.size + 1), window):
         element = moved.element(k)
         if previous_element in ideal and element not in ideal:
             return previous_element, moved
-        current = moved
         previous_element = element
     raise AssertionError("path never left the ideal; ideal was not proper")
 

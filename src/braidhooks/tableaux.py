@@ -120,8 +120,8 @@ class Shape(Poset):
         self._rows = {r: tuple(cs) for r, cs in rows.items()}
         self._diags = None
         # ``nu``'s column table, condition, letters and whether the shape is
-        # separated: drop heights and ``nu_inverse``'s ``a a`` check run only off
-        # a separated shape, or on a word ``nu`` cannot place; built by ``heaps``
+        # separated: ``heaps._stacks`` and ``nu_inverse``'s ``a a`` check run only
+        # off a separated shape, or on a word ``nu`` cannot place; built by ``heaps``
         self._heap = None
         self._hooks = None  # braid-hook windows as cell-id triples, built by ``_hook_windows``
         super().__init__(self.cells, [

@@ -77,3 +77,10 @@ def skew_test_shapes(max_outer: int):
                     if shape.is_connected():
                         shapes.append(shape)
     return shapes
+
+
+def diagonal_cells(shape: Shape) -> list[tuple[int, int]]:
+    """The cells by diagonal, left to right, each diagonal top-down: the
+    order of the pieces (column, stack position) ``shape_poset`` names them by."""
+    diagonals = shape.diagonals()
+    return [cell for d in sorted(diagonals) for cell in diagonals[d]]

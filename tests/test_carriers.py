@@ -10,12 +10,12 @@ word's letter distance, and this pins down that they agree.
 
 import pytest
 
-from braidhooks.heaps import _diagonal_layout, nu_inverse, shape_poset
+from braidhooks.heaps import nu_inverse, shape_poset
 from braidhooks.homomesy import tau_parity
-from braidhooks.posets import LinearExtension
+from braidhooks.posets import LinearExtension, _unwind
 from braidhooks.tableaux import Shape, standard_tableaux, tau
 
-from helpers import partitions, skew_test_shapes, strict_partitions
+from helpers import diagonal_cells, partitions, skew_test_shapes, strict_partitions
 
 MAX_CELLS = 9
 
@@ -39,9 +39,8 @@ def _one_at_a_time(x, parity: str):
 @pytest.mark.parametrize("family", sorted(SHAPES))
 def test_carriers_toggle_alike(family):
     for shape in SHAPES[family]:
-        cells, _, _ = _diagonal_layout(shape)
         poset = shape_poset(shape)
-        element = dict(zip(cells, poset.elements))
+        element = dict(zip(diagonal_cells(shape), poset.elements))
         n = shape.size
 
         def extension(t):
@@ -57,3 +56,19 @@ def test_carriers_toggle_alike(family):
             for x in (t, word, ext):
                 for parity in ("odd", "even"):
                     assert tau_parity(x, parity) == _one_at_a_time(x, parity), (x, parity)
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_unwind_takes_the_parity_steps_in_one_pass(family):
+    # x.tau_{o(m)}...tau_{o(1)}, the product behind Phi, one parity at a time
+    for shape in SHAPES[family]:
+        poset = shape_poset(shape)
+        element = dict(zip(diagonal_cells(shape), poset.elements))
+        for t in standard_tableaux(shape):
+            ext = LinearExtension(poset, tuple(element[cell] for cell in t.pos))
+            for x in (t, nu_inverse(t), ext):
+                for m in range(x.size):
+                    y = x
+                    for j in range(m, 0, -1):
+                        y = _one_at_a_time(y, "odd" if j % 2 else "even")
+                    assert _unwind(x, m) == y, (x, m)

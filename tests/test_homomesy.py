@@ -23,6 +23,7 @@ from braidhooks.homomesy import (
     word_condition_check,
     word_statistic,
 )
+from braidhooks.posets import _o
 from braidhooks.tableaux import Shape, standard_tableaux
 from braidhooks.words import (
     braid_sites,
@@ -259,13 +260,11 @@ def _has_no_preimage(word) -> bool:
 
 class TestComparisonLemma:
     def test_exhaustive_small(self):
-        from braidhooks.homomesy import _tau_oi
-
         for outer in pointed_partitions(10):
             for w in rw_class(Shape.right(outer)):
                 n = len(w)
                 for i in range(2, n - 1):
-                    moved = _tau_oi(i + 1)(w)
+                    moved = w.taus(_o(i + 1, n))
                     lhs = w.letters[i - 2] < w.letters[i]
                     rhs = moved.letters[i - 1] <= moved.letters[i + 1]
                     assert lhs == rhs

@@ -1,16 +1,14 @@
-"""``nu`` against the heap comparison it replaced, and against its drop loop.
+"""``nu`` against the heap comparison it replaced.
 
 ``nu`` checks a word against the shape's cover masks without building the
-word's heap.  The reference kept beside it builds both posets and compares
-their pieces and covers.  The two must agree on
-the result and on the error, including on disconnected skew shapes, where
-two cells on adjacent diagonals can be incomparable although every filling
-passes the mask rule.
-
-On a separated shape ``nu`` places the pieces in one lean pass and drops
-them (``heaps._drops``) only when that pass misses; the two must give the
-same filling, or the same error and message, on every shape here, the
-gapped ``from_cells`` shapes too.
+word's heap.  The reference kept beside it builds the word's heap straight
+from ``words._heap_order`` and the shape's cell poset and compares their
+pieces and covers; a piece covering a piece of its own column breaks the
+quadratic rule.  The two must agree on the filling, or on the error type
+and message, on every shape here: disconnected skew shapes, where two cells
+on adjacent diagonals can be incomparable although every filling passes the
+mask rule, and the gapped ``from_cells`` shapes, where a cover can join
+diagonals that are not adjacent.
 """
 
 import itertools
@@ -20,19 +18,12 @@ import pytest
 
 from braidhooks import heaps, posets
 from braidhooks.errors import QuadraticRuleError, ShapeMismatchError
-from braidhooks.heaps import (
-    _diagonal_layout,
-    build_order_extension,
-    heap_poset,
-    nu,
-    nu_inverse,
-    shape_poset,
-)
+from braidhooks.heaps import heap_poset, nu, nu_inverse, shape_poset
 from braidhooks.tableaux import Shape, standard_tableaux
-from braidhooks.words import (BRAID_DOWN, BRAID_UP, Permutation, Word, all_reduced_words,
-                              apply_move, list_moves, make_word)
+from braidhooks.words import (BRAID_DOWN, BRAID_UP, Permutation, Word, _heap_order,
+                              all_reduced_words, apply_move, list_moves, make_word)
 
-from helpers import partitions, skew_test_shapes, strict_partitions
+from helpers import diagonal_cells, partitions, skew_test_shapes, strict_partitions
 from test_one_carrier import GAPS
 
 MAX_CELLS = 7
@@ -88,41 +79,31 @@ WORDS = _words()
 
 
 def reference(word, shape):
-    """The filling ``nu`` must return, from the heap comparison, or the
-    error type it must raise."""
-    try:
-        heap = heap_poset(word)
-    except QuadraticRuleError:
-        return QuadraticRuleError
+    """The filling ``nu`` must return, from the heap comparison, or the type
+    and message of the error it must raise.  The heap is built straight from
+    ``_heap_order``, without ``heap_poset``'s own quadratic-rule check."""
+    pieces = heaps._pieces(word)  # drop order
+    elements = sorted(pieces)  # ``_heap_order``'s piece numbering
+    _, below = _heap_order(word.letters[::-1])
+    heap = posets.Poset(elements, [(elements[j], elements[i])
+                                   for i, b in enumerate(below) for j in posets._bits(b)])
+    for column, p in pieces:
+        if ((column, p - 1), (column, p)) in heap.covers:
+            return (QuadraticRuleError,
+                    f"letter {column} stacks on itself; class violates the quadratic rule")
     cell_poset = shape_poset(shape)
     if (heap.elements, heap.covers) != (cell_poset.elements, cell_poset.covers):
-        return ShapeMismatchError
-    cells, _, _ = _diagonal_layout(shape)
-    cell = dict(zip(cell_poset.elements, cells))
-    return tuple(cell[piece] for piece in build_order_extension(word).seq)
-
-
-@pytest.mark.parametrize("family", sorted(SHAPES))
-def test_nu_matches_the_heap_comparison(family):
-    assert SHAPES[family]
-    for shape in SHAPES[family]:
-        for word in WORDS.get(shape.size, []):
-            expected = reference(word, shape)
-            if isinstance(expected, tuple):
-                assert nu(word, shape).pos == expected, (word, shape)
-                continue
-            with pytest.raises(expected) as info:
-                nu(word, shape)
-            if expected is ShapeMismatchError:
-                assert str(info.value) == (
-                    f"heap of {word} is not isomorphic to the poset of {shape!r}"
-                )
+        return (ShapeMismatchError,
+                f"heap of {word} is not isomorphic to the poset of {shape!r}")
+    cell = dict(zip(cell_poset.elements, diagonal_cells(shape)))
+    return tuple(cell[piece] for piece in pieces)
 
 
 def test_both_answers_occur_in_every_family():
+    # the suite's reduced words alone give each family a filling and an error
     for family, shapes in SHAPES.items():
         outcomes = {
-            isinstance(reference(word, shape), tuple)
+            isinstance(reference(word, shape)[0], type)
             for shape in shapes
             for word in WORDS.get(shape.size, [])
         }
@@ -215,7 +196,7 @@ def answer(run, word, shape):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_nu_matches_its_drop_loop(family):
+def test_nu_matches_the_heap_comparison(family):
     kinds = set()
     for shape in FAMILIES[family]:
         rng = random.Random(f"drops {shape!r}")
@@ -224,20 +205,32 @@ def test_nu_matches_its_drop_loop(family):
             word = read_word(t)
             cases += [word, *mutants(word, rng), *misfits(word)]
         for word in cases:
-            expected = answer(heaps._drops, word, shape)
+            expected = reference(word, shape)
             assert answer(nu, word, shape) == expected, (word, shape)
             kinds.add(expected[0] if isinstance(expected[0], type) else "filling")
-    assert kinds == {"filling", QuadraticRuleError, ShapeMismatchError}, family
+    # a cover across a gap joins diagonals that are not adjacent, as no heap cover does
+    fillings = set() if family == "gaps" else {"filling"}
+    assert kinds == {QuadraticRuleError, ShapeMismatchError} | fillings, family
+
+
+def test_a_cover_across_a_gap_is_no_heap_cover():
+    # the heap of 3 1 is an antichain, the cells (1, 1) < (1, 3) a chain
+    shape = Shape.from_cells([(1, 1), (1, 3)])
+    word = Word((3, 1), 4)
+    assert reference(word, shape)[0] is ShapeMismatchError
+    with pytest.raises(ShapeMismatchError):
+        nu(word, shape)
 
 
 def separated_by_less(shape: Shape) -> bool:
-    """Every two cells on adjacent diagonals are comparable, and some cell of
-    a neighbouring diagonal lies strictly between each two consecutive cells
-    of a diagonal."""
+    """Every cover joins adjacent diagonals, every two cells on adjacent
+    diagonals are comparable, and some cell of a neighbouring diagonal lies
+    strictly between each two consecutive cells of a diagonal."""
     diagonals = shape.diagonals()
     less = shape.less
-    ordered = all(less(x, y) or less(y, x)
-                  for d in diagonals for x in diagonals[d] for y in diagonals.get(d + 1, ()))
+    ordered = all(abs((b[1] - b[0]) - (a[1] - a[0])) == 1 for a, b in shape.covers) and all(
+        less(x, y) or less(y, x)
+        for d in diagonals for x in diagonals[d] for y in diagonals.get(d + 1, ()))
     return ordered and all(
         any(less(x, z) and less(z, y) for z in diagonals.get(d - 1, ()) + diagonals.get(d + 1, ()))
         for d, cells in diagonals.items() for x, y in zip(cells, cells[1:])
@@ -256,9 +249,9 @@ def test_separated_is_read_off_the_order(family):
                 word = read_word(t)
                 assert all(a != b for a, b in zip(word.letters, word.letters[1:])), (t.pos, shape)
                 assert nu_inverse(t) == word
-    assert True in flags, family
-    if family in ("disconnected", "gaps"):
-        assert False in flags, family
+    # every gapped shape has a cover across its gap, so none is ordered
+    assert flags == ({False} if family == "gaps" else
+                     {True, False} if family == "disconnected" else {True}), family
 
 
 def test_a_shape_that_is_not_separated_reads_back_a_square():
@@ -277,15 +270,15 @@ def test_a_shape_that_is_not_separated_reads_back_a_square():
     assert squares
 
 
-def test_separated_shapes_place_their_words_without_drops(monkeypatch):
+def test_separated_shapes_place_their_words_without_stacks(monkeypatch):
     shapes = [shape for shapes in FAMILIES.values() for shape in shapes
               if heaps._shape_side(shape)[3]]
     fillings = [t for shape in shapes for t in standard_tableaux(shape)]
     words = [nu_inverse(t) for t in fillings]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("nu dropped the pieces")
+        raise AssertionError("nu scanned the column heights")
 
-    monkeypatch.setattr(heaps, "_drops", forbidden)
+    monkeypatch.setattr(heaps, "_stacks", forbidden)
     for t, word in zip(fillings, words):
         assert nu(word, t.shape) == t
