@@ -21,10 +21,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from . import heaps, homomesy, posets, tableaux, words
 from .errors import (
     ExplosionGuardError,
+    ShapeConditionError,
     ShapeSpecError,
     UnknownTheoremError,
     WordSpecError,
@@ -36,6 +38,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+class _UsageError(Exception):
+    """Flags a command cannot run with: ``main`` prints the message alone and
+    exits 2."""
 
 
 def parse_shape(spec: str) -> Shape:
@@ -74,8 +81,11 @@ def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
 
 
 def _commutation_class(args) -> list[words.Word]:
-    """The class of ``--class-of-word``, after ``heaps._stacks`` has checked
-    that no word in the class has a factor ``a a`` (``QuadraticRuleError``)."""
+    """The class of ``--class-of-word``, which needs ``--rank``, after
+    ``heaps._stacks`` has checked that no word in the class has a factor
+    ``a a`` (``QuadraticRuleError``)."""
+    if args.rank is None:
+        raise _UsageError("--class-of-word needs --rank")
     word = parse_word(args.class_of_word, args.rank)
     heaps._stacks(word.letters)
     return words.commutation_class(word, args.cap)
@@ -109,13 +119,9 @@ def cmd_enumerate(args) -> int:
         shape = parse_shape(args.shape)
         objects = tableaux.standard_tableaux(shape, args.cap)
     elif args.class_of_word is not None:
-        if args.rank is None:
-            print("--class-of-word needs --rank", file=sys.stderr)
-            return EXIT_USAGE
         objects = _commutation_class(args)
     else:
-        print("enumerate needs --shape or --class-of-word", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("enumerate needs --shape or --class-of-word")
     serialised = [_serialise(obj) for obj in objects]
     payload = {"objects": serialised, "count": len(objects)}
     _emit(
@@ -165,6 +171,8 @@ def _verify_braid_hooks(args) -> dict:
 def _verify_half_right(args) -> dict:
     spec = args.shape if ":" in args.shape else f"half:{args.shape}"
     shape = parse_shape(spec)
+    if shape.mode != "half-right":
+        raise ShapeConditionError(f"verify half-right needs a half-right shape, not {spec!r}")
     value = tableaux.expected_braid_hooks(shape, args.cap)
     outer = shape.outer
     strong = len(outer) >= 2 and outer[0] >= outer[1] + 2 and outer[-1] == 1
@@ -264,11 +272,9 @@ def cmd_verify(args) -> int:
             f"unknown theorem {args.theorem!r}; choose from {sorted(VERIFIERS)}"
         )
     if args.theorem in NEEDS_SHAPE and not args.shape:
-        print(f"verify {args.theorem} needs --shape", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"verify {args.theorem} needs --shape")
     if args.theorem == "poset-edges" and args.poset and args.ideal is None:
-        print("verify poset-edges --poset needs --ideal", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("verify poset-edges --poset needs --ideal")
     result = verifier(args)
     _emit(
         result,
@@ -279,25 +285,8 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
-def _orbit_report_payload(report: dict) -> dict:
-    return {
-        "mode": report["mode"],
-        "statistic": report["statistic"],
-        "orbits": [
-            {
-                "size": o["size"],
-                "average": str(o["average"]),
-                "representative": _serialise(o["representative"]),
-            }
-            for o in report["orbits"]
-        ],
-        "homomesic": report["homomesic"],
-    }
-
-
 def _scan_chunk(task) -> dict | None:
-    spec, start, stop, base_seed, mode = task
-    shape = parse_shape(spec)
+    shape, start, stop, base_seed, mode = task
     return homomesy.find_gyration_anomaly(
         shape, max_seeds=stop, base_seed=base_seed, mode=mode, seed_start=start
     )
@@ -320,74 +309,28 @@ def cmd_orbits(args) -> int:
     elif args.class_of_word is not None:
         source = "--class-of-word"
     else:
-        print("orbits needs --shape, --class-of-word, or --poset", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("orbits needs --shape, --class-of-word, or --poset")
     allowed = ORBIT_STATS[source]
     stat = args.stat or allowed[0]
     if stat not in allowed:
-        print(f"{source} takes --stat {' or '.join(allowed)}, not {stat}", file=sys.stderr)
-        return EXIT_USAGE
-    if source == "--poset":
-        with open(args.poset) as handle:
-            poset = posets.poset_from_lines(handle.read())
-        if args.ideal is None:
-            print("--poset needs --ideal", file=sys.stderr)
-            return EXIT_USAGE
-        ideal = posets.parse_ideal(poset, args.ideal)
-        posets._require_proper(poset, ideal)
-        carrier = posets.linear_extensions(poset, args.cap)
-        statistic = lambda ext: len(posets.descents(ext, ideal))  # noqa: E731
-        report = homomesy.homomesy_report(carrier, statistic, args.group, "descents")
-    elif source == "--sample":
-        if not args.long_running and args.sample > 1000:
-            print(
-                "samples above 1000 need --long-running", file=sys.stderr
-            )
-            return EXIT_USAGE
-        hit = _sampled_search(args)
-        payload = {
-            "mode": args.group,
-            "statistic": stat,
-            "sampled_seeds": args.sample,
-            "found": hit is not None,
-        }
-        if hit is not None:
-            payload["orbit"] = {
-                "seed": hit["seed"],
-                "size": hit["orbit_size"],
-                "average": str(hit["average"]),
-                "representative": _serialise(hit["representative"]),
+        raise _UsageError(f"{source} takes --stat {' or '.join(allowed)}, not {stat}")
+    if source == "--sample":
+        return _sampled_search(args, stat)
+    carrier, statistic = _orbit_carrier(args, source, stat)
+    report = homomesy.homomesy_report(carrier, statistic, args.group, stat)
+    payload = {
+        "mode": report["mode"],
+        "statistic": report["statistic"],
+        "orbits": [
+            {
+                "size": o["size"],
+                "average": str(o["average"]),
+                "representative": _serialise(o["representative"]),
             }
-        _emit(payload, args.format, csv_rows=[tuple(payload.keys()), tuple(payload.values())],
-              table_lines=[f"{k}: {v}" for k, v in payload.items()])
-        return EXIT_PASS if hit is not None else EXIT_FAIL
-    elif source == "--shape":
-        shape = parse_shape(args.shape)
-        if shape.size >= 24 and not args.long_running:
-            print(
-                f"full enumeration on {shape.size} cells needs --long-running"
-                " (or use --sample)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if args.long_running:
-            print(f"enumerating all fillings of {shape.size} cells", file=sys.stderr)
-        if stat == "braid-moves":
-            carrier = homomesy.rw_class(shape, args.cap)
-            statistic = homomesy.word_statistic("braid-moves")
-        else:
-            carrier = tableaux.standard_tableaux(shape, args.cap)
-            statistic = homomesy.tableau_statistic("braid-hooks")
-        report = homomesy.homomesy_report(carrier, statistic, args.group, stat)
-    else:
-        if args.rank is None:
-            print("--class-of-word needs --rank", file=sys.stderr)
-            return EXIT_USAGE
-        carrier = _commutation_class(args)
-        report = homomesy.homomesy_report(
-            carrier, homomesy.word_statistic(stat), args.group, stat
-        )
-    payload = _orbit_report_payload(report)
+            for o in report["orbits"]
+        ],
+        "homomesic": report["homomesic"],
+    }
     csv_rows = [("orbit", "size", "average", "representative")] + [
         (i, o["size"], o["average"], o["representative"])
         for i, o in enumerate(payload["orbits"])
@@ -401,26 +344,68 @@ def cmd_orbits(args) -> int:
     return EXIT_PASS if all_one else EXIT_FAIL
 
 
-def _sampled_search(args):
-    threads = min(args.threads, os.cpu_count() or 1)
-    if threads > 1:
+def _orbit_carrier(args, source: str, stat: str):
+    """The carrier and the statistic of ``--poset``, ``--shape`` or
+    ``--class-of-word``."""
+    if source == "--poset":
+        with open(args.poset) as handle:
+            poset = posets.poset_from_lines(handle.read())
+        if args.ideal is None:
+            raise _UsageError("--poset needs --ideal")
+        ideal = posets.parse_ideal(poset, args.ideal)
+        posets._require_proper(poset, ideal)
+        return (posets.linear_extensions(poset, args.cap),
+                lambda ext: len(posets.descents(ext, ideal)))
+    if source == "--class-of-word":
+        return _commutation_class(args), homomesy.word_statistic(stat)
+    shape = parse_shape(args.shape)
+    if shape.size >= 24 and not args.long_running:
+        raise _UsageError(f"full enumeration on {shape.size} cells needs --long-running"
+                          " (or use --sample)")
+    if args.long_running:
+        print(f"enumerating all fillings of {shape.size} cells", file=sys.stderr)
+    if stat == "braid-moves":
+        return homomesy.rw_class(shape, args.cap), homomesy.word_statistic(stat)
+    return tableaux.standard_tableaux(shape, args.cap), homomesy.tableau_statistic(stat)
+
+
+def _sampled_search(args, stat: str) -> int:
+    """``orbits --sample``: the seeds split into at most one ``_scan_chunk``
+    task per worker, mapped in this process or over a pool, and the first hit
+    by seed reported."""
+    if not args.long_running and args.sample > 1000:
+        raise _UsageError("samples above 1000 need --long-running")
+    shape = parse_shape(args.shape)
+    if args.long_running:
+        print(f"scanning up to {args.sample} seeds", file=sys.stderr)
+    workers = min(args.threads, os.cpu_count() or 1, args.sample)
+    chunk = -(-args.sample // workers)
+    tasks = [(shape, start, min(start + chunk, args.sample), args.seed, args.group)
+             for start in range(0, args.sample, chunk)]
+    if workers > 1:
         from multiprocessing import Pool
 
-        chunk = (args.sample + threads - 1) // threads
-        tasks = [
-            (args.shape, start, min(start + chunk, args.sample), args.seed, args.group)
-            for start in range(0, args.sample, chunk)
-        ]
-        with Pool(threads) as pool:
-            hits = [h for h in pool.map(_scan_chunk, tasks) if h is not None]
-        return min(hits, key=lambda h: h["seed"]) if hits else None
-    shape = parse_shape(args.shape)
-    progress = sys.stderr if args.long_running else None
-    if progress:
-        print(f"scanning up to {args.sample} seeds", file=progress)
-    return homomesy.find_gyration_anomaly(
-        shape, max_seeds=args.sample, base_seed=args.seed, mode=args.group
-    )
+        with Pool(workers) as pool:
+            hits = pool.map(_scan_chunk, tasks)
+    else:
+        hits = map(_scan_chunk, tasks)
+    hit = min((h for h in hits if h is not None), key=itemgetter("seed"), default=None)
+    payload = {
+        "mode": args.group,
+        "statistic": stat,
+        "sampled_seeds": args.sample,
+        "found": hit is not None,
+    }
+    if hit is not None:
+        payload["orbit"] = {
+            "seed": hit["seed"],
+            "size": hit["orbit_size"],
+            "average": str(hit["average"]),
+            "representative": _serialise(hit["representative"]),
+        }
+    _emit(payload, args.format, csv_rows=[tuple(payload.keys()), tuple(payload.values())],
+          table_lines=[f"{k}: {v}" for k, v in payload.items()])
+    return EXIT_PASS if hit is not None else EXIT_FAIL
 
 
 def cmd_window(args) -> int:
@@ -512,15 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, floor in FLAG_FLOORS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value < floor:
-            print(f"--{dest.replace('_', '-')} must be at least {floor}", file=sys.stderr)
-            return EXIT_USAGE
     collecting = gc.isenabled()
     gc.disable()
     try:
+        for dest, floor in FLAG_FLOORS.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < floor:
+                raise _UsageError(f"--{dest.replace('_', '-')} must be at least {floor}")
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except ExplosionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

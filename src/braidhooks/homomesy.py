@@ -19,7 +19,9 @@ calls, and builds a state of its own type and poset, or rank, with
 involutions every orbit is a path or a cycle whose edges alternate, so
 ``_walk`` applies them in turn until the start comes back or a state is
 fixed, and from a path end walks the other way from the start: one toggle
-pass per state and no set per orbit.
+pass per state and no set per orbit.  The sampled search,
+``find_gyration_anomaly``, closes each drawn start's orbit with the same
+``dihedral_orbits`` and averages it with ``orbit_average``.
 
 Orbit statistics are window counts summed per collection.  A braid hook is
 three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
@@ -48,8 +50,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import NoPreimageError, NotABraidError
 from .heaps import nu_inverse
 from .posets import _o, _unwind, _window, _window_counts
-from .tableaux import (Shape, Tableau, _hook_total, _hook_windows, random_standard_tableau,
-                       standard_tableaux)
+from .tableaux import Shape, Tableau, _hook_windows, random_standard_tableau, standard_tableaux
 from .words import Word, _braid_windows
 
 __all__ = [
@@ -210,8 +211,11 @@ def orbit_average(orbit: Orbit, statistic: Callable) -> Fraction:
 
 def homomesy_report(carrier: Iterable, statistic: Callable, mode: str = "dihedral",
                     statistic_name: str = "statistic") -> dict:
-    """Orbit decomposition with per-orbit exact averages."""
+    """Orbit decomposition with per-orbit exact averages; ``ValueError`` on an
+    empty carrier."""
     orbits = dihedral_orbits(carrier, mode)
+    if not orbits:
+        raise ValueError("homomesy_report needs a nonempty carrier")
     averages = [orbit_average(orbit, statistic) for orbit in orbits]
     # an orbit's sum is its average times its size
     total = sum(avg * orbit.size for orbit, avg in zip(orbits, averages))
@@ -336,22 +340,17 @@ def find_gyration_anomaly(shape: Shape, max_seeds: int = 10**4, base_seed: int =
                           mode: str = "gyration", seed_start: int = 0) -> dict | None:
     """Sample start tableaux and report the first orbit whose braid-hook
     average differs from one, or None if the budget runs out."""
-    steps = _tau_words(_generators(mode), shape.size)
+    _generators(mode)  # an unknown mode is refused before the first draw
+    hooks = tableau_statistic("braid-hooks")
     visited: set[tuple] = set()
     for seed in range(seed_start, max_seeds):
-        rng = random.Random(f"{base_seed}/{seed}")
-        start = random_standard_tableau(shape, rng)
+        start = random_standard_tableau(shape, random.Random(f"{base_seed}/{seed}"))
         if start.ids in visited:
             continue
-        orbit = _walk(start.ids, steps, start._toggle)
-        visited.update(orbit)
-        members = [start._rebuild(ids) for ids in orbit]
-        average = Fraction(_hook_total(members), len(members))
+        (orbit,) = dihedral_orbits([start], mode)
+        visited.update(x.ids for x in orbit.members)
+        average = orbit_average(orbit, hooks)
         if average != 1:
-            return {
-                "seed": seed,
-                "orbit_size": len(members),
-                "average": average,
-                "representative": min(members, key=_key),
-            }
+            return {"seed": seed, "orbit_size": orbit.size, "average": average,
+                    "representative": orbit.representative}
     return None

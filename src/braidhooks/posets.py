@@ -42,6 +42,7 @@ letters, a braid hook's cell ids), counted by the one ``_window_counts``;
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, count, islice, repeat
@@ -213,7 +214,8 @@ class Poset:
 
 class LinearExtension(_Carrier):
     """Order-preserving labelling: ``ids[m-1]`` is the index of the element
-    labelled m, and ``seq`` the elements themselves in label order.
+    labelled m, and ``seq`` the elements themselves in label order.  Frozen,
+    as a ``Word`` is: copy and pickle rebuild it with ``_build``.
 
     ``NotALinearExtensionError`` unless ``seq`` lists every element once,
     each after its lower covers; the walks here, which place elements only
@@ -275,6 +277,15 @@ class LinearExtension(_Carrier):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(poset={self.poset!r}, seq={self.seq!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _build, (type(self), self.poset, self.ids)
 
 
 _new = object.__new__
@@ -508,9 +519,10 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     """All linear extensions, in lexicographic element-index order.
 
     The same ``Poset`` object asked again gets a fresh list of the same
-    (frozen) extensions, or the walk's ``ExplosionGuardError`` when there are
-    more than ``cap``.  Another poset drops them before its walk, and a
-    capped walk stores nothing: the module keeps one poset's extensions alive.
+    extensions, or the walk's ``ExplosionGuardError`` when there are more
+    than ``cap``; they are frozen, so no caller changes them for the next.
+    Another poset drops them before its walk, and a capped walk stores
+    nothing: the module keeps one poset's extensions alive.
     """
     global _last
     cap = default_cap() if cap is None else cap

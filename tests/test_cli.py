@@ -1,13 +1,40 @@
 """Command line front end: flags, formats, exit codes."""
 
+import argparse
 import json
 import multiprocessing
 import os
 
 import pytest
 
-from braidhooks.cli import EXIT_CAP, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, parse_shape
+from braidhooks.cli import (EXIT_CAP, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, VERIFIERS, main,
+                            parse_shape)
+from braidhooks.errors import ShapeConditionError
 from braidhooks.tableaux import Shape
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A two-CPU machine whose process pool maps in this process; the list
+    records the size of each pool made."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
 
 
 class TestParsing:
@@ -60,6 +87,16 @@ class TestVerify:
     def test_passing(self, argv, capsys):
         assert main(argv) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("spec", ["right:5,3,1", "skew:4,3,2,1/1"])
+    def test_half_right_refuses_other_modes(self, spec, capsys):
+        with pytest.raises(ShapeConditionError):
+            VERIFIERS["half-right"](argparse.Namespace(shape=spec, cap=None))
+        assert main(["verify", "half-right", "--shape", spec]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: verify half-right needs a half-right shape,"
+                                f" not {spec!r}\n")
 
     def test_failing_exit_code(self, capsys):
         assert main(["verify", "homomesy", "--shape", "right:2,2"]) == EXIT_FAIL
@@ -163,33 +200,31 @@ class TestOrbits:
         code = main(["orbits", "--shape", "right:4,3,2,1", "--threads", "0"])
         assert code == EXIT_USAGE
 
-    def test_threads_clamped_to_cpu_count(self, monkeypatch, capsys):
-        sizes = []
-
-        class InlinePool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_threads_clamped_to_cpu_count(self, inline_pool, capsys):
         code = main(
             ["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration",
              "--sample", "20", "--seed", "0", "--threads", "64"]
         )
         assert code == EXIT_PASS
-        assert sizes == [2]
+        assert inline_pool == [2]
         assert json.loads(capsys.readouterr().out)["found"] is True
+
+    def test_pool_prints_the_start_line_and_the_serial_result(self, inline_pool, capsys):
+        argv = ["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration",
+                "--sample", "20", "--long-running"]
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads]) == EXIT_PASS
+            outputs.append(capsys.readouterr())
+        assert inline_pool == [2]  # one worker maps in this process, with no pool
+        assert [out.err for out in outputs] == ["scanning up to 20 seeds\n"] * 2
+        assert outputs[0].out == outputs[1].out
+
+    def test_no_more_workers_than_seeds(self, inline_pool, capsys):
+        code = main(["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration",
+                     "--sample", "1", "--threads", "2"])
+        assert code == EXIT_FAIL  # seed 0 draws an orbit on average
+        assert inline_pool == []
 
     def test_large_sample_needs_long_running(self, capsys):
         code = main(

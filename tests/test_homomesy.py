@@ -75,6 +75,10 @@ class TestOrbits:
         orbit = dihedral_orbits([t])[0]
         assert orbit_average(orbit, tableau_statistic("braid-hooks")) == 1
 
+    def test_empty_carrier_is_refused(self):
+        with pytest.raises(ValueError, match="homomesy_report needs a nonempty carrier"):
+            homomesy_report([], tableau_statistic("braid-hooks"))
+
     def test_global_average_is_weighted_mean(self):
         tableaux = standard_tableaux(Shape.right((3, 3, 1)))
         report = homomesy_report(tableaux, tableau_statistic("braid-hooks"))

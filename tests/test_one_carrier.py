@@ -9,6 +9,10 @@ because each cell covers the nearest cell before it in its row and in its
 column.
 """
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from braidhooks.homomesy import tau_parity
@@ -122,3 +126,31 @@ def test_a_gap_in_a_row_or_column_keeps_its_cells_ordered():
         assert standard_tableaux(shape) == [t]
         with pytest.raises(ValueError, match="not standard"):
             Tableau(shape, cells[::-1])
+
+
+def test_extensions_refuse_assignment_and_the_cache_keeps_them():
+    poset = diamond_poset()
+    found = linear_extensions(poset)
+    walked = [x.ids for x in found]
+    filling = standard_tableaux(Shape.right((3, 2, 1)))[0]
+    for x in (found[0], filling):
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'ids'"):
+            x.ids = tuple(reversed(x.ids))
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'poset'"):
+            del x.poset
+        with pytest.raises(AttributeError):
+            x.note = "anything"
+    assert [x.ids for x in linear_extensions(poset)] == walked
+    assert len(set(linear_extensions(poset))) == len(walked)
+
+
+@pytest.mark.parametrize("duplicate", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_copies_round_trip_to_an_equal_object(duplicate):
+    for x in (standard_tableaux(Shape.right((4, 3, 2, 1)))[5],
+              linear_extensions(diamond_poset())[1]):
+        y = duplicate(x)
+        assert type(y) is type(x)
+        assert y == x and y.ids == x.ids and y.seq == x.seq
+        with pytest.raises(FrozenInstanceError):
+            y.ids = x.ids

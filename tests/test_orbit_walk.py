@@ -4,15 +4,23 @@ Under tau_odd and tau_even every orbit is a path (two of its states are
 fixed by one generator each) or a cycle whose edges alternate.  The walk
 must meet every state of an orbit exactly once from any start: on a path,
 it turns back at the first end and walks the other way from the start.
+The sampled search closes each drawn orbit with ``dihedral_orbits``; its
+reference here is the walk, rebuild, hook total and least key it once kept
+of its own.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
 from braidhooks.homomesy import (
-    MODES, _generators, _tau_words, _walk, dihedral_orbits, tau_even, tau_odd,
+    MODES, _generators, _tau_words, _walk, dihedral_orbits, find_gyration_anomaly, tau_even,
+    tau_odd,
 )
 from braidhooks.posets import chain_poset, linear_extensions
-from braidhooks.tableaux import Shape, standard_tableaux
+from braidhooks.tableaux import (Shape, Tableau, _hook_total, random_standard_tableau,
+                                 standard_tableaux)
 
 from test_keys import GENERATORS
 
@@ -106,3 +114,45 @@ def test_a_state_given_twice_is_one_state():
     assert [orbit.members for orbit in twice] == [
         orbit.members for orbit in dihedral_orbits(carrier)
     ]
+
+
+def reference_anomaly(shape: Shape, max_seeds: int, mode: str, seed_start: int = 0):
+    """The sampled search with its own orbit bookkeeping: walk the drawn
+    start's ids, rebuild each state, total its hooks, take the least key."""
+    steps = _tau_words(_generators(mode), shape.size)
+    visited = set()
+    for seed in range(seed_start, max_seeds):
+        start = random_standard_tableau(shape, random.Random(f"0/{seed}"))
+        if start.ids in visited:
+            continue
+        orbit = _walk(start.ids, steps, start._toggle)
+        visited.update(orbit)
+        members = [start._rebuild(ids) for ids in orbit]
+        average = Fraction(_hook_total(members), len(members))
+        if average != 1:
+            return {"seed": seed, "orbit_size": len(members), "average": average,
+                    "representative": min(members, key=Tableau.key)}
+    return None
+
+
+# A homomesic staircase, the 28-cell one off average under gyration, and a
+# shape whose dihedral and gyration orbits are all off average.
+# The seeds drawn on each shape.
+SAMPLED = {(5, 4, 3, 2, 1): 40, (7, 6, 5, 4, 3, 2, 1): 6, (5, 4, 3, 3): 12}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("outer", SAMPLED, ids=lambda outer: ",".join(map(str, outer)))
+def test_sampled_search_matches_its_own_walk(outer, mode):
+    shape, seeds = Shape.right(outer), SAMPLED[outer]
+    for seed in range(seeds):  # each draw alone, then the range with its visited skip
+        hit = find_gyration_anomaly(shape, seed + 1, mode=mode, seed_start=seed)
+        assert hit == reference_anomaly(shape, seed + 1, mode, seed_start=seed), (mode, seed)
+    hit = find_gyration_anomaly(shape, seeds, mode=mode)
+    assert hit == reference_anomaly(shape, seeds, mode)
+    assert hit is None or type(hit["representative"]) is Tableau
+
+
+def test_sampled_search_refuses_an_unknown_mode_before_the_first_draw():
+    with pytest.raises(ValueError, match="unknown mode 'rotation'"):
+        find_gyration_anomaly(Shape.right((3, 2, 1)), max_seeds=0, mode="rotation")
