@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks pass, 1 a check fails, 2 usage error,
 3 a state cap was exceeded or memory ran out.  All numbers are exact;
 averages print as fractions.  Output is deterministic for a fixed seed and
-flag set.
+flag set.  A ``verify`` result is its theorem's name followed by the
+fields its verifier returns; every command renders through ``_emit``.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -69,14 +70,12 @@ def parse_shape(spec: str) -> Shape:
     raise ShapeSpecError(f"unknown shape mode {mode!r}")
 
 
-def parse_word(spec: str, rank: int, reduced: bool = False) -> words.Word:
+def parse_word(spec: str, rank: int) -> words.Word:
     """Parse comma-separated letters like 1,2,1."""
     try:
         letters = tuple(int(x) for x in spec.split(","))
     except ValueError:
         raise WordSpecError(f"word spec {spec!r} is not comma-separated integers") from None
-    if reduced:
-        return words.make_reduced_word(letters, rank)
     return words.make_word(letters, rank)
 
 
@@ -92,15 +91,18 @@ def _commutation_class(args) -> list[words.Word]:
 
 
 def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
+    """Print ``payload`` as JSON, as CSV rows (by default its keys over its
+    values, a list or dict field as JSON text) or as table lines (by default
+    one ``key: value`` line a field)."""
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows or []:  # a list or dict field is written as JSON text
+        for row in csv_rows or (payload.keys(), payload.values()):
             writer.writerow([json.dumps(x) if isinstance(x, (list, dict)) else str(x)
                              for x in row])
     else:
-        for line in table_lines or [json.dumps(payload)]:
+        for line in table_lines or [f"{k}: {v}" for k, v in payload.items()]:
             print(line)
 
 
@@ -133,35 +135,25 @@ def cmd_enumerate(args) -> int:
     return EXIT_PASS
 
 
-def _verify_reiner(args) -> dict:
-    red = words.all_reduced_words(words.Permutation.longest(args.n), args.cap)
-    stats = words.braid_move_stats(red)
-    return {
-        "theorem": "reiner",
-        "n": args.n,
-        "words": len(red),
-        "braid_moves": stats["total"],
-        "pass": stats["total"] == len(red),
-    }
-
-
-def _verify_commutation_class(args) -> dict:
-    cls = words.commutation_class(words.staircase_word(args.n), args.cap)
-    stats = words.braid_move_stats(cls)
-    return {
-        "theorem": "commutation-class",
-        "n": args.n,
-        "class_size": len(cls),
-        "braid_moves": stats["total"],
-        "pass": stats["total"] == len(cls),
-    }
+def _verify_braid_moves(word_list, count_key: str):
+    """The braid-move check over the words ``word_list(n, cap)``: they hold as
+    many braid moves in all as there are words, counted under ``count_key``."""
+    def verify(args) -> dict:
+        found = word_list(args.n, args.cap)
+        moves = words.braid_move_stats(found)["total"]
+        return {
+            "n": args.n,
+            count_key: len(found),
+            "braid_moves": moves,
+            "pass": moves == len(found),
+        }
+    return verify
 
 
 def _verify_braid_hooks(args) -> dict:
     shape = parse_shape(args.shape)
     value = tableaux.expected_braid_hooks(shape, args.cap)
     return {
-        "theorem": "braid-hooks",
         "shape": args.shape,
         "expected_hooks": str(value),
         "pass": value == 1,
@@ -178,7 +170,6 @@ def _verify_half_right(args) -> dict:
     strong = len(outer) >= 2 and outer[0] >= outer[1] + 2 and outer[-1] == 1
     ok = value == Fraction(1, 2) if strong else value <= Fraction(1, 2)
     return {
-        "theorem": "half-right",
         "shape": spec,
         "expected_hooks": str(value),
         "strong_condition": strong,
@@ -190,7 +181,6 @@ def _verify_skew_balance(args) -> dict:
     shape = parse_shape(args.shape)
     report = tableaux.updown_crossing_balance(shape, args.cap)
     return {
-        "theorem": "skew-balance",
         "shape": args.shape,
         "tableaux": len(report["diffs"]),
         "pass": report["all_diffs_one"],
@@ -206,7 +196,6 @@ def _verify_homomesy(args) -> dict:
     )
     averages = sorted({str(o["average"]) for o in report["orbits"]})
     return {
-        "theorem": "homomesy",
         "shape": args.shape,
         "group": args.group,
         "orbit_count": len(report["orbits"]),
@@ -224,7 +213,6 @@ def _verify_poset_edges(args) -> dict:
         ideal = posets.parse_ideal(poset, args.ideal)
         report = posets.verify_edges(poset, ideal, args.cap)
         return {
-            "theorem": "poset-edges",
             "lhs": report["lhs"],
             "rhs": report["rhs"],
             "per_orbit": [
@@ -244,16 +232,17 @@ def _verify_poset_edges(args) -> dict:
             checked += 1
             if not posets.verify_edges(poset, ideal, cap)["ok"]:
                 return {
-                    "theorem": "poset-edges",
                     "checked": checked,
                     "pass": False,
                 }
-    return {"theorem": "poset-edges", "posets": args.count, "checked": checked, "pass": True}
+    return {"posets": args.count, "checked": checked, "pass": True}
 
 
 VERIFIERS = {
-    "reiner": _verify_reiner,
-    "commutation-class": _verify_commutation_class,
+    "reiner": _verify_braid_moves(
+        lambda n, cap: words.all_reduced_words(words.Permutation.longest(n), cap), "words"),
+    "commutation-class": _verify_braid_moves(
+        lambda n, cap: words.commutation_class(words.staircase_word(n), cap), "class_size"),
     "braid-hooks": _verify_braid_hooks,
     "half-right": _verify_half_right,
     "skew-balance": _verify_skew_balance,
@@ -275,13 +264,8 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"verify {args.theorem} needs --shape")
     if args.theorem == "poset-edges" and args.poset and args.ideal is None:
         raise _UsageError("verify poset-edges --poset needs --ideal")
-    result = verifier(args)
-    _emit(
-        result,
-        args.format,
-        csv_rows=[tuple(result.keys()), tuple(result.values())],
-        table_lines=[f"{k}: {v}" for k, v in result.items()],
-    )
+    result = {"theorem": args.theorem, **verifier(args)}
+    _emit(result, args.format)
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
@@ -403,25 +387,21 @@ def _sampled_search(args, stat: str) -> int:
             "average": str(hit["average"]),
             "representative": _serialise(hit["representative"]),
         }
-    _emit(payload, args.format, csv_rows=[tuple(payload.keys()), tuple(payload.values())],
-          table_lines=[f"{k}: {v}" for k, v in payload.items()])
+    _emit(payload, args.format)
     return EXIT_PASS if hit is not None else EXIT_FAIL
 
 
 def cmd_window(args) -> int:
     word = parse_word(args.word, args.rank)
     table = homomesy.window_table(word)
-    if args.format == "json":
-        payload = {
-            "word": words.word_to_string(word),
-            "rows": [
-                {"i": i, "word": words.word_to_string(w), "a": a, "c": c, "diff": c - a}
-                for i, w, a, c in table.rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(table.to_text())
+    payload = {
+        "word": words.word_to_string(word),
+        "rows": [
+            {"i": i, "word": words.word_to_string(w), "a": a, "c": c, "diff": c - a}
+            for i, w, a, c in table.rows
+        ],
+    }
+    _emit(payload, args.format, table_lines=[table.to_text()])
     return EXIT_PASS
 
 

@@ -97,8 +97,7 @@ class Shape(Poset):
     are equal when their cell sets are.
     """
 
-    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_diags", "_heap",
-                 "_hooks")
+    __slots__ = ("mode", "outer", "inner", "cells", "cell_set", "_rows", "_heap", "_hooks")
 
     def __init__(self, mode: str, cells: Iterable[tuple[int, int]],
                  outer: tuple[int, ...] | None = None,
@@ -118,7 +117,6 @@ class Shape(Poset):
             rows.setdefault(r, []).append(c)
             columns.setdefault(c, []).append(r)
         self._rows = {r: tuple(cs) for r, cs in rows.items()}
-        self._diags = None
         # ``nu``'s column table, condition, letters and whether the shape is
         # separated: ``heaps._stacks`` and ``nu_inverse``'s ``a a`` check run only
         # off a separated shape, or on a word ``nu`` cannot place; built by ``heaps``
@@ -191,13 +189,12 @@ class Shape(Poset):
         return self._rows
 
     def diagonals(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Cells grouped by the diagonal index c - r + 1, top-down per group."""
-        if self._diags is None:
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for r, c in self.cells:
-                groups.setdefault(c - r + 1, []).append((r, c))
-            self._diags = {d: tuple(sorted(g)) for d, g in groups.items()}
-        return self._diags
+        """Cells grouped by the diagonal index c - r + 1, top-down per group
+        (``cells`` is sorted)."""
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for r, c in self.cells:
+            groups.setdefault(c - r + 1, []).append((r, c))
+        return {d: tuple(g) for d, g in groups.items()}
 
     def is_connected(self) -> bool:
         """Consecutive rows must share at least one vertical cell edge."""
@@ -496,8 +493,7 @@ def conjugate(t: Tableau) -> Tableau:
     min_c = min(c for _, c in reflected)
     moved = [(r - min_r + 1, c - min_c + 1) for (r, c) in reflected]
     shape = Shape.from_cells(moved)
-    pos = tuple(reversed(moved))
-    return Tableau(shape, pos, _checked=True)
+    return _build(Tableau, shape, tuple(shape._index[cell] for cell in reversed(moved)))
 
 
 def staircase_pair(t: Tableau) -> Tableau:

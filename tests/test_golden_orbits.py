@@ -4,7 +4,9 @@
 command, recorded before orbit closure became a path or cycle walk over
 label tuples: the four groups on right:5,4,3,2,1, braid moves over the
 class of right:4,3,2,1, a class of a word, a poset file (its text is in
-the file) and two sampled searches, one of which finds an orbit.
+the file) and two sampled searches, one of which finds an orbit.  Both
+sampled searches are also pinned in table and csv, recorded at commit
+ca7ad71, before they rendered through ``_emit``'s defaults.
 """
 
 import json

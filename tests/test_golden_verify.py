@@ -10,6 +10,16 @@ and row/column commute test: ``enumerate --shape right:5,4,3,2,1`` (json)
 and ``--shape half:5,3,1``, ``verify braid-hooks|homomesy --shape
 right:5,4,3,2,1``, and ``verify skew-balance --shape skew:4,3,2,1/1``,
 whose crossings run the jeu-de-taquin slides.
+
+Recorded at commit ca7ad71, before ``verify`` put each theorem's name in
+front of its verifier's own fields and before every command rendered
+through ``_emit``'s defaults: ``verify half-right --shape 5,3,1`` and
+``--shape half:7,5,3,1`` in json, table and csv; the braid-hooks, homomesy
+and skew-balance cases above in table and csv; the failing ``verify
+homomesy --shape right:2,2`` (exit 1); ``verify poset-edges --count 5
+--seed 1`` in table and csv; ``window --word 1,2,1,3,2,1 --rank 4`` in
+table and json; and ``enumerate --class-of-word 1,2,1,3,2,1 --rank 4`` in
+json and csv.
 """
 
 import json
