@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import starmap
 from operator import itemgetter
 
 from . import heaps, homomesy, posets, tableaux, words
@@ -111,9 +112,7 @@ def _serialise(obj) -> str:
         return words.word_to_string(obj)
     if isinstance(obj, tableaux.Tableau):  # before its base class, LinearExtension
         return "|".join(" ".join(map(str, row)) for row in obj.row_values())
-    if isinstance(obj, posets.LinearExtension):
-        return " ".join(str(e) for e in obj.seq)
-    return str(obj)
+    return " ".join(str(e) for e in obj.seq)  # a LinearExtension
 
 
 def cmd_enumerate(args) -> int:
@@ -269,13 +268,6 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
-def _scan_chunk(task) -> dict | None:
-    shape, start, stop, base_seed, mode = task
-    return homomesy.find_gyration_anomaly(
-        shape, max_seeds=stop, base_seed=base_seed, mode=mode, seed_start=start
-    )
-
-
 # The statistics each orbit source can count; the first is the default.
 ORBIT_STATS = {
     "--poset": ("descents",),
@@ -332,10 +324,10 @@ def _orbit_carrier(args, source: str, stat: str):
     """The carrier and the statistic of ``--poset``, ``--shape`` or
     ``--class-of-word``."""
     if source == "--poset":
-        with open(args.poset) as handle:
-            poset = posets.poset_from_lines(handle.read())
         if args.ideal is None:
             raise _UsageError("--poset needs --ideal")
+        with open(args.poset) as handle:
+            poset = posets.poset_from_lines(handle.read())
         ideal = posets.parse_ideal(poset, args.ideal)
         posets._require_proper(poset, ideal)
         return (posets.linear_extensions(poset, args.cap),
@@ -354,9 +346,9 @@ def _orbit_carrier(args, source: str, stat: str):
 
 
 def _sampled_search(args, stat: str) -> int:
-    """``orbits --sample``: the seeds split into at most one ``_scan_chunk``
-    task per worker, mapped in this process or over a pool, and the first hit
-    by seed reported."""
+    """``orbits --sample``: the seeds split into at most one
+    ``find_gyration_anomaly`` task per worker, mapped in this process or over
+    a pool, and the first hit by seed reported."""
     if not args.long_running and args.sample > 1000:
         raise _UsageError("samples above 1000 need --long-running")
     shape = parse_shape(args.shape)
@@ -364,15 +356,16 @@ def _sampled_search(args, stat: str) -> int:
         print(f"scanning up to {args.sample} seeds", file=sys.stderr)
     workers = min(args.threads, os.cpu_count() or 1, args.sample)
     chunk = -(-args.sample // workers)
-    tasks = [(shape, start, min(start + chunk, args.sample), args.seed, args.group)
+    # find_gyration_anomaly(shape, max_seeds, base_seed, mode, seed_start)
+    tasks = [(shape, min(start + chunk, args.sample), args.seed, args.group, start)
              for start in range(0, args.sample, chunk)]
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            hits = pool.map(_scan_chunk, tasks)
+            hits = pool.starmap(homomesy.find_gyration_anomaly, tasks)
     else:
-        hits = map(_scan_chunk, tasks)
+        hits = starmap(homomesy.find_gyration_anomaly, tasks)
     hit = min((h for h in hits if h is not None), key=itemgetter("seed"), default=None)
     payload = {
         "mode": args.group,

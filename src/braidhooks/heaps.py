@@ -12,24 +12,23 @@ position p corresponds to the p-th cell (top-down) of the shape's diagonal
 c, ``shape_poset`` relabels the shape's cell poset by those pieces, and the
 drop order becomes a standard filling.
 
-``nu`` builds no heap: it places the pieces in one pass over the letters
-and checks where each lands against the shape's cover masks.  A heap's
-order is generated by its adjacent-column pairs, so that is exact once the
-shape is ordered: each of its covers joins adjacent diagonals and it orders
-every two cells on adjacent diagonals, which its own masks tell.  Built
-once per ``Shape``: the column table (the cell id at each column and stack
-position), that condition, each cell id's letter, and whether the shape is
-separated, that is, ordered with a cell of a neighbouring column strictly
-between each two consecutive cells of a column.  ``_stacks`` is the one
-check of the quadratic rule, a scan of column heights in drop order.  A
-pass that places every piece on a separated shape stacks none on its own
-column, so there ``nu`` skips ``_stacks`` and places cell ids, the
-filling's own labels, without drop heights.  On any other shape, and for
-a word the pass cannot place, ``_stacks`` runs before the answer is given,
-so the quadratic rule is reported first; ``heap_poset`` runs it too.  Only
-off a separated shape does ``nu_inverse`` check for ``a a``.  It reads the
-letters of a filling's ids and builds its word without ``Word``'s range
-check, which the public constructors keep.
+``nu`` builds no heap of the word: it places the pieces in one pass over
+the letters and checks where each lands against the shape's cover masks.
+That is exact once the shape is itself a heap, which is checked once per
+``Shape``: its cells, dropped in id order as pieces of their columns, must
+make a heap with exactly the shape's order.  No cell covers one of its own
+diagonal, so then no piece covers one of its own column.  Beside that one
+condition the shape keeps its column table
+(the cell id at each column and stack position) and each cell id's letter.
+``_stacks`` is the one check of the quadratic rule, a scan of column
+heights in drop order.  A pass that places every piece on a heap stacks
+none on its own column, so ``nu`` then returns the cell ids, the filling's
+own labels, without ``_stacks``; off a heap, and for a word the pass cannot
+place, ``_stacks`` runs before the ``ShapeMismatchError``, so the quadratic
+rule is reported first; ``heap_poset`` runs it too.  Only off a heap does
+``nu_inverse`` check for ``a a``.  It reads the letters of a filling's ids
+and builds its word without ``Word``'s range check, which the public
+constructors keep.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import LinearExtension, Poset, _bits, _build
+from .posets import LinearExtension, Poset, _bits, _build, transitive_reduction
 from .tableaux import Shape, Tableau
 from .words import Word, _heap_order, _no_square, _word
 
@@ -93,31 +92,23 @@ def build_order_extension(word: Word) -> LinearExtension:
     return LinearExtension(heap_poset(word), tuple(_pieces(word)))
 
 
-def _shape_side(shape: Shape) -> tuple[list[list[int]], bool, list[int], bool]:
+def _shape_side(shape: Shape) -> tuple[list[list[int]], list[int], bool]:
     """The shape's side of ``nu``, built once per shape: ``table[column][p]``
     is the id of the cell at stack position p+1 of that column, its
-    normalised diagonal (column 0 is empty), ``ordered`` and ``separated``
-    are the module's conditions, and ``letter[i]`` is the column of cell id i."""
+    normalised diagonal (column 0 is empty), ``letter[i]`` is the column of
+    cell id i, and the flag says whether the cells, dropped in id order as
+    pieces of their columns, make a heap with exactly the shape's order."""
     if shape._heap is None:
         diagonals, index = shape.diagonals(), shape._index
         shift = 1 - min(diagonals)
         table = [[index[cell] for cell in diagonals.get(c - shift, ())]  # top-down
                  for c in range(max(diagonals) + shift + 1)]
         letter = [c - r + 1 + shift for r, c in shape.cells]  # cell id i is cells[i]
-        below, down = shape._below, shape._down
-        ordered = all(
-            abs(letter[i] - letter[j]) == 1 for i, b in enumerate(below) for j in _bits(b)
-        ) and all(
-            (down[x] >> y | down[y] >> x) & 1
-            for lower, upper in zip(table, table[1:]) for x in lower for y in upper
-        )
-        # once ``ordered``, a neighbour below y and not below x lies above x
-        bits = [sum(1 << i for i in column) for column in table] + [0]
-        separated = ordered and all(
-            down[y] & ~down[x] & (bits[c - 1] | bits[c + 1])
-            for c in range(1, len(table)) for x, y in zip(table[c], table[c][1:])
-        )
-        shape._heap = table, ordered, letter, separated
+        order, below = _heap_order(tuple(letter))  # piece i is cell id order[i]
+        by_id = [0] * len(order)
+        for i, b in zip(order, below):
+            by_id[i] = sum([1 << order[j] for j in _bits(b)])
+        shape._heap = table, letter, transitive_reduction(by_id)[1] == shape._down
     return shape._heap
 
 
@@ -133,19 +124,16 @@ def shape_poset(shape: Shape) -> Poset:
 def nu(word: Word, shape: Shape) -> Tableau:
     """Transport the build order of the word's heap onto the shape's cells.
 
-    On an ordered shape, each piece, rightmost letter first, takes its
+    On a shape that is a heap, each piece, rightmost letter first, takes its
     column's next stack position, so the cell the column table holds there,
-    whose lower covers must already be placed.  Unless that pass placed
-    every piece on a separated shape, ``_stacks`` checks the quadratic rule
-    before the answer.
+    whose lower covers must already be placed; a pass that places every
+    piece is the answer.  Otherwise ``_stacks`` checks the quadratic rule
+    before the ``ShapeMismatchError``.
     """
-    table, ordered, _, separated = _shape_side(shape)
-    below = shape._below
-    letters = word.letters
-    ids = []
-    if ordered and len(letters) == len(below):
-        counts = [0] * len(table)
-        mask = 0
+    table, _, heap = _shape_side(shape)
+    below, letters = shape._below, word.letters
+    if heap and len(letters) == len(below):
+        counts, mask, ids = [0] * len(table), 0, []
         try:
             for a in reversed(letters):
                 p = counts[a]
@@ -155,26 +143,22 @@ def nu(word: Word, shape: Shape) -> Tableau:
                     break
                 mask |= 1 << i
                 ids.append(i)
+            else:
+                return _build(Tableau, shape, tuple(ids))
         except IndexError:  # a letter past the table, or a full column
             pass
-    placed = len(ids) == len(below)  # no ids off an ordered shape, and a shape has cells
-    if not (placed and separated):
-        _stacks(letters)
-    if not placed:
-        raise ShapeMismatchError(
-            f"heap of {word} is not isomorphic to the poset of {shape!r}"
-        )
-    return _build(Tableau, shape, tuple(ids))
+    _stacks(letters)
+    raise ShapeMismatchError(f"heap of {word} is not isomorphic to the poset of {shape!r}")
 
 
 def nu_inverse(t: Tableau) -> Word:
     """Read the word back: letter p from the left is the column (normalised
-    diagonal) of the cell holding N+1-p.  A separated shape reads back no
-    factor ``a a``; any other, a disconnected skew shape say, can:
+    diagonal) of the cell holding N+1-p.  A shape that is a heap reads back
+    no factor ``a a``; any other, a disconnected skew shape say, can:
     ``QuadraticRuleError``."""
-    table, _, letter, separated = _shape_side(t.shape)
+    table, letter, heap = _shape_side(t.shape)
     letters = tuple([letter[i] for i in reversed(t.ids)])
-    if not separated:
+    if not heap:
         _no_square(letters)
     return _word(letters, len(table))
 

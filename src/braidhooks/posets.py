@@ -160,7 +160,7 @@ def _unwind(x, m: int):
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_table")
+    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_table", "_windows")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -176,6 +176,7 @@ class Poset:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
         self._table = None  # ``_lattice`` of the order, built on first use
+        self._windows = None  # ``verify_edges``' per-orbit cover windows, once bounds pass
         names = self.elements
         self.covers = frozenset(
             (names[j], names[i]) for i, b in enumerate(self._below) for j in _bits(b)
@@ -508,10 +509,9 @@ def _extensions(table: tuple, names: Sequence, build, cap: int, what: str) -> li
             return found
 
 
-# The last poset ``linear_extensions`` walked (matched by identity), its
-# extensions, and their dihedral orbits once ``verify_edges`` closed them.  Not
-# a ``Poset`` slot: that makes the cycle Poset -> extensions -> Poset, garbage
-# that only the cycle collector frees.
+# The last poset ``linear_extensions`` walked (matched by identity) and its
+# extensions.  Not a ``Poset`` slot: that makes the cycle Poset -> extensions
+# -> Poset, garbage that only the cycle collector frees.
 _last: dict = {}
 
 
@@ -607,29 +607,25 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     p, p in the ideal and q outside it.  The extensions and their dihedral
     orbits do not depend on the ideal, so the first call on a ``Poset`` object
     closes the orbits once and counts, per orbit, each cover's window (p, q),
-    its q placed right after its p; those counts are kept beside the extensions
-    ``linear_extensions`` keeps.  Every ideal is then one mask, and an orbit's
-    descent sum is the total count of the covers that the mask cuts.  Sums
-    are integers; each orbit's average is one ``Fraction``, for the report.
-    Only a call that passed the bounds check stores those counts, so a later
-    call on the same poset skips that check.
+    its q placed right after its p; those counts, only ints, are the poset's
+    ``_windows``.  Every ideal is then one mask, and an orbit's descent sum is
+    the total count of the covers that the mask cuts.  Sums are integers; each
+    orbit's average is one ``Fraction``, for the report.  Only a call that
+    passed the bounds check stores those counts, so a later call on the same
+    poset skips that check.
     """
     from .homomesy import dihedral_orbits
 
-    last = _last  # read once: another thread may walk a different poset meanwhile
-    if last.get("poset") is not poset or "windows" not in last:
+    windows = poset._windows
+    if windows is None:
         _require_bounds_and_proper(poset, ideal)
     else:
         _require_proper(poset, ideal)
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
-    last = _last
-    if last.get("poset") is not poset:
-        last = {}
-    windows = last.get("windows")
     if windows is None:
         covers = [(p, q) for q, b in enumerate(poset._below) for p in _bits(b)]
-        windows = last["windows"] = [
+        windows = poset._windows = [
             (orbit.size, [(1 << p, 1 << q, n) for (p, q), n in
                           _window_counts(orbit.members, lambda chunk: covers)[1].items() if n])
             for orbit in dihedral_orbits(extensions, "dihedral")]

@@ -117,9 +117,9 @@ class Shape(Poset):
             rows.setdefault(r, []).append(c)
             columns.setdefault(c, []).append(r)
         self._rows = {r: tuple(cs) for r, cs in rows.items()}
-        # ``nu``'s column table, condition, letters and whether the shape is
-        # separated: ``heaps._stacks`` and ``nu_inverse``'s ``a a`` check run only
-        # off a separated shape, or on a word ``nu`` cannot place; built by ``heaps``
+        # ``nu``'s column table, letters and whether the shape is a heap:
+        # ``heaps._stacks`` and ``nu_inverse``'s ``a a`` check run only off a
+        # heap, or on a word ``nu`` cannot place; built by ``heaps``
         self._heap = None
         self._hooks = None  # braid-hook windows as cell-id triples, built by ``_hook_windows``
         super().__init__(self.cells, [

@@ -343,20 +343,6 @@ def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
                        lambda seq: _word(seq, rank), cap, "words")
 
 
-def _first_reduced_word(perm: Permutation) -> Word:
-    """Some reduced word for ``perm`` (peel descents from the right)."""
-    popped: list[int] = []
-    current = perm
-    while True:
-        descents = current.descents()
-        if not descents:
-            break
-        i = descents[0]
-        popped.append(i)
-        current = current.times_s(i)
-    return Word(tuple(reversed(popped)), perm.n)
-
-
 def _descents(state: tuple[int, ...], *_) -> list[int]:
     """The left descents of a weak-order state ``(0, pos[1], ..., pos[n])``,
     ``pos[v]`` the place of value v: the letters a with a+1 before a."""

@@ -1,6 +1,7 @@
 """Shared fixtures: building tableaux from row lists, test shape families."""
 
 from braidhooks.tableaux import Shape, Tableau
+from braidhooks.words import Permutation, Word
 
 
 def tableau_of(shape: Shape, rows: list[list[int]]) -> Tableau:
@@ -12,6 +13,20 @@ def tableau_of(shape: Shape, rows: list[list[int]]) -> Tableau:
             entry[(r, c)] = v
     pos = [cell for cell, v in sorted(entry.items(), key=lambda kv: kv[1])]
     return Tableau(shape, tuple(pos))
+
+
+def first_reduced_word(perm: Permutation) -> Word:
+    """Some reduced word for ``perm`` (peel descents from the right)."""
+    popped: list[int] = []
+    current = perm
+    while True:
+        descents = current.descents()
+        if not descents:
+            break
+        i = descents[0]
+        popped.append(i)
+        current = current.times_s(i)
+    return Word(tuple(reversed(popped)), perm.n)
 
 
 def partitions(n: int, max_part: int | None = None):

@@ -153,9 +153,8 @@ def test_many_chunks_of_mixed_words(monkeypatch):
     assert braid_move_stats(ws)["total"] > 0
 
 
-def test_ranks_across_the_bytes_and_str_boundary(monkeypatch):
-    """Letters up to 254 are joined as bytes; a window holding 255, or a
-    letter past 255, sends the chunk to ``str``."""
+def buffer_types(monkeypatch) -> list:
+    """Record the type of each chunk's joined buffer from here on."""
     joined = []
     join = posets._joined
 
@@ -165,6 +164,13 @@ def test_ranks_across_the_bytes_and_str_boundary(monkeypatch):
         return buf, encode
 
     monkeypatch.setattr(posets, "_joined", spy)
+    return joined
+
+
+def test_ranks_across_the_bytes_and_str_boundary(monkeypatch):
+    """Letters up to 254 are joined as bytes; a window holding 255, or a
+    letter past 255, sends the chunk to ``str``."""
+    joined = buffer_types(monkeypatch)
     scan_only(monkeypatch)
     chunk = posets._CHUNK
     rng = random.Random(3)
@@ -175,6 +181,18 @@ def test_ranks_across_the_bytes_and_str_boundary(monkeypatch):
         joined.clear()
         assert braid_move_stats(ws) == reference(ws), rank
         assert joined == [kind, kind], rank
+
+
+def test_a_large_letter_outside_every_window_falls_back_to_str(monkeypatch):
+    # every braid window is below 255, so the chunk tries ``bytes`` first;
+    # letter 300 does not fit a byte, and the chunk is joined as ``str``
+    joined = buffer_types(monkeypatch)
+    ws = [make_word((1, 2, 1, 300), 302), make_word((300, 3, 4, 3, 300, 4), 302),
+          make_word((2, 1, 2, 300, 1, 2, 1), 302)]
+    expected = reference(ws)
+    assert expected["up"] == 3 and expected["down"] == 1
+    assert braid_move_stats(ws) == expected
+    assert joined == [str]
 
 
 def test_a_generator_is_read_once():

@@ -29,8 +29,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -238,6 +238,25 @@ class TestOrbits:
             ["orbits", "--shape", "right:7,6,5,4,3,2,1", "--group", "gyration"]
         )
         assert code == EXIT_USAGE
+
+    def test_long_running_full_enumeration_prints_its_start_line(self, capsys):
+        code = main(["orbits", "--shape", "right:3,2,1", "--long-running"])
+        assert code == EXIT_PASS
+        captured = capsys.readouterr()
+        assert captured.err == "enumerating all fillings of 6 cells\n"
+        assert json.loads(captured.out)["homomesic"] is True
+
+    @pytest.mark.parametrize("argv", [["orbits"], ["verify", "poset-edges"]],
+                             ids=["orbits", "verify"])
+    def test_poset_without_ideal_is_refused_before_the_file_is_read(self, argv, tmp_path,
+                                                                    capsys):
+        # the file does not exist, so reading it first would report that instead
+        missing = tmp_path / "missing.txt"
+        assert main([*argv, "--poset", str(missing)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        command = "verify poset-edges " if argv[0] == "verify" else ""
+        assert captured.err == f"{command}--poset needs --ideal\n"
+        assert captured.out == ""
 
     def test_poset_descents(self, tmp_path, capsys):
         path = tmp_path / "diamond.txt"

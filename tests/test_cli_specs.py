@@ -38,7 +38,7 @@ def test_bad_word_spec_names_it(argv, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["orbits", "--shape", ""], "shape spec '' needs a mode prefix"),
-    (["orbits", "--poset", ""], "No such file or directory: ''"),
+    (["orbits", "--poset", "", "--ideal", "a"], "No such file or directory: ''"),
     (["enumerate", "--shape", ""], "shape spec '' needs a mode prefix"),
 ])
 def test_empty_source_flag_is_that_source(argv, message, capsys):

@@ -1,8 +1,8 @@
 """Checking every ideal of a poset walks its extensions and closes their orbits once.
 
 ``linear_extensions`` keeps the last poset it walked (matched by identity)
-with its extensions, and ``verify_edges`` adds their dihedral orbits, since
-neither depends on the ideal.  The reuse must give the reports a fresh walk
+with its extensions, and ``verify_edges`` keeps the cover windows of their
+dihedral orbits on the poset, since neither depends on the ideal.  The reuse must give the reports a fresh walk
 gives, honour the cap as a walk does, hand out lists the caller may change,
 and keep no poset alive through a reference cycle.
 """
@@ -114,6 +114,15 @@ def test_bounds_are_checked_once_per_poset_and_properness_every_call(monkeypatch
         verify_edges(poset, frozenset())
 
 
+def test_windows_stay_with_their_poset_when_the_walk_moves_on(monkeypatch):
+    first, second = seeded_posets(2)
+    verify_edges(first, proper_ideals(first)[0])
+    verify_edges(second, proper_ideals(second)[0])  # replaces the kept walk
+    closures = counting(monkeypatch, homomesy, "dihedral_orbits")
+    assert all(verify_edges(first, ideal)["ok"] for ideal in proper_ideals(first))
+    assert closures == []
+
+
 def test_no_poset_is_left_in_a_cycle():
     # a cycle Poset -> extensions -> LinearExtension.poset -> Poset would
     # leave each checked poset for the cycle collector once dropped
@@ -141,7 +150,7 @@ def test_no_poset_is_left_in_a_cycle():
 
 def test_threads_sharing_the_entry_get_their_own_reports():
     # the entry is replaced, never edited across posets, so a thread that
-    # reads it mid-switch walks again rather than taking another's orbits
+    # reads it mid-switch walks again rather than taking another's extensions
     work = [(poset, ideal) for poset in seeded_posets(24) for ideal in proper_ideals(poset)]
     expected = [verify_edges(Poset(p.elements, p.covers), i) for p, i in work]
     interval = sys.getswitchinterval()

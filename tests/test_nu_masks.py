@@ -29,9 +29,9 @@ from test_one_carrier import GAPS
 MAX_CELLS = 7
 
 
-def disconnected_skew_shapes(max_outer: int) -> list[Shape]:
-    """Skew shapes inside outer partitions of at most ``max_outer`` cells
-    whose rows do not all touch (a row may be emptied), one per cell set."""
+def skew_shapes(max_outer: int) -> list[Shape]:
+    """Skew shapes with a nonempty inner partition inside outer partitions
+    of at most ``max_outer`` cells (a row may be emptied), one per cell set."""
     shapes = {}
     for total in range(2, max_outer + 1):
         for outer in partitions(total):
@@ -40,9 +40,13 @@ def disconnected_skew_shapes(max_outer: int) -> list[Shape]:
                     if len(inner) > len(outer) or any(m > l for l, m in zip(outer, inner)):
                         continue
                     shape = Shape.skew_right(outer, inner)
-                    if not shape.is_connected():
-                        shapes.setdefault(shape.cells, shape)
+                    shapes.setdefault(shape.cells, shape)
     return list(shapes.values())
+
+
+def disconnected_skew_shapes(max_outer: int) -> list[Shape]:
+    """The ``skew_shapes`` whose rows do not all touch."""
+    return [shape for shape in skew_shapes(max_outer) if not shape.is_connected()]
 
 
 SHAPES = {
@@ -158,7 +162,7 @@ FAMILIES = {**SHAPES, "gaps": [Shape.from_cells(cells) for cells in GAPS]}
 
 def read_word(t) -> Word:
     """The word ``nu_inverse`` reads from a filling, a factor ``a a`` kept."""
-    letter = heaps._shape_side(t.shape)[2]
+    letter = heaps._shape_side(t.shape)[1]
     letters = tuple([letter[i] for i in reversed(t.ids)])
     return Word(letters, max(letters) + 1)
 
@@ -223,9 +227,10 @@ def test_a_cover_across_a_gap_is_no_heap_cover():
 
 
 def separated_by_less(shape: Shape) -> bool:
-    """Every cover joins adjacent diagonals, every two cells on adjacent
-    diagonals are comparable, and some cell of a neighbouring diagonal lies
-    strictly between each two consecutive cells of a diagonal."""
+    """The two-condition rule, the heap check's reference.  Ordered: every
+    cover joins adjacent diagonals and every two cells on adjacent diagonals
+    are comparable.  Separated: ordered, with some cell of a neighbouring
+    diagonal strictly between each two consecutive cells of a diagonal."""
     diagonals = shape.diagonals()
     less = shape.less
     ordered = all(abs((b[1] - b[0]) - (a[1] - a[0])) == 1 for a, b in shape.covers) and all(
@@ -237,11 +242,31 @@ def separated_by_less(shape: Shape) -> bool:
     )
 
 
+def random_cell_sets(count: int) -> list[Shape]:
+    """Seeded sets of one to eight cells of a 4 x 4 grid, gaps and all."""
+    rng = random.Random("cell sets")
+    grid = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+    return [Shape.from_cells(rng.sample(grid, rng.randint(1, 8))) for _ in range(count)]
+
+
+def test_the_heap_check_is_the_two_condition_rule():
+    shapes = [*(Shape.right(p) for n in range(1, 10) for p in partitions(n)),
+              *(Shape.half_right(p) for n in range(1, 10) for p in strict_partitions(n)),
+              *skew_shapes(10), *random_cell_sets(1000)]
+    assert len(shapes) == 2711
+    heaps_found = 0
+    for shape in shapes:
+        heap = heaps._shape_side(shape)[2]
+        assert heap == separated_by_less(shape), shape
+        heaps_found += heap
+    assert 0 < heaps_found < len(shapes)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_separated_is_read_off_the_order(family):
     flags = set()
     for shape in FAMILIES[family]:
-        separated = heaps._shape_side(shape)[3]
+        separated = heaps._shape_side(shape)[2]
         assert separated == separated_by_less(shape), shape
         flags.add(separated)
         if separated:
@@ -257,7 +282,7 @@ def test_separated_is_read_off_the_order(family):
 def test_a_shape_that_is_not_separated_reads_back_a_square():
     squares = 0
     for shape in SHAPES["disconnected"]:
-        if heaps._shape_side(shape)[3]:
+        if heaps._shape_side(shape)[2]:
             continue
         for t in standard_tableaux(shape):
             word = read_word(t)
@@ -272,7 +297,7 @@ def test_a_shape_that_is_not_separated_reads_back_a_square():
 
 def test_separated_shapes_place_their_words_without_stacks(monkeypatch):
     shapes = [shape for shapes in FAMILIES.values() for shape in shapes
-              if heaps._shape_side(shape)[3]]
+              if heaps._shape_side(shape)[2]]
     fillings = [t for shape in shapes for t in standard_tableaux(shape)]
     words = [nu_inverse(t) for t in fillings]
 

@@ -76,7 +76,7 @@ def test_read_back_words_are_like_checked_ones():
             except QuadraticRuleError:
                 # a disconnected shape can read back `a a`, which the checked
                 # constructor rejects too
-                letter = heaps._shape_side(shape)[2]
+                letter = heaps._shape_side(shape)[1]
                 letters = [letter[i] for i in reversed(t.ids)]
                 with pytest.raises(QuadraticRuleError):
                     make_word(letters, max(letters) + 1)

@@ -39,6 +39,8 @@ from braidhooks.words import (
     word_to_string,
 )
 
+from helpers import first_reduced_word
+
 
 def red_words_oracle(perm: Permutation) -> set[tuple[int, ...]]:
     """Independent enumeration of Red(perm) by peeling descents."""
@@ -386,7 +388,7 @@ class TestClosureMatchesMoveReference:
     def test_all_reduced_words(self, n):
         for perm in all_permutations(n):
             found = all_reduced_words(perm)
-            start = words._first_reduced_word(perm)
+            start = first_reduced_word(perm)
             assert found == reference_closure(start, ALL_KINDS)
             assert all(type(w) is Word and w.rank == n for w in found)
             for word in found:
@@ -419,7 +421,7 @@ class TestClosureMatchesMoveReference:
 
 def reference_graph(perm: Permutation) -> tuple[list[Word], set[tuple[int, int, str]]]:
     """The Matsumoto graph built only on ``list_moves`` and ``apply_move``."""
-    vertices = reference_closure(words._first_reduced_word(perm), ALL_KINDS)
+    vertices = reference_closure(first_reduced_word(perm), ALL_KINDS)
     index = {w: i for i, w in enumerate(vertices)}
     edges = set()
     for word in vertices:
