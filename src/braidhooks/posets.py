@@ -29,8 +29,11 @@ first, each with its labels, the states they lead to and the number of
 chains from it, and refuses once a partial count passes the cap.
 ``_downset_table`` gives it the down-sets (``_placeable`` is the one
 placeability rule).  ``_extensions`` is the one walk: it refuses a count
-above the cap before it makes any object, builds the tails of the states
-near the end once and walks the rest of the table on an explicit stack.
+above the cap before it makes any tail, splits the table at the level where
+its own counts (``count`` below a state, ``_forward`` above it) make the
+tails built plus the prefixes walked fewest, builds that level's tails once
+and walks the rest on an explicit stack, listing the chains as tuples;
+``_wrap`` then makes the caller's objects from them in place, by chunks.
 A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
 ``order_ideals`` returns its down-sets.  Covers, bounds and descents read
 the cover masks, and comparability (the toggle's commute test) the
@@ -42,11 +45,12 @@ letters, a braid hook's cell ids), counted by the one ``_window_counts``;
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, count, islice, repeat
-from operator import attrgetter, itemgetter, or_
+from functools import reduce
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, attrgetter, itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -380,7 +384,7 @@ def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> t
             raise ExplosionGuardError(cap, what)
 
 
-_CHUNK = 4096  # carriers per joined buffer: about 64 kB for the words of S6
+_CHUNK = 4096  # carriers per joined buffer (about 64 kB for S6's words) and per ``_wrap`` step
 
 
 def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tuple, int]]:
@@ -465,25 +469,60 @@ def _downset_table(below: list[int], cap: int, what: str, ideals: bool = False) 
     return _lattice(0, addable, _place, cap, what, ideals)
 
 
-def _extensions(table: tuple, names: Sequence, build, cap: int, what: str) -> list:
-    """``build(chain)`` for every maximal chain of ``table`` (``_lattice``),
-    ``chain`` the tuple of ``names[label]`` along it, in lexicographic label
-    order.  A root count above ``cap`` is ``ExplosionGuardError(cap, what)``
-    before any object is made.  The tails of the states a third of the
-    chain length from the end are built once, level by level up from the
-    end, each level from the one below, which is then dropped; the walk
-    places the rest on its own stack and completes one chain from each tail
-    of the state it reaches, into a list of the counted size."""
+def _forward(up: list[list[int]]) -> list[int]:
+    """``fwd[s]``, the number of chains from the root (the last state of a
+    ``_lattice`` table) down to state s: one pass over ``up``, each state
+    before the states it leads to.  ``fwd[s] * count[s]`` chains pass s."""
+    fwd = [0] * len(up)
+    fwd[-1] = 1
+    for s in range(len(up) - 1, -1, -1):
+        f = fwd[s]
+        for c in up[s]:
+            fwd[c] += f
+    return fwd
+
+
+def _split(counts: list[int], forward: list[int]) -> int:
+    """The length of the tails ``_extensions`` builds: the level h (steps to
+    the end) where the tails built on levels up to h, ``counts`` summed
+    there, plus the prefix states walked on levels h and up, ``forward``
+    summed there, are fewest; the lowest such level on a tie."""
+    built = accumulate(counts)
+    walked = reversed(list(accumulate(reversed(forward))))
+    cost = list(map(add, built, walked))
+    return cost.index(min(cost))
+
+
+def _extensions(table: tuple, names: Sequence, cap: int, what: str) -> list[tuple]:
+    """Every maximal chain of ``table`` (``_lattice``), as the tuple of
+    ``names[label]`` along it, in lexicographic label order.  A root count
+    above ``cap`` is ``ExplosionGuardError(cap, what)`` before any tail is
+    built.  Level h holds the states h steps from the end; ``count`` sums
+    there to the tails the level would build, ``_forward`` to the prefixes
+    that reach it, and ``_split`` picks the level.  Its tails are built once,
+    level by level up from the end, each level from the one below, which is
+    then dropped; the walk places the rest on its own stack and completes
+    each prefix it reaches with every tail there by a C-level
+    ``map(prefix.__add__, tails)``, into a list of the counted size.  The
+    caller wraps the chains (``_wrap``) once this returns and its tails are
+    gone."""
     _, count, options, up = table
     if count[-1] > cap:
         raise ExplosionGuardError(cap, what)
-    height, levels = [], {}  # the states by their distance from the end
-    for s, children in enumerate(up):  # post-order: children first
+    fwd = _forward(up)
+    height, levels = [], []  # the states by their distance from the end
+    counts, forward = [], []  # ``count`` and ``fwd`` summed on each level
+    for s, children in enumerate(up):  # post-order: children first, so levels come in order
         h = height[children[0]] + 1 if children else 0
         height.append(h)
-        levels.setdefault(h, []).append(s)
-    length = height[-1]
-    low = length // 3  # the tails' length
+        if h == len(levels):
+            levels.append([])
+            counts.append(0)
+            forward.append(0)
+        levels[h].append(s)
+        counts[h] += count[s]
+        forward[h] += fwd[s]
+    length, low = height[-1], _split(counts, forward)
     tails = {s: [()] for s in levels[0]}
     for h in range(1, low + 1):
         tails = {s: [(names[a], *t) for a, c in zip(options[s], up[s]) for t in tails[c]]
@@ -494,8 +533,8 @@ def _extensions(table: tuple, names: Sequence, build, cap: int, what: str) -> li
     s, k, f = len(up) - 1, 0, 0
     while True:
         if len(placed) == split:
-            here, prefix = tails[s], tuple(placed)
-            found[f:f + len(here)] = [build(prefix + t) for t in here]
+            here = tails[s]
+            found[f:f + len(here)] = map(tuple(placed).__add__, here)
             f += len(here)
             k = len(up[s])
         if k < len(up[s]):
@@ -507,6 +546,24 @@ def _extensions(table: tuple, names: Sequence, build, cap: int, what: str) -> li
             s, k = path.pop()
         else:
             return found
+
+
+_drain = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
+
+
+def _wrap(chains: list, cls: type, set_labels, set_fixed, fixed) -> list:
+    """``chains`` made ``cls`` objects in place, ``_CHUNK`` at a time:
+    ``_new`` makes a chunk's objects, and C-level maps fill their two slots,
+    each object's label slot with its chain through ``set_labels`` and the
+    other with ``fixed`` through ``set_fixed``.  No object runs a Python
+    frame of its own, and no list of all of them exists beside ``chains``."""
+    labels = iter(chains)  # ``map`` ends with ``made``, before it reads past the chunk
+    for i in range(0, len(chains), _CHUNK):
+        made = list(map(_new, repeat(cls, min(_CHUNK, len(chains) - i))))
+        _drain(map(set_fixed, made, repeat(fixed)))
+        _drain(map(set_labels, made, labels))
+        chains[i:i + _CHUNK] = made
+    return chains
 
 
 # The last poset ``linear_extensions`` walked (matched by identity) and its
@@ -529,8 +586,9 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     last = _last
     if last.get("poset") is not poset:
         _last = {}
-        found = _extensions(poset._downsets(cap, "linear extensions"), range(poset.size),
-                            partial(_build, LinearExtension, poset), cap, "linear extensions")
+        chains = _extensions(poset._downsets(cap, "linear extensions"), range(poset.size),
+                             cap, "linear extensions")
+        found = _wrap(chains, LinearExtension, _set_ids, _set_poset, poset)
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")

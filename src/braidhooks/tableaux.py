@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -38,7 +37,7 @@ from .errors import (
     default_cap,
 )
 from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _is_extension,
-                     _set_ids, _set_poset, _window_counts)
+                     _set_ids, _set_poset, _window_counts, _wrap)
 
 __all__ = [
     "Shape",
@@ -252,8 +251,8 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     """All standard fillings, sorted lexicographically by row-reading word;
     ``ExplosionGuardError`` when there are more than ``cap``."""
     cap = default_cap() if cap is None else cap
-    out = _extensions(shape._downsets(cap, "fillings"), range(shape.size),
-                      partial(_build, Tableau, shape), cap, "fillings")
+    chains = _extensions(shape._downsets(cap, "fillings"), range(shape.size), cap, "fillings")
+    out = _wrap(chains, Tableau, _set_ids, _set_poset, shape)
     out.sort(key=Tableau.key)
     return out
 

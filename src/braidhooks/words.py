@@ -21,9 +21,10 @@ permutation, which are its reduced words, and ``commutation_class`` those
 of the down-sets of the word's heap (its linear extensions).  Both build
 their table with ``posets._lattice``, which counts the chains and refuses a
 count above the cap before any word is built, and list it with the one
-walk, ``posets._extensions``.  The heap is compiled once, by
-``_heap_order``, which ``heaps.heap_poset`` also reads.  Both meet each word
-once, in lexicographic order, with no ``seen`` set or sort.
+walk, ``posets._extensions``, whose chains ``posets._wrap`` makes words.
+The heap is compiled once, by ``_heap_order``, which ``heaps.heap_poset``
+also reads.  Both meet each word once, in lexicographic order, with no
+``seen`` set or sort.
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
 
 A braid site is a window of three letters, ``a (a+1) a`` or
@@ -48,7 +49,7 @@ from .errors import (
     QuadraticRuleError,
     default_cap,
 )
-from .posets import _Carrier, _downset_table, _extensions, _lattice, _window_counts
+from .posets import _Carrier, _downset_table, _extensions, _lattice, _window_counts, _wrap
 
 __all__ = [
     "Word",
@@ -338,9 +339,9 @@ def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     """
     cap = default_cap() if cap is None else cap
     order, below = _heap_order(word.letters)
-    letters, rank = [word.letters[p] for p in order], word.rank
-    return _extensions(_downset_table(below, cap, "words"), letters,
-                       lambda seq: _word(seq, rank), cap, "words")
+    letters = [word.letters[p] for p in order]
+    chains = _extensions(_downset_table(below, cap, "words"), letters, cap, "words")
+    return _wrap(chains, Word, _set_letters, _set_rank, word.rank)
 
 
 def _descents(state: tuple[int, ...], *_) -> list[int]:
@@ -367,8 +368,8 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     cap = default_cap() if cap is None else cap
     n = perm.n
     top = (0, *sorted(range(n), key=perm.images.__getitem__))
-    return _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n),
-                       lambda letters: _word(letters, n), cap, "words")
+    chains = _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n), cap, "words")
+    return _wrap(chains, Word, _set_letters, _set_rank, n)
 
 
 @dataclass(frozen=True)

@@ -128,15 +128,13 @@ SHARED = Shape.right((4, 3, 2, 1))  # its table, built at the default cap, is ke
 def test_each_caller_refuses_before_making_an_object(monkeypatch, what, enumerate_, module):
     total = len(enumerate_(None))
     made = []
-    walk = posets._extensions
+    wrap = posets._wrap
 
-    def counting(table, names, build, cap, name):
-        def counted(chain):
-            made.append(chain)
-            return build(chain)
-        return walk(table, names, counted, cap, name)
+    def counting(chains, *slots):
+        made.extend(chains)  # the objects ``_wrap`` makes, one per chain
+        return wrap(chains, *slots)
 
-    monkeypatch.setattr(module, "_extensions", counting)
+    monkeypatch.setattr(module, "_wrap", counting)
     with pytest.raises(ExplosionGuardError) as raised:
         enumerate_(total - 1)
     assert (raised.value.cap, raised.value.what) == (total - 1, what)

@@ -3,11 +3,12 @@
 ``all_reduced_words`` builds the weak order below the permutation as a
 ``posets._lattice`` table, depth first, counting ``|Red(u)|`` for each
 ``u`` and raising once a partial count passes the cap; then the table walk
-of ``posets._extensions`` builds the tails of the lowest third once and
-walks the rest down to them.  It must list exactly what the plain stack
-walk lists, in the same order, meet the cap at exactly the word count,
-agree with Stanley's hook-length count of ``Red(w0)``, and raise on a huge
-interval, in little memory, before building a word.
+of ``posets._extensions`` builds the tails of the level its counts choose
+once and walks the rest down to them, and ``posets._wrap`` makes the words.
+It must list exactly what the plain stack walk lists, in the same order,
+meet the cap at exactly the word count, agree with Stanley's hook-length
+count of ``Red(w0)``, and raise on a huge interval, in little memory,
+before building a tail or a word.
 The integer per-orbit sums of ``verify_edges`` and the one-``str``-per-element
 key of ``order_ideals`` must give what their plain forms give.
 """
@@ -139,6 +140,7 @@ def test_huge_interval_raises_before_any_tail_or_word(monkeypatch):
         raise AssertionError("a word was built before the count passed the cap")
 
     monkeypatch.setattr(words, "_extensions", no_walk)
+    monkeypatch.setattr(words, "_wrap", no_word)
     monkeypatch.setattr(words, "_word", no_word)
     monkeypatch.setattr(words, "Word", no_word)
     raised = []
