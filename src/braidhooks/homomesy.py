@@ -8,14 +8,18 @@ words, the linear extensions of a heap.  A carrier has a ``size``;
 ``taus(indices)``, which applies a whole tau word in one pass (``tau(i)`` is
 the one-letter word); and ``key()``, its canonical sort key (a tableau's
 row-reading word, an extension's element indices, a word's ``(letters,
-rank)``).  Orbits and their members are ordered by sorting on that key, so
-the comparisons run in C.  All averages are exact fractions.
+rank)``).  Orbits and their members are ordered by that key through the
+class's ``_sorted(states)``, which builds the keys and compares them at C
+level (a tableau's word as bytes, one ``bytes.maketrans`` of its ids).
+All averages are exact fractions.
 
 Orbits are walked on raw label tuples.  Each carrier names its tuple in
 ``_LABELS`` (an extension's element ``ids``, a word's ``letters``), holds
 its one commute test in ``_toggle(labels, indices)``, which ``taus`` also
-calls, and builds a state of its own type and poset, or rank, with
-``_rebuild(labels)``.  Under two
+calls, and builds a state of its own type and poset, or rank (named in
+``_AMBIENT``), with ``_rebuild(labels)``.  The walk uses the first state's
+``_toggle`` and ``_rebuild`` for all, so ``dihedral_orbits`` refuses a
+carrier whose states differ in type, label length or ``_AMBIENT``.  Under two
 involutions every orbit is a path or a cycle whose edges alternate, so
 ``_walk`` applies them in turn until the start comes back or a state is
 fixed, and from a path end walks the other way from the start: one toggle
@@ -43,8 +47,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle
-from operator import attrgetter, methodcaller
+from itertools import count, cycle
+from operator import attrgetter, countOf
 from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
@@ -155,25 +159,43 @@ def _walk(start: tuple, steps: list[list[int]], toggle: Callable) -> list[tuple]
     return orbit
 
 
-_key = methodcaller("key")
+def _one_carrier(states: list, labels_of: Callable) -> None:
+    """Refuse states that one walk cannot serve: it toggles and rebuilds
+    every state as the first one, so all share its type, label length and
+    poset or rank (``_AMBIENT``; an equal shape counts as the same).  Each
+    test is one C-level count; ``ValueError`` names the mismatch."""
+    first, n = states[0], len(states)
+    if countOf(map(type, states), type(first)) < n:
+        names = ", ".join(sorted({t.__name__ for t in map(type, states)}))
+        raise ValueError(f"carrier mixes state types: {names}")
+    if countOf(map(len, map(labels_of, states)), len(labels_of(first))) < n:
+        lengths = sorted(set(map(len, map(labels_of, states))))
+        raise ValueError(f"carrier mixes label lengths: {lengths}")
+    ambient = attrgetter(first._AMBIENT)
+    if countOf(map(ambient, states), ambient(first)) < n:
+        raise ValueError(f"carrier mixes states of more than one {first._AMBIENT}")
 
 
 def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
     """Partition a finite carrier into orbits; deterministic order.
 
-    The carrier's states share one shape, rank or poset.  Each orbit holds
-    the carrier's own objects; only states outside the carrier are built.
+    The carrier's states share one type, label length, and shape, poset or
+    rank; ``ValueError`` otherwise.  Each orbit holds the carrier's own
+    objects; only states outside the carrier are built.
     """
     generators = _generators(mode)
-    pool = sorted(carrier, key=_key)
-    if not pool:
+    states = carrier if isinstance(carrier, list) else list(carrier)
+    if not states:
         return []
-    first = pool[0]
+    first = states[0]
     labels_of = attrgetter(first._LABELS)
-    rank = {labels_of(x): r for r, x in enumerate(pool)}
+    _one_carrier(states, labels_of)
+    ordered = type(first)._sorted
+    pool = ordered(states)
+    rank = dict(zip(map(labels_of, pool), count()))
     if len(rank) < len(pool):  # a state given twice: keep one object of it
-        pool = list({labels_of(x): x for x in pool}.values())
-        rank = {labels_of(x): r for r, x in enumerate(pool)}
+        pool = list(dict(zip(map(labels_of, pool), pool)).values())
+        rank = dict(zip(map(labels_of, pool), count()))
     steps = _tau_words(generators, first.size)
     toggle, rebuild = first._toggle, first._rebuild
     placed = bytearray(len(pool))
@@ -190,10 +212,9 @@ def dihedral_orbits(carrier: Iterable, mode: str = "dihedral") -> list[Orbit]:
                 ranks.append(s)
                 placed[s] = 1
         ranks.sort()
-        members = [pool[s] for s in ranks]
+        members = list(map(pool.__getitem__, ranks))
         if outside:
-            members += outside
-            members.sort(key=_key)
+            members = ordered(members + outside)
         orbits.append(Orbit(tuple(members), mode))
     return orbits
 
@@ -263,7 +284,7 @@ def word_statistic(name: str) -> Callable[[Word], int]:
 
 def rw_class(shape: Shape, cap: int | None = None) -> list[Word]:
     """The commutation class corresponding to the shape's standard fillings."""
-    return sorted((nu_inverse(t) for t in standard_tableaux(shape, cap)), key=Word.key)
+    return Word._sorted(map(nu_inverse, standard_tableaux(shape, cap)))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ It is a carrier of the toggle group, like a word, and the two share
 ``_Carrier``: a ``size``, ``taus(indices)`` applying a whole tau word in
 one pass (tau_i swaps labels i and i+1 when the two elements are
 incomparable, one down-set bit), ``tau(i)``, and ``key()``, by which
-carriers sort.  The even/odd orbit machinery in ``homomesy`` uses only
-this interface, and so does the moving window behind Phi, written here
-once for every carrier: ``_o(j, size)`` is the parity word of tau_{o(j)},
-``_window(x)`` yields x^(0) = x and then x^(j) = x^(j-1)·tau_{o(j)}, and
-``_unwind(x, m)`` applies tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
+carriers sort; each class's ``_sorted(states)`` orders a list of its
+states by that key at C level.  The even/odd orbit machinery in
+``homomesy`` uses only this interface, and so does the moving window
+behind Phi, written here once for every carrier: ``_o(j, size)`` is the
+parity word of tau_{o(j)}, ``_window(x)`` yields x^(0) = x and then
+x^(j) = x^(j-1)·tau_{o(j)}, and ``_unwind(x, m)`` applies
+tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
 
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
@@ -119,8 +121,11 @@ def transitive_reduction(below: Sequence[int]) -> tuple[list[int], list[int]]:
 
 class _Carrier:
     """The toggle-group protocol of ``LinearExtension`` (a ``Tableau`` is
-    one) and ``Word``.  Each names its label tuple in ``_LABELS`` and has its
-    own ``_toggle(labels, indices)``, ``_rebuild(labels)`` and ``key()``."""
+    one) and ``Word``.  Each names its label tuple in ``_LABELS`` and what
+    its states act in, the poset or rank that one carrier shares, in
+    ``_AMBIENT``; and it has its own ``_toggle(labels, indices)``,
+    ``_rebuild(labels)``, ``key()`` and ``_sorted(states)``, the states in
+    ``key()`` order, stable, with no Python call per state."""
 
     __slots__ = ()
 
@@ -229,6 +234,7 @@ class LinearExtension(_Carrier):
 
     __slots__ = ("poset", "ids")
     _LABELS = "ids"  # the label tuple the orbit walk reads
+    _AMBIENT = "poset"
 
     def __init__(self, poset: Poset, seq: Sequence[Hashable]):
         if not _is_extension(poset._index, poset._below, seq):
@@ -273,6 +279,11 @@ class LinearExtension(_Carrier):
         """The canonical sort key: the element indices in label order."""
         return self.ids
 
+    @staticmethod
+    def _sorted(states: Iterable["LinearExtension"]) -> list["LinearExtension"]:
+        """The states in ``key()`` order: keyed by their own ``ids``."""
+        return sorted(states, key=_ids)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearExtension) and self.ids == other.ids
                 and self.poset.elements == other.poset.elements)
@@ -296,6 +307,7 @@ class LinearExtension(_Carrier):
 _new = object.__new__
 _set_poset = LinearExtension.poset.__set__
 _set_ids = LinearExtension.ids.__set__
+_ids = attrgetter("ids")
 
 
 def _build(cls: type, poset: Poset, ids: tuple[int, ...]) -> LinearExtension:

@@ -9,7 +9,8 @@ each covering the nearest cell to its left in its row and the nearest
 above it in its column, and a ``Tableau`` is a ``LinearExtension`` of it:
 it holds the cell ids in value order, toggles by the extension's down-set
 bit, and adds only the tableau reading (``pos``, ``entries``, the
-row-reading ``key``).  ``standard_tableaux`` walks the shape's own
+row-reading ``key``, and ``_sorted``, which builds that word as one byte
+translation of the ids).  ``standard_tableaux`` walks the shape's own
 down-set table, built once per shape, and ``random_standard_tableau``
 places a random addable cell at each step.  A braid hook is a window of
 three cell ids (``_hook_windows``); ``braid_hooks`` lists one filling's.
@@ -27,7 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,8 +38,8 @@ from .errors import (
     ShapeConditionError,
     default_cap,
 )
-from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _is_extension,
-                     _set_ids, _set_poset, _window_counts, _wrap)
+from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _ids,
+                     _is_extension, _set_ids, _set_poset, _window_counts, _wrap)
 
 __all__ = [
     "Shape",
@@ -237,24 +239,41 @@ class Tableau(LinearExtension):
         return [list(islice(word, len(cols))) for _, cols in rows]
 
     def key(self) -> tuple[int, ...]:
-        """The canonical sort key: the row-reading word (entries cell by cell)."""
+        """The canonical sort key: the row-reading word (entries cell by
+        cell).  ``_sorted`` orders by the same word as bytes, not by this."""
         word = [0] * len(self.ids)
         for v, i in enumerate(self.ids, 1):
             word[i] = v
         return tuple(word)
+
+    @staticmethod
+    def _sorted(states: list["Tableau"]) -> list["Tableau"]:
+        """The fillings, all of one shape, in ``key()`` order, stable.
+
+        ``bytes.maketrans(bytes(ids), bytes(range(1, n + 1)))`` maps byte
+        ``ids[v-1]`` to v, so its first n bytes are the row-reading word;
+        byte keys of one length compare as those tuples do.  Every key is
+        built by C-level maps, and the indices are sorted by them.  A label
+        above 255 fits no byte: larger shapes sort by ``key``.
+        """
+        n = len(states[0].ids) if states else 0
+        if n > 255:
+            return sorted(states, key=Tableau.key)
+        words = map(bytes.maketrans, map(bytes, map(_ids, states)), repeat(bytes(range(1, n + 1))))
+        keys = list(map(itemgetter(slice(n)), words))
+        return list(map(states.__getitem__, sorted(range(len(states)), key=keys.__getitem__)))
 
     def __repr__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.row_values())
 
 
 def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
-    """All standard fillings, sorted lexicographically by row-reading word;
-    ``ExplosionGuardError`` when there are more than ``cap``."""
+    """All standard fillings, sorted lexicographically by row-reading word
+    (``Tableau._sorted``); ``ExplosionGuardError`` when there are more than
+    ``cap``."""
     cap = default_cap() if cap is None else cap
     chains = _extensions(shape._downsets(cap, "fillings"), range(shape.size), cap, "fillings")
-    out = _wrap(chains, Tableau, _set_ids, _set_poset, shape)
-    out.sort(key=Tableau.key)
-    return out
+    return Tableau._sorted(_wrap(chains, Tableau, _set_ids, _set_poset, shape))
 
 
 def random_standard_tableau(shape: Shape, rng) -> Tableau:

@@ -147,11 +147,18 @@ class Word(_Carrier):
         """The canonical sort key, ``(letters, rank)``: the dataclass order."""
         return self.letters, self.rank
 
+    @staticmethod
+    def _sorted(states: Iterable["Word"]) -> list["Word"]:
+        """The words in ``key()`` order: keyed by the same ``(letters, rank)``
+        tuple, built at C level."""
+        return sorted(states, key=_letters_rank)
+
     # tau_i swaps the letters at positions i and i+1 (from the left) if they
     # commute.  Under the heap bijection this is the entry swap of N-i and
     # N-i+1, so the odd/even products agree with the tableau-side ones up to
     # a parity flip when N is odd.
     _LABELS = "letters"  # the label tuple the orbit walk reads
+    _AMBIENT = "rank"
 
     @staticmethod
     def _toggle(letters: tuple, indices: Iterable[int]) -> tuple:
@@ -176,6 +183,7 @@ class Word(_Carrier):
 _new = object.__new__
 _set_letters = Word.letters.__set__
 _set_rank = Word.rank.__set__
+_letters_rank = attrgetter("letters", "rank")
 
 
 def _word(letters: tuple[int, ...], rank: int) -> Word:

@@ -10,6 +10,7 @@ of its own.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from braidhooks.homomesy import (
 from braidhooks.posets import chain_poset, linear_extensions
 from braidhooks.tableaux import (Shape, Tableau, _hook_total, random_standard_tableau,
                                  standard_tableaux)
+from braidhooks.words import Word
 
 from test_keys import GENERATORS
 
@@ -113,6 +115,27 @@ def test_a_state_given_twice_is_one_state():
     twice = dihedral_orbits(carrier + carrier[::-1])
     assert [orbit.members for orbit in twice] == [
         orbit.members for orbit in dihedral_orbits(carrier)
+    ]
+
+
+@pytest.mark.parametrize("carrier, mismatch", [
+    (standard_tableaux(Shape.right((3, 2, 1))) + standard_tableaux(Shape.right((4, 2))),
+     "more than one poset"),
+    ([Word((1, 2, 1), 3), Word((1, 3, 1, 2), 5)], "label lengths: [3, 4]"),
+    ([Word((1, 2, 1), 3), Word((1, 2, 1), 4)], "more than one rank"),
+    ([*standard_tableaux(Shape.right((2, 1))), *linear_extensions(Shape.right((2, 1)))],
+     "state types: LinearExtension, Tableau"),
+], ids=["two-shapes", "two-lengths", "two-ranks", "two-types"])
+def test_a_mixed_carrier_is_refused(carrier, mismatch):
+    # the walk toggles every state as the first; a mixed carrier's orbits would mix
+    with pytest.raises(ValueError, match=re.escape(mismatch)):
+        dihedral_orbits(carrier)
+
+
+def test_fillings_of_equal_shapes_are_one_carrier():
+    one, other = (standard_tableaux(Shape.right((3, 2, 1))) for _ in range(2))
+    assert [orbit.members for orbit in dihedral_orbits(one + other)] == [
+        orbit.members for orbit in dihedral_orbits(one)
     ]
 
 
