@@ -18,17 +18,17 @@ That is exact once the shape is itself a heap, which is checked once per
 ``Shape``: its cells, dropped in id order as pieces of their columns, must
 make a heap with exactly the shape's order.  No cell covers one of its own
 diagonal, so then no piece covers one of its own column.  Beside that one
-condition the shape keeps its column table
-(the cell id at each column and stack position) and each cell id's letter.
-``_stacks`` is the one check of the quadratic rule, a scan of column
-heights in drop order.  A pass that places every piece on a heap stacks
-none on its own column, so ``nu`` then returns the cell ids, the filling's
-own labels, without ``_stacks``; off a heap, and for a word the pass cannot
-place, ``_stacks`` runs before the ``ShapeMismatchError``, so the quadratic
-rule is reported first; ``heap_poset`` runs it too.  Only off a heap does
+condition the shape keeps its column table (the cell id at each column and
+stack position) and each cell id's letter.  ``_stacks`` is the one check of
+the quadratic rule, a scan of column heights, kept by letter, in drop
+order.  A pass that places every piece on a heap stacks none on its own
+column, so ``nu`` then returns the cell ids, the filling's own labels,
+without ``_stacks``; off a heap, and for a word the pass cannot place,
+``_stacks`` runs before the ``ShapeMismatchError``, so the quadratic rule
+is reported first; ``heap_poset`` runs it too.  Only off a heap does
 ``nu_inverse`` check for ``a a``.  It reads the letters of a filling's ids
-and builds its word without ``Word``'s range check, which the public
-constructors keep.
+and builds its word, as ``nu`` its filling, with ``posets._build``, without
+the check that the public constructors keep.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import json
 from .errors import QuadraticRuleError, ShapeMismatchError
 from .posets import LinearExtension, Poset, _bits, _build, transitive_reduction
 from .tableaux import Shape, Tableau
-from .words import Word, _heap_order, _no_square, _word
+from .words import Word, _heap_order, _no_square
 
 __all__ = [
     "heap_poset",
@@ -52,11 +52,11 @@ __all__ = [
 
 def _pieces(word: Word) -> list[tuple[int, int]]:
     """Each letter's piece (column, stack position), in drop order."""
-    counts = [0] * (max(word.letters, default=0) + 1)
+    counts: dict[int, int] = {}  # column -> its pieces so far
     pieces = []
     for letter in reversed(word.letters):
-        counts[letter] += 1
-        pieces.append((letter, counts[letter]))
+        counts[letter] = p = counts.get(letter, 0) + 1
+        pieces.append((letter, p))
     return pieces
 
 
@@ -65,11 +65,12 @@ def _stacks(letters: tuple[int, ...]) -> None:
     on the taller neighbouring column.  ``QuadraticRuleError`` names the
     first piece whose own column is taller, one that would rest directly on
     its own column: then some word of the class has a factor ``a a``."""
-    tops = [0] * (max(letters, default=0) + 2)  # a letter's own column and both neighbours
+    tops: dict[int, int] = {}  # column -> its height, so memory follows the word's length
+    top = tops.get
     for a in reversed(letters):
-        left, right = tops[a - 1], tops[a + 1]
+        left, right = top(a - 1, 0), top(a + 1, 0)
         height = left if left > right else right
-        if tops[a] > height:
+        if top(a, 0) > height:
             raise QuadraticRuleError(
                 f"letter {a} stacks on itself; class violates the quadratic rule"
             )
@@ -160,7 +161,7 @@ def nu_inverse(t: Tableau) -> Word:
     letters = tuple([letter[i] for i in reversed(t.ids)])
     if not heap:
         _no_square(letters)
-    return _word(letters, len(table))
+    return _build(Word, len(table), letters)
 
 
 def heap_to_json(poset: Poset) -> str:

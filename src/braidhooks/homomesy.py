@@ -8,24 +8,25 @@ words, the linear extensions of a heap.  A carrier has a ``size``;
 ``taus(indices)``, which applies a whole tau word in one pass (``tau(i)`` is
 the one-letter word); and ``key()``, its canonical sort key (a tableau's
 row-reading word, an extension's element indices, a word's ``(letters,
-rank)``).  Orbits and their members are ordered by that key through the
-class's ``_sorted(states)``, which builds the keys and compares them at C
-level (a tableau's word as bytes, one ``bytes.maketrans`` of its ids).
-All averages are exact fractions.
+rank)``).  Orbits and their members are ordered by that key through
+``_sorted(states)``, written once on ``_Carrier``, which compares the
+states' label tuples at C level (within one carrier they order as the
+key); a tableau keeps its own, its word as bytes, one ``bytes.maketrans``
+of its ids.  All averages are exact fractions.
 
 Orbits are walked on raw label tuples.  Each carrier names its tuple in
-``_LABELS`` (an extension's element ``ids``, a word's ``letters``), holds
-its one commute test in ``_toggle(labels, indices)``, which ``taus`` also
-calls, and builds a state of its own type and poset, or rank (named in
-``_AMBIENT``), with ``_rebuild(labels)``.  The walk uses the first state's
-``_toggle`` and ``_rebuild`` for all, so ``dihedral_orbits`` refuses a
-carrier whose states differ in type, label length or ``_AMBIENT``.  Under two
-involutions every orbit is a path or a cycle whose edges alternate, so
-``_walk`` applies them in turn until the start comes back or a state is
-fixed, and from a path end walks the other way from the start: one toggle
-pass per state and no set per orbit.  The sampled search,
-``find_gyration_anomaly``, closes each drawn start's orbit with the same
-``dihedral_orbits`` and averages it with ``orbit_average``.
+``_LABELS`` (an extension's element ``ids``, a word's ``letters``) and
+holds its one commute test in ``_toggle(labels, indices)``, which ``taus``
+also calls; ``_rebuild(labels)`` builds a state of its type and poset, or
+rank (named in ``_AMBIENT``), through the one ``posets._build``.  The walk
+uses the first state's ``_toggle`` and ``_rebuild`` for all, so
+``dihedral_orbits`` refuses a carrier whose states differ in type, label
+length or ``_AMBIENT``.  Under two involutions every orbit is a path or a
+cycle whose edges alternate, so ``_walk`` applies them in turn until the
+start comes back or a state is fixed, and from a path end walks the other
+way from the start: one toggle pass per state and no set per orbit.  The
+sampled search, ``find_gyration_anomaly``, closes each drawn start's orbit
+with the same ``dihedral_orbits`` and averages it with ``orbit_average``.
 
 Orbit statistics are window counts summed per collection.  A braid hook is
 three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
@@ -33,7 +34,7 @@ three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
 ``a, a±1, a``.  ``tableau_statistic`` and ``word_statistic`` return a
 function of one state that carries ``total(states)``, which counts the
 states' windows (``tableaux._hook_windows``, ``words._braid_windows``) with
-the one window counter, ``posets._window_counts``; ``orbit_average`` sums
+the one window sum, ``posets._window_sum``; ``orbit_average`` sums
 an orbit with it, and any other statistic state by state.
 
 The moving window is the one ``posets`` keeps for any carrier: the parity
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import NoPreimageError, NotABraidError
 from .heaps import nu_inverse
-from .posets import _o, _unwind, _window, _window_counts
+from .posets import _o, _unwind, _window, _window_sum
 from .tableaux import Shape, Tableau, _hook_windows, random_standard_tableau, standard_tableaux
 from .words import Word, _braid_windows
 
@@ -259,7 +260,7 @@ def _window_statistic(windows: Callable[[list], list]) -> Callable:
     collection; the one-state call is ``total`` on that state alone."""
 
     def total(states: Iterable) -> int:
-        return sum(_window_counts(states, windows)[1].values())
+        return _window_sum(states, windows)
 
     def statistic(x) -> int:
         return total((x,))

@@ -11,11 +11,12 @@ It is a carrier of the toggle group, like a word, and the two share
 ``_Carrier``: a ``size``, ``taus(indices)`` applying a whole tau word in
 one pass (tau_i swaps labels i and i+1 when the two elements are
 incomparable, one down-set bit), ``tau(i)``, and ``key()``, by which
-carriers sort; each class's ``_sorted(states)`` orders a list of its
-states by that key at C level.  The even/odd orbit machinery in
-``homomesy`` uses only this interface, and so does the moving window
-behind Phi, written here once for every carrier: ``_o(j, size)`` is the
-parity word of tau_{o(j)}, ``_window(x)`` yields x^(0) = x and then
+carriers sort.  A carrier is its two slots, named once in ``_LABELS`` and
+``_AMBIENT``: from them ``_build`` makes any carrier unchecked, and
+``_rebuild`` and ``_sorted`` are written once.  The even/odd orbit
+machinery in ``homomesy`` uses only this interface, and so does the moving
+window behind Phi, written here once for every carrier: ``_o(j, size)`` is
+the parity word of tau_{o(j)}, ``_window(x)`` yields x^(0) = x and then
 x^(j) = x^(j-1)·tau_{o(j)}, and ``_unwind(x, m)`` applies
 tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
 
@@ -34,8 +35,9 @@ placeability rule).  ``_extensions`` is the one walk: it refuses a count
 above the cap before it makes any tail, splits the table at the level where
 its own counts (``count`` below a state, ``_forward`` above it) make the
 tails built plus the prefixes walked fewest, builds that level's tails once
-and walks the rest on an explicit stack, listing the chains as tuples;
-``_wrap`` then makes the caller's objects from them in place, by chunks.
+and walks the rest on an explicit stack, listing the chains as tuples; once
+it drops its tails, its ``_wrap`` makes the chains the caller's carriers in
+place, by chunks, through the class's slot setters.
 A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
 ``order_ideals`` returns its down-sets.  Covers, bounds and descents read
 the cover masks, and comparability (the toggle's commute test) the
@@ -121,13 +123,20 @@ def transitive_reduction(below: Sequence[int]) -> tuple[list[int], list[int]]:
 
 class _Carrier:
     """The toggle-group protocol of ``LinearExtension`` (a ``Tableau`` is
-    one) and ``Word``.  Each names its label tuple in ``_LABELS`` and what
-    its states act in, the poset or rank that one carrier shares, in
-    ``_AMBIENT``; and it has its own ``_toggle(labels, indices)``,
-    ``_rebuild(labels)``, ``key()`` and ``_sorted(states)``, the states in
-    ``key()`` order, stable, with no Python call per state."""
+    one) and ``Word``.  Each class names its label tuple in ``_LABELS`` and
+    what its states act in, the poset or rank one carrier shares, in
+    ``_AMBIENT``; its slot setters, which ``_build`` and ``_wrap`` call,
+    follow from the two names.  It adds ``_toggle(labels, indices)`` and
+    ``key()``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # a slotted dataclass is made twice, and has its slots the second time
+        super().__init_subclass__(**kwargs)
+        slots = getattr(cls, cls._LABELS, None), getattr(cls, cls._AMBIENT, None)
+        if None not in slots:
+            cls._set_labels, cls._set_ambient = slots[0].__set__, slots[1].__set__
 
     @property
     def size(self) -> int:
@@ -145,6 +154,20 @@ class _Carrier:
 
     def __lt__(self, other) -> bool:
         return self.key() < other.key()
+
+    def _rebuild(self, labels: tuple):
+        """The state of this one's type and ambient with these ``labels``, a
+        toggle of its own."""
+        return _build(type(self), getattr(self, self._AMBIENT), labels)
+
+    @classmethod
+    def _sorted(cls, states: Iterable) -> list:
+        """The states, all of one carrier, in ``key()`` order, stable: keyed
+        by their own label tuples, read at C level.  That is ``key()`` order
+        within one ambient, the only case asked for: a word's key is
+        ``(letters, rank)``; ``homomesy._one_carrier`` refuses mixed ranks
+        before any sort, and ``rw_class`` sorts words of one rank."""
+        return sorted(states, key=attrgetter(cls._LABELS))
 
 
 def _o(j: int, size: int) -> range:
@@ -239,8 +262,8 @@ class LinearExtension(_Carrier):
     def __init__(self, poset: Poset, seq: Sequence[Hashable]):
         if not _is_extension(poset._index, poset._below, seq):
             raise NotALinearExtensionError(f"{seq!r} is not a linear extension of the poset")
-        _set_poset(self, poset)
-        _set_ids(self, tuple(map(poset._index.__getitem__, seq)))
+        self._set_ambient(self, poset)
+        self._set_labels(self, tuple(map(poset._index.__getitem__, seq)))
 
     @property
     def seq(self) -> tuple[Hashable, ...]:
@@ -270,19 +293,9 @@ class LinearExtension(_Carrier):
                 ids[i - 1], ids[i] = b, a
         return tuple(ids)
 
-    def _rebuild(self, ids: tuple) -> "LinearExtension":
-        """The extension of the same poset and type with these ``ids``, a
-        toggle of this one's own."""
-        return _build(type(self), self.poset, ids)
-
     def key(self) -> tuple[int, ...]:
         """The canonical sort key: the element indices in label order."""
         return self.ids
-
-    @staticmethod
-    def _sorted(states: Iterable["LinearExtension"]) -> list["LinearExtension"]:
-        """The states in ``key()`` order: keyed by their own ``ids``."""
-        return sorted(states, key=_ids)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearExtension) and self.ids == other.ids
@@ -305,18 +318,15 @@ class LinearExtension(_Carrier):
 
 
 _new = object.__new__
-_set_poset = LinearExtension.poset.__set__
-_set_ids = LinearExtension.ids.__set__
-_ids = attrgetter("ids")
 
 
-def _build(cls: type, poset: Poset, ids: tuple[int, ...]) -> LinearExtension:
-    """A ``cls`` (``LinearExtension`` or a subclass) of ``poset`` without the
-    check, for ``ids`` an extension by construction: it fills the two slots
-    as the checked constructor would."""
+def _build(cls: type, ambient, labels: tuple):
+    """A carrier ``cls`` of ``ambient`` (its poset or rank) without the
+    check, for ``labels`` one of its states by construction: it fills the
+    two slots as the checked constructor would."""
     x = _new(cls)
-    _set_poset(x, poset)
-    _set_ids(x, ids)
+    cls._set_ambient(x, ambient)
+    cls._set_labels(x, labels)
     return x
 
 
@@ -426,6 +436,12 @@ def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tup
     return count, totals
 
 
+def _window_sum(carriers: Iterable, windows: Callable) -> int:
+    """How many windows ``windows(chunk)`` lists the ``carriers`` hold, all
+    counted by ``_window_counts`` and summed."""
+    return sum(_window_counts(carriers, windows)[1].values())
+
+
 def _joined(chunk: list, labels: Callable, windows: Sequence[tuple]) -> tuple:
     """The chunk's label tuples in one buffer, between them a separator no
     window holds, and a window's encoding: ``bytes`` and 255 when labels are
@@ -505,19 +521,19 @@ def _split(counts: list[int], forward: list[int]) -> int:
     return cost.index(min(cost))
 
 
-def _extensions(table: tuple, names: Sequence, cap: int, what: str) -> list[tuple]:
-    """Every maximal chain of ``table`` (``_lattice``), as the tuple of
-    ``names[label]`` along it, in lexicographic label order.  A root count
-    above ``cap`` is ``ExplosionGuardError(cap, what)`` before any tail is
-    built.  Level h holds the states h steps from the end; ``count`` sums
-    there to the tails the level would build, ``_forward`` to the prefixes
-    that reach it, and ``_split`` picks the level.  Its tails are built once,
-    level by level up from the end, each level from the one below, which is
-    then dropped; the walk places the rest on its own stack and completes
-    each prefix it reaches with every tail there by a C-level
-    ``map(prefix.__add__, tails)``, into a list of the counted size.  The
-    caller wraps the chains (``_wrap``) once this returns and its tails are
-    gone."""
+def _extensions(table: tuple, names: Sequence, cls: type, ambient, cap: int, what: str) -> list:
+    """Every maximal chain of ``table`` (``_lattice``), as the carrier
+    ``cls`` of ``ambient`` whose labels are ``names[label]`` along it, in
+    lexicographic label order.  A root count above ``cap`` is
+    ``ExplosionGuardError(cap, what)`` before any tail is built.  Level h
+    holds the states h steps from the end; ``count`` sums there to the tails
+    the level would build, ``_forward`` to the prefixes that reach it, and
+    ``_split`` picks the level.  Its tails are built once, level by level up
+    from the end, each level from the one below, which is then dropped; the
+    walk places the rest on its own stack and completes each prefix it
+    reaches with every tail there by a C-level ``map(prefix.__add__,
+    tails)``, into a list of the counted size.  Once the walk ends it drops
+    its tails, and ``_wrap`` makes the chains carriers."""
     _, count, options, up = table
     if count[-1] > cap:
         raise ExplosionGuardError(cap, what)
@@ -557,23 +573,24 @@ def _extensions(table: tuple, names: Sequence, cap: int, what: str) -> list[tupl
             placed.pop()
             s, k = path.pop()
         else:
-            return found
+            del tails, here  # before the objects are made
+            return _wrap(found, cls, ambient)
 
 
 _drain = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
 
-def _wrap(chains: list, cls: type, set_labels, set_fixed, fixed) -> list:
-    """``chains`` made ``cls`` objects in place, ``_CHUNK`` at a time:
-    ``_new`` makes a chunk's objects, and C-level maps fill their two slots,
-    each object's label slot with its chain through ``set_labels`` and the
-    other with ``fixed`` through ``set_fixed``.  No object runs a Python
-    frame of its own, and no list of all of them exists beside ``chains``."""
+def _wrap(chains: list, cls: type, ambient) -> list:
+    """``chains`` made carriers ``cls`` of ``ambient`` in place, ``_CHUNK``
+    at a time, as ``_build`` makes one: ``_new`` makes a chunk's objects,
+    and C-level maps fill their two slots through the class's setters.  No
+    object runs a Python frame of its own, and no list of all of them
+    exists beside ``chains``."""
     labels = iter(chains)  # ``map`` ends with ``made``, before it reads past the chunk
     for i in range(0, len(chains), _CHUNK):
         made = list(map(_new, repeat(cls, min(_CHUNK, len(chains) - i))))
-        _drain(map(set_fixed, made, repeat(fixed)))
-        _drain(map(set_labels, made, labels))
+        _drain(map(cls._set_ambient, made, repeat(ambient)))
+        _drain(map(cls._set_labels, made, labels))
         chains[i:i + _CHUNK] = made
     return chains
 
@@ -598,9 +615,8 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     last = _last
     if last.get("poset") is not poset:
         _last = {}
-        chains = _extensions(poset._downsets(cap, "linear extensions"), range(poset.size),
-                             cap, "linear extensions")
-        found = _wrap(chains, LinearExtension, _set_ids, _set_poset, poset)
+        found = _extensions(poset._downsets(cap, "linear extensions"), range(poset.size),
+                            LinearExtension, poset, cap, "linear extensions")
         last = _last = {"poset": poset, "extensions": found}
     elif len(last["extensions"]) > cap:
         raise ExplosionGuardError(cap, "linear extensions")

@@ -12,8 +12,9 @@ bit, and adds only the tableau reading (``pos``, ``entries``, the
 row-reading ``key``, and ``_sorted``, which builds that word as one byte
 translation of the ids).  ``standard_tableaux`` walks the shape's own
 down-set table, built once per shape, and ``random_standard_tableau``
-places a random addable cell at each step.  A braid hook is a window of
-three cell ids (``_hook_windows``); ``braid_hooks`` lists one filling's.
+places a random addable cell at each step; fillings are built unchecked by
+``posets._build``.  A braid hook is a window of three cell ids
+(``_hook_windows``); ``braid_hooks`` lists one filling's.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,8 +39,8 @@ from .errors import (
     ShapeConditionError,
     default_cap,
 )
-from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _ids,
-                     _is_extension, _set_ids, _set_poset, _window_counts, _wrap)
+from .posets import (LinearExtension, Poset, _addable, _build, _extensions, _is_extension,
+                     _window_sum)
 
 __all__ = [
     "Shape",
@@ -222,8 +223,8 @@ class Tableau(LinearExtension):
         pos = tuple(pos)
         if not _checked and not _is_extension(shape._index, shape._below, pos):
             raise ValueError(f"filling {pos} is not standard on {shape!r}")
-        _set_poset(self, shape)
-        _set_ids(self, tuple(map(shape._index.__getitem__, pos)))
+        self._set_ambient(self, shape)
+        self._set_labels(self, tuple(map(shape._index.__getitem__, pos)))
 
     shape = LinearExtension.poset
     pos = LinearExtension.seq
@@ -259,7 +260,8 @@ class Tableau(LinearExtension):
         n = len(states[0].ids) if states else 0
         if n > 255:
             return sorted(states, key=Tableau.key)
-        words = map(bytes.maketrans, map(bytes, map(_ids, states)), repeat(bytes(range(1, n + 1))))
+        ids = map(attrgetter("ids"), states)
+        words = map(bytes.maketrans, map(bytes, ids), repeat(bytes(range(1, n + 1))))
         keys = list(map(itemgetter(slice(n)), words))
         return list(map(states.__getitem__, sorted(range(len(states)), key=keys.__getitem__)))
 
@@ -272,8 +274,8 @@ def standard_tableaux(shape: Shape, cap: int | None = None) -> list[Tableau]:
     (``Tableau._sorted``); ``ExplosionGuardError`` when there are more than
     ``cap``."""
     cap = default_cap() if cap is None else cap
-    chains = _extensions(shape._downsets(cap, "fillings"), range(shape.size), cap, "fillings")
-    return Tableau._sorted(_wrap(chains, Tableau, _set_ids, _set_poset, shape))
+    return Tableau._sorted(_extensions(shape._downsets(cap, "fillings"), range(shape.size),
+                                       Tableau, shape, cap, "fillings"))
 
 
 def random_standard_tableau(shape: Shape, rng) -> Tableau:
@@ -314,8 +316,8 @@ def _hook_windows(chunk: list[Tableau]) -> list[tuple[int, int, int]]:
 
 def _hook_total(fillings: Iterable[Tableau]) -> int:
     """The braid hooks of ``fillings``, all of one shape, summed: the sum of
-    ``len(braid_hooks(t))``, counted as windows by ``posets._window_counts``."""
-    return sum(_window_counts(fillings, _hook_windows)[1].values())
+    ``len(braid_hooks(t))``, counted as windows by ``posets._window_sum``."""
+    return _window_sum(fillings, _hook_windows)
 
 
 def tau(t: Tableau, i: int) -> Tableau:

@@ -12,16 +12,18 @@ letters lie in ``1..n-1``.  The public constructors (``Word(...)``,
 ``make_word``, ``make_reduced_word``, ``word_from_string``,
 ``staircase_word``, ``trapezoid_word``) check that range once; the
 enumerations, moves and toggles here, and ``heaps.nu_inverse``, build words
-whose letters are in range by construction, through the unchecked
-``_word``.  All enumeration here is exact and guarded by a configurable
-state cap (``BRAIDHOOKS_CAP`` in the environment).
+whose letters are in range by construction, through the one unchecked
+builder of every carrier, ``posets._build``.  A ``Word`` names its two
+slots (``letters``, ``rank``) and inherits ``_rebuild`` and ``_sorted``
+from ``posets._Carrier``.  All enumeration here is exact and guarded by a
+configurable state cap (``BRAIDHOOKS_CAP`` in the environment).
 
 ``all_reduced_words`` lists the maximal chains of the weak order below a
 permutation, which are its reduced words, and ``commutation_class`` those
 of the down-sets of the word's heap (its linear extensions).  Both build
 their table with ``posets._lattice``, which counts the chains and refuses a
 count above the cap before any word is built, and list it with the one
-walk, ``posets._extensions``, whose chains ``posets._wrap`` makes words.
+walk, ``posets._extensions``, which makes its chains words itself.
 The heap is compiled once, by ``_heap_order``, which ``heaps.heap_poset``
 also reads.  Both meet each word once, in lexicographic order, with no
 ``seen`` set or sort.
@@ -49,7 +51,7 @@ from .errors import (
     QuadraticRuleError,
     default_cap,
 )
-from .posets import _Carrier, _downset_table, _extensions, _lattice, _window_counts, _wrap
+from .posets import _build, _Carrier, _downset_table, _extensions, _lattice, _window_counts
 
 __all__ = [
     "Word",
@@ -147,12 +149,6 @@ class Word(_Carrier):
         """The canonical sort key, ``(letters, rank)``: the dataclass order."""
         return self.letters, self.rank
 
-    @staticmethod
-    def _sorted(states: Iterable["Word"]) -> list["Word"]:
-        """The words in ``key()`` order: keyed by the same ``(letters, rank)``
-        tuple, built at C level."""
-        return sorted(states, key=_letters_rank)
-
     # tau_i swaps the letters at positions i and i+1 (from the left) if they
     # commute.  Under the heap bijection this is the entry swap of N-i and
     # N-i+1, so the odd/even products agree with the tableau-side ones up to
@@ -171,28 +167,8 @@ class Word(_Carrier):
                 letters[i - 1], letters[i] = b, a
         return tuple(letters)
 
-    def _rebuild(self, letters: tuple) -> "Word":
-        """The word of the same rank with these ``letters``, a rearrangement
-        of this word's own."""
-        return _word(letters, self.rank)
-
     def permutation(self) -> Permutation:
         return word_to_permutation(self.letters, self.rank)
-
-
-_new = object.__new__
-_set_letters = Word.letters.__set__
-_set_rank = Word.rank.__set__
-_letters_rank = attrgetter("letters", "rank")
-
-
-def _word(letters: tuple[int, ...], rank: int) -> Word:
-    """A ``Word`` without the range check, for letters in ``1..rank-1`` by
-    construction: it fills the two slots as ``Word(letters, rank)`` would."""
-    word = _new(Word)
-    _set_letters(word, letters)
-    _set_rank(word, rank)
-    return word
 
 
 @dataclass(frozen=True)
@@ -308,7 +284,7 @@ def apply_move(word: Word, site: MoveSite) -> Word:
         w[p], w[p + 1], w[p + 2] = b, a, b
     else:
         raise InvalidSiteError(f"unknown move kind {site.kind!r}")
-    return _word(tuple(w), word.rank)
+    return _build(Word, word.rank, tuple(w))
 
 
 def braid_sites(word: Word) -> tuple[int, int]:
@@ -348,8 +324,7 @@ def commutation_class(word: Word, cap: int | None = None) -> list[Word]:
     cap = default_cap() if cap is None else cap
     order, below = _heap_order(word.letters)
     letters = [word.letters[p] for p in order]
-    chains = _extensions(_downset_table(below, cap, "words"), letters, cap, "words")
-    return _wrap(chains, Word, _set_letters, _set_rank, word.rank)
+    return _extensions(_downset_table(below, cap, "words"), letters, Word, word.rank, cap, "words")
 
 
 def _descents(state: tuple[int, ...], *_) -> list[int]:
@@ -376,8 +351,8 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     cap = default_cap() if cap is None else cap
     n = perm.n
     top = (0, *sorted(range(n), key=perm.images.__getitem__))
-    chains = _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n), cap, "words")
-    return _wrap(chains, Word, _set_letters, _set_rank, n)
+    return _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n),
+                       Word, n, cap, "words")
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,7 @@ SHARED = Shape.right((4, 3, 2, 1))  # its table, built at the default cap, is ke
     ("linear extensions", lambda cap: linear_extensions(antichain_poset(4), cap), posets),
 ])
 def test_each_caller_refuses_before_making_an_object(monkeypatch, what, enumerate_, module):
+    assert module is posets or not hasattr(module, "_wrap")  # no wrap of its own
     total = len(enumerate_(None))
     made = []
     wrap = posets._wrap
@@ -134,7 +135,7 @@ def test_each_caller_refuses_before_making_an_object(monkeypatch, what, enumerat
         made.extend(chains)  # the objects ``_wrap`` makes, one per chain
         return wrap(chains, *slots)
 
-    monkeypatch.setattr(module, "_wrap", counting)
+    monkeypatch.setattr(posets, "_wrap", counting)  # the one wrap, inside ``_extensions``
     with pytest.raises(ExplosionGuardError) as raised:
         enumerate_(total - 1)
     assert (raised.value.cap, raised.value.what) == (total - 1, what)

@@ -5,7 +5,8 @@ lies on a chain from the root, so a partial sum of chains above the cap
 refuses the build while it holds only the states counted so far.  For
 ``order_ideals`` the cap bounds the down-sets held, and a down-set with a
 addable elements shows 2**a - 1 more above it.
-Heaps size their per-column lists by the largest letter, not the rank.
+Heaps key their column heights by letter, so their memory follows the
+word's length, not its rank or its largest letter.
 """
 
 import io
@@ -13,10 +14,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from braidhooks import posets
+from braidhooks import heaps, posets
 from braidhooks.cli import EXIT_CAP, EXIT_PASS, main
 from braidhooks.errors import ExplosionGuardError
-from braidhooks.heaps import build_order_extension, nu
+from braidhooks.heaps import build_order_extension, heap_poset, nu
 from braidhooks.posets import (
     Poset,
     antichain_poset,
@@ -26,7 +27,7 @@ from braidhooks.posets import (
     order_ideals,
 )
 from braidhooks.tableaux import Shape
-from braidhooks.words import make_word
+from braidhooks.words import Word, make_word
 
 from test_lattice import SHAPES, peak_while, seeded_posets
 
@@ -144,3 +145,12 @@ def test_nu_and_the_heap_cost_nothing_at_a_large_rank():
     assert found == [expected]
     word = make_word((2, 1, 3, 2), HUGE)
     assert peak_while(lambda: build_order_extension(word)) < 1 << 20
+
+
+def test_a_large_letter_costs_nothing():
+    # one piece in column 10**8: a list of column heights would hold 10**8 of them
+    letter = 10**8
+    assert peak_while(lambda: heaps._stacks((letter,))) < 1 << 20
+    found = []
+    assert peak_while(lambda: found.append(heap_poset(Word((letter,), letter + 1)))) < 1 << 20
+    assert found[0].elements == ((letter, 1),) and not found[0].covers

@@ -6,8 +6,16 @@ and the toggles skip ``LinearExtension``'s check, because their letters
 or orders hold by construction.  Each must equal, hash and order like the
 checked object, and the public constructors must still reject bad input.
 ``nu`` must run neither the drop simulation nor the filling check.
+
+Every carrier is built unchecked by the one ``posets._build(cls, ambient,
+labels)``, which fills the two slots that ``_AMBIENT`` and ``_LABELS``
+name; ``_rebuild`` and ``_sorted`` are written once, on ``_Carrier``.  For
+a word, an extension and a filling, ``_build`` must give the checked
+object, ``_rebuild`` must keep the type and the ambient, and copy, deepcopy
+and pickle must round-trip, for the states and for their ``tau`` images.
 """
 
+import copy
 import operator
 import pickle
 import random
@@ -21,11 +29,14 @@ from braidhooks.homomesy import dihedral_orbits
 from braidhooks.posets import (
     LinearExtension,
     Poset,
+    _build,
+    _Carrier,
     chain_poset,
+    diamond_poset,
     linear_extensions,
     random_bounded_poset,
 )
-from braidhooks.tableaux import Shape, standard_tableaux
+from braidhooks.tableaux import Shape, Tableau, standard_tableaux
 from braidhooks.words import (
     Permutation,
     Word,
@@ -142,3 +153,86 @@ def test_listed_and_toggled_extensions_are_like_checked_ones():
                 a, b = ext.seq[i - 1], ext.seq[i]
                 swapped = not (poset.less(a, b) or poset.less(b, a))
                 assert (moved.seq != ext.seq) == swapped
+
+
+def seeded_extensions() -> list[LinearExtension]:
+    rng = random.Random("builds")
+    found = linear_extensions(diamond_poset())
+    for _ in range(8):
+        found += linear_extensions(random_bounded_poset(rng, rng.randint(3, 7)))
+    return found
+
+
+# each carrier's states, and its checked constructor from (ambient, labels)
+CARRIERS = {
+    "Word": (
+        lambda: commutation_class(staircase_word(5))[::5] + all_reduced_words(
+            Permutation.longest(4))[::3],
+        lambda rank, letters: Word(letters, rank),
+    ),
+    "LinearExtension": (
+        seeded_extensions,
+        lambda poset, ids: LinearExtension(poset, [poset.elements[i] for i in ids]),
+    ),
+    "Tableau": (
+        lambda: (standard_tableaux(Shape.right((4, 3, 2, 1)))[::3]
+                 + standard_tableaux(Shape.half_right((5, 3, 1)))[::5]
+                 + standard_tableaux(Shape.skew_right((4, 3, 2), (1,)))[::7]),
+        lambda shape, ids: Tableau(shape, [shape.cells[i] for i in ids]),
+    ),
+}
+
+
+def slots(x) -> tuple:
+    return getattr(x, x._AMBIENT), getattr(x, x._LABELS)
+
+
+def assert_same_carrier(found, expected) -> None:
+    assert type(found) is type(expected)
+    assert found == expected and hash(found) == hash(expected)
+    assert found.key() == expected.key()
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_build_gives_the_checked_object(name):
+    states, checked = CARRIERS[name]
+    states = states()
+    assert {type(x).__name__ for x in states} == {name}
+    for x in states:
+        ambient, labels = slots(x)
+        built = _build(type(x), ambient, labels)
+        assert_same_carrier(built, checked(ambient, labels))
+        assert_same_carrier(built, x)
+        assert slots(built)[0] is ambient
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_rebuild_keeps_the_type_and_the_ambient(name):
+    states, checked = CARRIERS[name]
+    for x in states():
+        ambient, labels = slots(x)
+        for i in range(1, x.size):
+            moved = x._rebuild(x._toggle(labels, (i,)))
+            assert type(moved) is type(x) and slots(moved)[0] is ambient
+            assert_same_carrier(moved, x.tau(i))
+            assert_same_carrier(moved, checked(ambient, slots(moved)[1]))
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_copy_deepcopy_and_pickle_round_trip(name):
+    states, _ = CARRIERS[name]
+    states = states()
+    for x in states + [x.tau(i) for x in states[::4] for i in range(1, x.size)]:
+        for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert_same_carrier(again, x)
+            assert slots(again)[1] == slots(x)[1]
+        assert slots(copy.copy(x))[0] is slots(x)[0]
+
+
+@pytest.mark.parametrize("cls", [Word, LinearExtension, Tableau])
+def test_the_layout_is_written_once(cls):
+    assert issubclass(cls, _Carrier)
+    assert "_rebuild" not in vars(cls)
+    assert "_sorted" not in vars(cls) or cls is Tableau  # a filling sorts by a byte key
+    assert cls._set_labels == getattr(cls, cls._LABELS).__set__
+    assert cls._set_ambient == getattr(cls, cls._AMBIENT).__set__

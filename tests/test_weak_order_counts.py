@@ -4,7 +4,7 @@
 ``posets._lattice`` table, depth first, counting ``|Red(u)|`` for each
 ``u`` and raising once a partial count passes the cap; then the table walk
 of ``posets._extensions`` builds the tails of the level its counts choose
-once and walks the rest down to them, and ``posets._wrap`` makes the words.
+once and walks the rest down to them, and its ``posets._wrap`` makes the words.
 It must list exactly what the plain stack walk lists, in the same order,
 meet the cap at exactly the word count, agree with Stanley's hook-length
 count of ``Red(w0)``, and raise on a huge interval, in little memory,
@@ -20,7 +20,7 @@ import tracemalloc
 
 import pytest
 
-from braidhooks import words
+from braidhooks import posets, words
 from braidhooks.cli import EXIT_CAP, main
 from braidhooks.errors import ExplosionGuardError
 from braidhooks.homomesy import dihedral_orbits, orbit_average
@@ -140,8 +140,8 @@ def test_huge_interval_raises_before_any_tail_or_word(monkeypatch):
         raise AssertionError("a word was built before the count passed the cap")
 
     monkeypatch.setattr(words, "_extensions", no_walk)
-    monkeypatch.setattr(words, "_wrap", no_word)
-    monkeypatch.setattr(words, "_word", no_word)
+    monkeypatch.setattr(posets, "_wrap", no_word)
+    monkeypatch.setattr(posets, "_build", no_word)
     monkeypatch.setattr(words, "Word", no_word)
     raised = []
 
