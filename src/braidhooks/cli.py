@@ -91,6 +91,16 @@ def _commutation_class(args) -> list[words.Word]:
     return words.commutation_class(word, args.cap)
 
 
+def _poset_and_ideal(args, command: str) -> tuple[posets.Poset, frozenset]:
+    """The poset of the ``--poset`` file and its ``--ideal``, which
+    ``command --poset`` needs: refused before the file is read."""
+    if args.ideal is None:
+        raise _UsageError(f"{command}--poset needs --ideal")
+    with open(args.poset) as handle:
+        poset = posets.poset_from_lines(handle.read())
+    return poset, posets.parse_ideal(poset, args.ideal)
+
+
 def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
     """Print ``payload`` as JSON, as CSV rows (by default its keys over its
     values, a list or dict field as JSON text) or as table lines (by default
@@ -206,11 +216,8 @@ def _verify_homomesy(args) -> dict:
 def _verify_poset_edges(args) -> dict:
     import random
 
-    if args.poset:
-        with open(args.poset) as handle:
-            poset = posets.poset_from_lines(handle.read())
-        ideal = posets.parse_ideal(poset, args.ideal)
-        report = posets.verify_edges(poset, ideal, args.cap)
+    if args.poset is not None:
+        report = posets.verify_edges(*_poset_and_ideal(args, "verify poset-edges "), args.cap)
         return {
             "lhs": report["lhs"],
             "rhs": report["rhs"],
@@ -261,19 +268,19 @@ def cmd_verify(args) -> int:
         )
     if args.theorem in NEEDS_SHAPE and not args.shape:
         raise _UsageError(f"verify {args.theorem} needs --shape")
-    if args.theorem == "poset-edges" and args.poset and args.ideal is None:
-        raise _UsageError("verify poset-edges --poset needs --ideal")
+    if args.theorem == "poset-edges" and args.ideal is not None and args.poset is None:
+        raise _UsageError("verify poset-edges --ideal needs --poset")
     result = {"theorem": args.theorem, **verifier(args)}
     _emit(result, args.format)
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
-# The statistics each orbit source can count; the first is the default.
+# The statistics each orbit source can count, all window counts; the first is the default.
 ORBIT_STATS = {
-    "--poset": ("descents",),
-    "--sample": ("braid-hooks",),
     "--shape": ("braid-hooks", "braid-moves"),
+    "--sample": ("braid-hooks",),
     "--class-of-word": ("braid-moves",),
+    "--poset": ("descents",),
 }
 
 
@@ -324,14 +331,11 @@ def _orbit_carrier(args, source: str, stat: str):
     """The carrier and the statistic of ``--poset``, ``--shape`` or
     ``--class-of-word``."""
     if source == "--poset":
-        if args.ideal is None:
-            raise _UsageError("--poset needs --ideal")
-        with open(args.poset) as handle:
-            poset = posets.poset_from_lines(handle.read())
-        ideal = posets.parse_ideal(poset, args.ideal)
+        poset, ideal = _poset_and_ideal(args, "")
         posets._require_proper(poset, ideal)
+        windows = posets._descent_windows(poset, ideal)
         return (posets.linear_extensions(poset, args.cap),
-                lambda ext: len(posets.descents(ext, ideal)))
+                homomesy._window_statistic(lambda chunk: windows))
     if source == "--class-of-word":
         return _commutation_class(args), homomesy.word_statistic(stat)
     shape = parse_shape(args.shape)
@@ -419,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list tableaux or a commutation class")
-    p_enum.add_argument("--shape", help="right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1")
-    p_enum.add_argument("--class-of-word", help="comma-separated letters")
+    sources = p_enum.add_mutually_exclusive_group()
+    sources.add_argument("--shape", help="right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1")
+    sources.add_argument("--class-of-word", help="comma-separated letters")
     p_enum.add_argument("--rank", type=int)
     p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_enum.set_defaults(func=cmd_enumerate)
@@ -439,17 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="orbit decomposition and averages")
-    p_orbits.add_argument("--shape")
-    p_orbits.add_argument("--class-of-word")
+    sources = p_orbits.add_mutually_exclusive_group()
+    sources.add_argument("--shape")
+    sources.add_argument("--class-of-word")
+    sources.add_argument("--poset")
     p_orbits.add_argument("--rank", type=int)
-    p_orbits.add_argument("--poset")
     p_orbits.add_argument("--ideal")
     p_orbits.add_argument("--group", choices=homomesy.MODES, default="dihedral")
     p_orbits.add_argument(
         "--stat",
-        choices=("braid-hooks", "braid-moves", "descents"),
-        help="--shape: braid-hooks (default) or braid-moves; --sample: braid-hooks;"
-        " --class-of-word: braid-moves; --poset: descents",
+        choices=sorted({stat for stats in ORBIT_STATS.values() for stat in stats}),
+        help="; ".join(f"{source}: " + " or ".join([stats[0] + " (default)" * (len(stats) > 1),
+                                                    *stats[1:]])
+                       for source, stats in ORBIT_STATS.items()),
     )
     p_orbits.add_argument("--sample", type=int, help="sampled orbit search (gyration)")
     p_orbits.add_argument("--seed", type=int, default=0)

@@ -28,14 +28,19 @@ way from the start: one toggle pass per state and no set per orbit.  The
 sampled search, ``find_gyration_anomaly``, closes each drawn start's orbit
 with the same ``dihedral_orbits`` and averages it with ``orbit_average``.
 
-Orbit statistics are window counts summed per collection.  A braid hook is
-three consecutive values in the cells (r, c), (r, c+1), (r+1, c+1) with
-(r+1, c) outside the shape, and a braid site three consecutive letters
-``a, a±1, a``.  ``tableau_statistic`` and ``word_statistic`` return a
-function of one state that carries ``total(states)``, which counts the
-states' windows (``tableaux._hook_windows``, ``words._braid_windows``) with
-the one window sum, ``posets._window_sum``; ``orbit_average`` sums
-an orbit with it, and any other statistic state by state.
+Every orbit statistic a command reports is a window count summed per
+collection.  A braid hook is three consecutive values in the cells (r, c),
+(r, c+1), (r+1, c+1) with (r+1, c) outside the shape, a braid site three
+consecutive letters ``a, a±1, a``, and a descent of an ideal a cover (p, q)
+with p labelled right before q, p in the ideal and q outside it.
+``_window_statistic(windows)`` returns a function of one state that carries
+``total(states)``, which counts the states' windows
+(``tableaux._hook_windows``, ``words._braid_windows``,
+``posets._descent_windows``) with the one window sum,
+``posets._window_sum``; ``tableau_statistic`` and ``word_statistic`` name
+the first two, and ``orbits --poset`` builds the third.  ``orbit_average``
+sums an orbit with ``total``; only a statistic a library caller passes in,
+a plain function of one state, is summed state by state.
 
 The moving window is the one ``posets`` keeps for any carrier: the parity
 words are ``posets._o``, ``window_table`` and ``big_phi_inverse`` walk the

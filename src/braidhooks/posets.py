@@ -23,7 +23,8 @@ tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
 down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
-``Poset(elements, covers)`` and ``Poset.covers``.  Every object counted
+``Poset(elements, covers)``, ``Poset.covers`` and, as id pairs read off the
+cover masks once, ``Poset._cover_ids``.  Every object counted
 here is a maximal chain of a graded order: fillings, words of a commutation
 class and linear extensions of the down-sets of an order, reduced words
 (``words``) of the weak order.  ``_lattice`` is the one table builder: from
@@ -43,8 +44,10 @@ A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
 the cover masks, and comparability (the toggle's commute test) the
 down-set masks.  Each statistic is a window, a label tuple that a carrier
 holds consecutively (an ideal descent's cover (p, q), a braid site's
-letters, a braid hook's cell ids), counted by the one ``_window_counts``;
-``verify_edges`` counts each orbit's cover windows once per poset.
+letters, a braid hook's cell ids), counted by the one ``_window_counts``.
+``_descent_windows`` lists an ideal's descent windows, the covers it cuts:
+``orbits --poset`` counts them, and ``verify_edges`` sums them from each
+orbit's cover-window counts, made once per poset.
 """
 
 from __future__ import annotations
@@ -192,7 +195,8 @@ def _unwind(x, m: int):
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_table", "_windows")
+    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_cover_ids", "_table",
+                 "_windows")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -208,11 +212,11 @@ class Poset:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
         self._table = None  # ``_lattice`` of the order, built on first use
-        self._windows = None  # ``verify_edges``' per-orbit cover windows, once bounds pass
+        self._windows = None  # ``verify_edges``' per-orbit cover-window counts, once bounds pass
+        # each cover (p, q) as element ids, the windows ``verify_edges`` counts
+        self._cover_ids = [(j, i) for i, b in enumerate(self._below) for j in _bits(b)]
         names = self.elements
-        self.covers = frozenset(
-            (names[j], names[i]) for i, b in enumerate(self._below) for j in _bits(b)
-        )
+        self.covers = frozenset((names[p], names[q]) for p, q in self._cover_ids)
 
     @property
     def size(self) -> int:
@@ -638,6 +642,13 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
     return [frozenset([names[i] for i in _bits(mask)]) for mask in masks]
 
 
+def _descent_windows(poset: Poset, ideal: frozenset) -> list[tuple[int, int]]:
+    """The descent windows of ``ideal``: the covers (p, q), as element ids,
+    with p in the ideal and q outside it."""
+    inside = list(map(ideal.__contains__, poset.elements))
+    return [w for w in poset._cover_ids if inside[w[0]] and not inside[w[1]]]
+
+
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
     """Elements p of the ideal covered by the element labelled L(p)+1 outside it."""
     names, below = extension.poset.elements, extension.poset._below
@@ -690,15 +701,15 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     """Check |L(P)| = sum of descent counts, plus per-orbit averages of one.
 
     A descent of the ideal is a window: p labelled right before q, q covering
-    p, p in the ideal and q outside it.  The extensions and their dihedral
-    orbits do not depend on the ideal, so the first call on a ``Poset`` object
-    closes the orbits once and counts, per orbit, each cover's window (p, q),
-    its q placed right after its p; those counts, only ints, are the poset's
-    ``_windows``.  Every ideal is then one mask, and an orbit's descent sum is
-    the total count of the covers that the mask cuts.  Sums are integers; each
-    orbit's average is one ``Fraction``, for the report.  Only a call that
-    passed the bounds check stores those counts, so a later call on the same
-    poset skips that check.
+    p, p in the ideal and q outside it (``_descent_windows``).  The extensions
+    and their dihedral orbits do not depend on the ideal, so the first call on
+    a ``Poset`` object closes the orbits once and counts, per orbit, each
+    cover's window (p, q), its q placed right after its p; those counts are
+    the poset's ``_windows``.  An orbit's descent sum is then the sum of its
+    counts over the ideal's descent windows.  Sums are integers; each orbit's
+    average is one ``Fraction``, for the report.  Only a call that passed the
+    bounds check stores those counts, so a later call on the same poset skips
+    that check.
     """
     from .homomesy import dihedral_orbits
 
@@ -710,14 +721,11 @@ def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
     if windows is None:
-        covers = [(p, q) for q, b in enumerate(poset._below) for p in _bits(b)]
         windows = poset._windows = [
-            (orbit.size, [(1 << p, 1 << q, n) for (p, q), n in
-                          _window_counts(orbit.members, lambda chunk: covers)[1].items() if n])
+            (orbit.size, _window_counts(orbit.members, lambda chunk: poset._cover_ids)[1])
             for orbit in dihedral_orbits(extensions, "dihedral")]
-    mask = sum([1 << i for e, i in poset._index.items() if e in ideal])
-    sums = [sum([n for p, q, n in counts if mask & p and not mask & q])
-            for _, counts in windows]
+    cut = _descent_windows(poset, ideal)
+    sums = [sum(map(counts.__getitem__, cut)) for _, counts in windows]
     rhs = sum(sums)  # the orbits partition the extensions
     return {
         "lhs": lhs,

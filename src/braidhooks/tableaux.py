@@ -14,7 +14,8 @@ translation of the ids).  ``standard_tableaux`` walks the shape's own
 down-set table, built once per shape, and ``random_standard_tableau``
 places a random addable cell at each step; fillings are built unchecked by
 ``posets._build``.  A braid hook is a window of three cell ids
-(``_hook_windows``); ``braid_hooks`` lists one filling's.
+(``_hook_windows``), which ``expected_braid_hooks`` and the orbit statistic
+count with ``posets._window_sum``; ``braid_hooks`` lists one filling's.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
 ``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
@@ -92,8 +93,9 @@ class Shape(Poset):
     poset: the elements are the cells in ``cells`` order, and each cell
     covers the nearest cell to its left in its row and above it in its column.
 
-    ``right``/``skew-right`` anchor every row's rightmost cell at column
-    ``outer[0]`` (skew removes the leftmost ``inner[r]`` cells of row r+1);
+    ``right`` anchors every row's rightmost cell at column ``outer[0]``;
+    ``skew-right`` is that shape with the rightmost ``inner[r]`` cells of
+    row r+1 removed, so that row ends at column ``outer[0] - inner[r]``;
     ``half-right`` anchors row r's rightmost cell at column ``outer[0]-r+1``.
     ``cells`` mode carries an explicit cell set (conjugated shapes).  Shapes
     are equal when their cell sets are.
@@ -312,12 +314,6 @@ def _hook_windows(chunk: list[Tableau]) -> list[tuple[int, int, int]]:
                         if (r, c + 1) in index and (r + 1, c + 1) in index
                         and (r + 1, c) not in index]
     return shape._hooks
-
-
-def _hook_total(fillings: Iterable[Tableau]) -> int:
-    """The braid hooks of ``fillings``, all of one shape, summed: the sum of
-    ``len(braid_hooks(t))``, counted as windows by ``posets._window_sum``."""
-    return _window_sum(fillings, _hook_windows)
 
 
 def tau(t: Tableau, i: int) -> Tableau:
@@ -573,7 +569,7 @@ def partial_braid_hooks(t: Tableau, side: str) -> list[int]:
 def expected_braid_hooks(shape: Shape, cap: int | None = None) -> Fraction:
     """Exact average of the braid-hook count over all standard fillings."""
     tableaux = standard_tableaux(shape, cap)
-    return Fraction(_hook_total(tableaux), len(tableaux))
+    return Fraction(_window_sum(tableaux, _hook_windows), len(tableaux))
 
 
 def updown_crossing_balance(shape: Shape, cap: int | None = None) -> dict:

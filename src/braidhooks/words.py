@@ -30,10 +30,13 @@ also reads.  Both meet each word once, in lexicographic order, with no
 ``list_moves`` and ``apply_move`` are the public, checked form of one move.
 
 A braid site is a window of three letters, ``a (a+1) a`` or
-``(a+1) a (a+1)``.  ``braid_move_stats`` reads its words once, through the
-one window counter ``posets._window_counts``, which joins each chunk of a
-few thousand words into one buffer and counts each window with the C-level
-``count``; ``braid_sites`` stays public as the per-word reference.
+``(a+1) a (a+1)`` (``_braid_windows``).  ``braid_move_stats`` reads its
+words once, through the one window counter ``posets._window_counts``, which
+joins each chunk of a few thousand words into one buffer and counts each
+window with the C-level ``count``, and splits the counts into up and down
+sites; the orbit statistic ``homomesy.word_statistic("braid-moves")``
+counts the same windows.  ``braid_sites`` stays public as the per-word
+reference.
 """
 
 from __future__ import annotations
@@ -434,26 +437,20 @@ def braid_move_stats(words: Iterable[Word]) -> dict:
 
     Returns total site count, the mean per word, and the up/down split used
     by the skew-shape difference statistic.  The words are read once, by
-    ``_site_totals``, so a generator serves; every total equals the sum of
+    ``_window_counts``, so a generator serves; every total equals the sum of
     ``braid_sites`` over the same words.
     """
-    count, up, down = _site_totals(words)
+    count, found = _window_counts(words, _braid_windows)
     if not count:
         raise ValueError("braid_move_stats needs a nonempty collection")
-    total = up + down
+    total = sum(found.values())
+    up = sum([n for w, n in found.items() if w[0] < w[1]])
     return {
         "total": total,
         "mean": Fraction(total, count),
         "up": up,
-        "down": down,
+        "down": total - up,
     }
-
-
-def _site_totals(words: Iterable[Word]) -> tuple[int, int, int]:
-    """The number of ``words`` and their (up, down) braid sites, summed."""
-    count, found = _window_counts(words, _braid_windows)
-    up = sum([n for w, n in found.items() if w[0] < w[1]])
-    return count, up, sum(found.values()) - up
 
 
 def _braid_windows(chunk: list[Word]) -> list[tuple[int, int, int]]:

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from braidhooks.cli import EXIT_PASS, EXIT_USAGE, main, parse_shape, parse_word
+from braidhooks.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, parse_shape, parse_word
 from braidhooks.errors import ShapeSpecError, WordSpecError
 from braidhooks.tableaux import Shape
 from braidhooks.words import Word
@@ -39,6 +39,7 @@ def test_bad_word_spec_names_it(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["orbits", "--shape", ""], "shape spec '' needs a mode prefix"),
     (["orbits", "--poset", "", "--ideal", "a"], "No such file or directory: ''"),
+    (["verify", "poset-edges", "--poset", "", "--ideal", "a"], "No such file or directory: ''"),
     (["enumerate", "--shape", ""], "shape spec '' needs a mode prefix"),
 ])
 def test_empty_source_flag_is_that_source(argv, message, capsys):
@@ -58,6 +59,40 @@ def test_no_source_flag(command, message, capsys):
 def test_class_of_word_still_runs(capsys):
     assert main(["enumerate", "--class-of-word", "1,3", "--rank", "4"]) == EXIT_PASS
     assert capsys.readouterr().out == "13\n31\ncount: 2\n"
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, or argparse's when it refuses the flags."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--shape", "right:3", "--class-of-word", "1", "--rank", "2"],
+     "argument --class-of-word: not allowed with argument --shape"),
+    (["orbits", "--shape", "right:3", "--class-of-word", "1", "--rank", "2"],
+     "argument --class-of-word: not allowed with argument --shape"),
+    (["orbits", "--poset", "{diamond}", "--ideal", "a", "--shape", "right:3"],
+     "argument --shape: not allowed with argument --poset"),
+    (["orbits", "--class-of-word", "1", "--rank", "2", "--poset", "{diamond}", "--ideal", "a"],
+     "argument --poset: not allowed with argument --class-of-word"),
+    (["verify", "poset-edges", "--ideal", "a"], "verify poset-edges --ideal needs --poset"),
+], ids=["enumerate shape+class", "orbits shape+class", "orbits poset+shape",
+        "orbits class+poset", "verify ideal without poset"])
+def test_a_second_source_is_refused(argv, message, capsys, tmp_path):
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text("a < b\na < c\nb < d\nc < d\n")
+    assert exit_code([arg.format(diamond=diamond) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_a_sample_is_no_second_source(capsys):
+    assert main(["orbits", "--shape", "right:3,2,1", "--sample", "2"]) == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["found"] is False
 
 
 @pytest.mark.parametrize("command", ["enumerate", "orbits"])

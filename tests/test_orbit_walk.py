@@ -19,8 +19,8 @@ from braidhooks.homomesy import (
     MODES, _generators, _tau_words, _walk, dihedral_orbits, find_gyration_anomaly, tau_even,
     tau_odd,
 )
-from braidhooks.posets import chain_poset, linear_extensions
-from braidhooks.tableaux import (Shape, Tableau, _hook_total, random_standard_tableau,
+from braidhooks.posets import _window_sum, chain_poset, linear_extensions
+from braidhooks.tableaux import (Shape, Tableau, _hook_windows, random_standard_tableau,
                                  standard_tableaux)
 from braidhooks.words import Word
 
@@ -151,7 +151,7 @@ def reference_anomaly(shape: Shape, max_seeds: int, mode: str, seed_start: int =
         orbit = _walk(start.ids, steps, start._toggle)
         visited.update(orbit)
         members = [start._rebuild(ids) for ids in orbit]
-        average = Fraction(_hook_total(members), len(members))
+        average = Fraction(_window_sum(members, _hook_windows), len(members))
         if average != 1:
             return {"seed": seed, "orbit_size": len(members), "average": average,
                     "representative": min(members, key=Tableau.key)}

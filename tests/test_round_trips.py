@@ -8,7 +8,7 @@ to enumerate: ``phi_inverse`` undoes ``phi`` at every braid hook of each
 ``nu_inverse``; ``poset_phi_inverse`` undoes ``poset_phi`` at every descent
 of the draws of right:9,8,...,1, read as linear extensions of the shape's
 cell poset, for the ideals "the first k rows".  The braid hooks of each
-shape's draws, counted as windows by ``_hook_total``, are its phi trips.
+shape's draws, counted as windows by ``_window_sum``, are its phi trips.
 """
 
 import random
@@ -17,10 +17,11 @@ import pytest
 
 from braidhooks.heaps import nu_inverse
 from braidhooks.homomesy import _is_braid_at, big_phi, big_phi_inverse
-from braidhooks.posets import LinearExtension, descents, poset_phi, poset_phi_inverse
+from braidhooks.posets import (LinearExtension, _window_sum, descents, poset_phi,
+                               poset_phi_inverse)
 from braidhooks.tableaux import (
     Shape,
-    _hook_total,
+    _hook_windows,
     braid_hooks,
     phi,
     phi_inverse,
@@ -47,7 +48,7 @@ def test_phi_inverse_undoes_phi_at_every_braid_hook(outer, trips):
         for k in braid_hooks(t):
             assert phi_inverse(phi(k, t)) == (k, t), (outer, k, t.pos)
             checked += 1
-    assert checked == trips == _hook_total(ts)  # the draws are seeded
+    assert checked == trips == _window_sum(ts, _hook_windows)  # the draws are seeded
 
 
 @pytest.mark.parametrize("outer, trips", [(STAIRCASES[0], 119), (STAIRCASES[1], 110)], ids=repr)

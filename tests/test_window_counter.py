@@ -11,15 +11,15 @@ of the per-word reference ``braid_sites``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from braidhooks import posets
 from braidhooks.homomesy import tableau_statistic, word_statistic
-from braidhooks.posets import _CHUNK, _window_counts
-from braidhooks.tableaux import _hook_total
-from braidhooks.words import (Word, _braid_windows, _site_totals, braid_move_stats, braid_sites,
-                              make_word)
+from braidhooks.posets import _CHUNK, _window_counts, _window_sum
+from braidhooks.tableaux import _hook_windows
+from braidhooks.words import Word, _braid_windows, braid_move_stats, braid_sites, make_word
 
 
 class Labels:
@@ -39,6 +39,12 @@ def brute_force(tuples, windows) -> dict:
 
 def counted(tuples, windows) -> tuple:
     return _window_counts(map(Labels, tuples), lambda chunk: windows)
+
+
+def sites(ws) -> tuple:
+    """The up and down braid sites of ``ws`` and their mean per word."""
+    stats = braid_move_stats(ws)
+    return stats["up"], stats["down"], stats["mean"]
 
 
 POOLS = {  # each holds a label in no window
@@ -100,7 +106,7 @@ def test_runs_of_alternating_letters(at):
     assert _window_counts(ws, lambda chunk: windows) == (len(ws), brute_force(letters, windows))
     up = sum(braid_sites(w)[0] for w in ws)
     down = sum(braid_sites(w)[1] for w in ws)
-    assert _site_totals(ws) == (len(ws), up, down)
+    assert sites(ws) == (up, down, Fraction(up + down, len(ws)))
     assert (up, down) == (6, 3 + sum(w.letters == (3, 2, 3) for w in ws))
 
 
@@ -112,7 +118,7 @@ def test_words_across_the_encoding_boundary(rank):
     up = sum(braid_sites(w)[0] for w in ws)
     down = sum(braid_sites(w)[1] for w in ws)
     assert (up, down) == (3, 3)
-    assert _site_totals(ws) == (len(ws), up, down)
+    assert sites(ws) == (up, down, Fraction(up + down, len(ws)))
     assert braid_move_stats(ws)["total"] == up + down
 
 
@@ -130,7 +136,7 @@ def test_an_empty_collection():
 
     assert _window_counts([], windows) == (0, {})
     assert _window_counts(iter(()), windows) == (0, {})
-    assert _site_totals([]) == (0, 0, 0)
-    assert _hook_total([]) == 0
+    assert _window_counts([], _braid_windows) == (0, {})
+    assert _window_sum([], _hook_windows) == 0
     assert word_statistic("braid-moves").total([]) == 0
     assert tableau_statistic("braid-hooks").total([]) == 0

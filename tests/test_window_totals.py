@@ -2,8 +2,8 @@
 
 ``tableau_statistic("braid-hooks")`` and ``word_statistic("braid-moves")``
 carry ``total(states)``, which counts the statistic's windows with the one
-window counter, ``posets._window_counts``, through ``tableaux._hook_total``
-and ``words._site_totals``.
+window counter, ``posets._window_counts``, over the windows
+``tableaux._hook_windows`` and ``words._braid_windows`` list.
 Every total here must equal the sum of ``len(braid_hooks(t))`` or of
 ``braid_sites(w)`` over the same states, per orbit in every group mode.
 """
@@ -27,10 +27,11 @@ from braidhooks.homomesy import (
     tableau_statistic,
     word_statistic,
 )
+from braidhooks.posets import _window_sum
 from braidhooks.tableaux import (
     Shape,
     Tableau,
-    _hook_total,
+    _hook_windows,
     braid_hooks,
     random_standard_tableau,
     standard_tableaux,
@@ -80,7 +81,7 @@ def test_hook_total_is_exact_on_every_order_of_the_cells(outer):
     shape = Shape.right(outer)
     orders = [Tableau(shape, pos, _checked=True)
               for pos in itertools.permutations(shape.cells)]
-    assert _hook_total(orders) == sum(len(braid_hooks(t)) for t in orders)
+    assert _window_sum(orders, _hook_windows) == sum(len(braid_hooks(t)) for t in orders)
 
 
 def test_hook_total_past_255_cells():
@@ -89,7 +90,7 @@ def test_hook_total_past_255_cells():
     rng = random.Random(repr(outer))
     draws = [random_standard_tableau(shape, rng) for _ in range(20)]
     assert shape.size == 276
-    assert _hook_total(draws) == sum(len(braid_hooks(t)) for t in draws)
+    assert _window_sum(draws, _hook_windows) == sum(len(braid_hooks(t)) for t in draws)
 
 
 def test_gyration_anomaly_sums_its_orbit():
