@@ -1,10 +1,11 @@
 """Command line front end: enumerations, theorem checks, orbit reports.
 
-Exit codes: 0 all requested checks pass, 1 a check fails, 2 usage error,
-3 a state cap was exceeded or memory ran out.  All numbers are exact;
-averages print as fractions.  Output is deterministic for a fixed seed and
-flag set.  A ``verify`` result is its theorem's name followed by the
-fields its verifier returns; every command renders through ``_emit``.
+Exit codes: 0 all requested checks pass (or ``-h``), 1 a check fails, 2 usage
+error (argparse's refusals too, which ``main`` returns), 3 a state cap was
+exceeded or memory ran out.  All numbers are exact; averages print as
+fractions.  Output is deterministic for a fixed seed and flag set.  A
+``verify`` result is its theorem's name followed by the fields its verifier
+returns; every command renders through ``_emit``.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -30,7 +31,6 @@ from .errors import (
     ExplosionGuardError,
     ShapeConditionError,
     ShapeSpecError,
-    UnknownTheoremError,
     WordSpecError,
     default_cap,
 )
@@ -101,6 +101,13 @@ def _poset_and_ideal(args, command: str) -> tuple[posets.Poset, frozenset]:
     return poset, posets.parse_ideal(poset, args.ideal)
 
 
+def _refuse(args, what: str, flags) -> None:
+    """Refuse the first given of ``flags`` (each None by default): ``what`` reads none of them."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise _UsageError(f"{what} does not take {flag}")
+
+
 def _emit(payload: dict, fmt: str, csv_rows=None, table_lines=None) -> None:
     """Print ``payload`` as JSON, as CSV rows (by default its keys over its
     values, a list or dict field as JSON text) or as table lines (by default
@@ -127,6 +134,7 @@ def _serialise(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     if args.shape is not None:
+        _refuse(args, "enumerate --shape", ("--rank",))
         shape = parse_shape(args.shape)
         objects = tableaux.standard_tableaux(shape, args.cap)
     elif args.class_of_word is not None:
@@ -217,6 +225,7 @@ def _verify_poset_edges(args) -> dict:
     import random
 
     if args.poset is not None:
+        _refuse(args, "verify poset-edges --poset", ("--count", "--max-size", "--seed"))
         report = posets.verify_edges(*_poset_and_ideal(args, "verify poset-edges "), args.cap)
         return {
             "lhs": report["lhs"],
@@ -227,11 +236,14 @@ def _verify_poset_edges(args) -> dict:
             ],
             "pass": report["ok"],
         }
+    if args.ideal is not None:
+        raise _UsageError("verify poset-edges --ideal needs --poset")
+    count = args.count or 50
     cap = default_cap() if args.cap is None else args.cap  # once, not per pair
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     checked = 0
-    for _ in range(args.count):
-        poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size))
+    for _ in range(count):
+        poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size or 7))
         for ideal in posets.order_ideals(poset, cap):
             if not ideal or len(ideal) == poset.size:
                 continue
@@ -241,46 +253,36 @@ def _verify_poset_edges(args) -> dict:
                     "checked": checked,
                     "pass": False,
                 }
-    return {"posets": args.count, "checked": checked, "pass": True}
+    return {"posets": count, "checked": checked, "pass": True}
 
 
+# Each theorem's verifier and the flags it reads: its subcommand's flags besides --format.
 VERIFIERS = {
-    "reiner": _verify_braid_moves(
-        lambda n, cap: words.all_reduced_words(words.Permutation.longest(n), cap), "words"),
-    "commutation-class": _verify_braid_moves(
-        lambda n, cap: words.commutation_class(words.staircase_word(n), cap), "class_size"),
-    "braid-hooks": _verify_braid_hooks,
-    "half-right": _verify_half_right,
-    "skew-balance": _verify_skew_balance,
-    "homomesy": _verify_homomesy,
-    "poset-edges": _verify_poset_edges,
+    "reiner": (_verify_braid_moves(lambda n, cap: words.all_reduced_words(
+        words.Permutation.longest(n), cap), "words"), ("--n",)),
+    "commutation-class": (_verify_braid_moves(lambda n, cap: words.commutation_class(
+        words.staircase_word(n), cap), "class_size"), ("--n",)),
+    "braid-hooks": (_verify_braid_hooks, ("--shape",)),
+    "half-right": (_verify_half_right, ("--shape",)),
+    "skew-balance": (_verify_skew_balance, ("--shape",)),
+    "homomesy": (_verify_homomesy, ("--shape", "--group")),
+    "poset-edges": (_verify_poset_edges,
+                    ("--poset", "--ideal", "--count", "--max-size", "--seed")),
 }
 
 
-NEEDS_SHAPE = {"braid-hooks", "half-right", "skew-balance", "homomesy"}
-
-
 def cmd_verify(args) -> int:
-    verifier = VERIFIERS.get(args.theorem)
-    if verifier is None:
-        raise UnknownTheoremError(
-            f"unknown theorem {args.theorem!r}; choose from {sorted(VERIFIERS)}"
-        )
-    if args.theorem in NEEDS_SHAPE and not args.shape:
-        raise _UsageError(f"verify {args.theorem} needs --shape")
-    if args.theorem == "poset-edges" and args.ideal is not None and args.poset is None:
-        raise _UsageError("verify poset-edges --ideal needs --poset")
-    result = {"theorem": args.theorem, **verifier(args)}
+    result = {"theorem": args.theorem, **args.verifier(args)}
     _emit(result, args.format)
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
-# The statistics each orbit source can count, all window counts; the first is the default.
+# Each source's statistics (window counts, the first the default) and the flags only it reads.
 ORBIT_STATS = {
-    "--shape": ("braid-hooks", "braid-moves"),
-    "--sample": ("braid-hooks",),
-    "--class-of-word": ("braid-moves",),
-    "--poset": ("descents",),
+    "--shape": (("braid-hooks", "braid-moves"), ("--long-running",)),
+    "--sample": (("braid-hooks",), ("--sample", "--seed", "--threads", "--long-running")),
+    "--class-of-word": (("braid-moves",), ("--rank",)),
+    "--poset": (("descents",), ("--ideal",)),
 }
 
 
@@ -293,7 +295,9 @@ def cmd_orbits(args) -> int:
         source = "--class-of-word"
     else:
         raise _UsageError("orbits needs --shape, --class-of-word, or --poset")
-    allowed = ORBIT_STATS[source]
+    allowed, reads = ORBIT_STATS[source]
+    _refuse(args, f"orbits {source}",
+            [flag for _, flags in ORBIT_STATS.values() for flag in flags if flag not in reads])
     stat = args.stat or allowed[0]
     if stat not in allowed:
         raise _UsageError(f"{source} takes --stat {' or '.join(allowed)}, not {stat}")
@@ -358,10 +362,10 @@ def _sampled_search(args, stat: str) -> int:
     shape = parse_shape(args.shape)
     if args.long_running:
         print(f"scanning up to {args.sample} seeds", file=sys.stderr)
-    workers = min(args.threads, os.cpu_count() or 1, args.sample)
+    workers = min(args.threads or 1, os.cpu_count() or 1, args.sample)
     chunk = -(-args.sample // workers)
     # find_gyration_anomaly(shape, max_seeds, base_seed, mode, seed_start)
-    tasks = [(shape, min(start + chunk, args.sample), args.seed, args.group, start)
+    tasks = [(shape, min(start + chunk, args.sample), args.seed or 0, args.group, start)
              for start in range(0, args.sample, chunk)]
     if workers > 1:
         from multiprocessing import Pool
@@ -430,18 +434,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_enum.set_defaults(func=cmd_enumerate)
 
+    specs = {
+        "--n": {"type": int, "default": 4},
+        "--shape": {"required": True},
+        "--group": {"choices": homomesy.MODES, "default": "dihedral"},
+        "--poset": {"help": "file of 'a < b' cover lines"},
+        "--ideal": {"help": "comma-separated element names"},
+        "--count": {"type": int, "help": "random posets to draw (default 50)"},
+        "--max-size": {"type": int, "help": "elements of the largest poset drawn (default 7)"},
+        "--seed": {"type": int, "help": "seed of the draws (default 0)"},
+    }
     p_verify = sub.add_parser("verify", help="run a theorem verification")
-    p_verify.add_argument("theorem", help="|".join(sorted(VERIFIERS)))
-    p_verify.add_argument("--n", type=int, default=4)
-    p_verify.add_argument("--shape")
-    p_verify.add_argument("--group", choices=homomesy.MODES, default="dihedral")
-    p_verify.add_argument("--poset", help="file of 'a < b' cover lines")
-    p_verify.add_argument("--ideal", help="comma-separated element names")
-    p_verify.add_argument("--count", type=int, default=50, help="random posets to draw")
-    p_verify.add_argument("--max-size", type=int, default=7)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--format", choices=("table", "json", "csv"), default="json")
-    p_verify.set_defaults(func=cmd_verify)
+    theorems = p_verify.add_subparsers(dest="theorem", required=True)
+    for theorem, (verifier, flags) in VERIFIERS.items():
+        p_theorem = theorems.add_parser(theorem)
+        for flag in flags:
+            p_theorem.add_argument(flag, **specs[flag])
+        p_theorem.add_argument("--format", choices=("table", "json", "csv"), default="json")
+        p_theorem.set_defaults(func=cmd_verify, verifier=verifier)
 
     p_orbits = sub.add_parser("orbits", help="orbit decomposition and averages")
     sources = p_orbits.add_mutually_exclusive_group()
@@ -453,15 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.add_argument("--group", choices=homomesy.MODES, default="dihedral")
     p_orbits.add_argument(
         "--stat",
-        choices=sorted({stat for stats in ORBIT_STATS.values() for stat in stats}),
+        choices=sorted({stat for stats, _ in ORBIT_STATS.values() for stat in stats}),
         help="; ".join(f"{source}: " + " or ".join([stats[0] + " (default)" * (len(stats) > 1),
                                                     *stats[1:]])
-                       for source, stats in ORBIT_STATS.items()),
+                       for source, (stats, _) in ORBIT_STATS.items()),
     )
     p_orbits.add_argument("--sample", type=int, help="sampled orbit search (gyration)")
-    p_orbits.add_argument("--seed", type=int, default=0)
-    p_orbits.add_argument("--threads", type=int, default=1)
-    p_orbits.add_argument("--long-running", action="store_true")
+    p_orbits.add_argument("--seed", type=int, help="base seed of the samples (default 0)")
+    p_orbits.add_argument("--threads", type=int, help="worker processes (default 1)")
+    p_orbits.add_argument("--long-running", action="store_true", default=None)
     p_orbits.add_argument("--format", choices=("table", "json", "csv"), default="json")
     p_orbits.set_defaults(func=cmd_orbits)
 
@@ -475,8 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's refusal (2) or help (0)
+        return exc.code
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -101,4 +101,5 @@ class ShapeSpecError(ValueError):
 
 
 class UnknownTheoremError(ValueError):
-    """Verification id not recognised by the command line front end."""
+    """Verification id not recognised.  Nothing raises it any more: each
+    theorem is a ``verify`` subcommand, and argparse refuses any other id."""

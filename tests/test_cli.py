@@ -91,7 +91,7 @@ class TestVerify:
     @pytest.mark.parametrize("spec", ["right:5,3,1", "skew:4,3,2,1/1"])
     def test_half_right_refuses_other_modes(self, spec, capsys):
         with pytest.raises(ShapeConditionError):
-            VERIFIERS["half-right"](argparse.Namespace(shape=spec, cap=None))
+            VERIFIERS["half-right"][0](argparse.Namespace(shape=spec, cap=None))
         assert main(["verify", "half-right", "--shape", spec]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""

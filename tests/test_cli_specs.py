@@ -1,5 +1,7 @@
-"""Word and shape specs, empty source flags and CSV rows on the command line."""
+"""Word and shape specs, empty source flags, flags a command does not read and
+CSV rows on the command line."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +9,8 @@ import re
 
 import pytest
 
-from braidhooks.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, parse_shape, parse_word
+from braidhooks.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, VERIFIERS, build_parser, main,
+                            parse_shape, parse_word)
 from braidhooks.errors import ShapeSpecError, WordSpecError
 from braidhooks.tableaux import Shape
 from braidhooks.words import Word
@@ -61,14 +64,6 @@ def test_class_of_word_still_runs(capsys):
     assert capsys.readouterr().out == "13\n31\ncount: 2\n"
 
 
-def exit_code(argv) -> int:
-    """``main``'s exit code, or argparse's when it refuses the flags."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv, message", [
     (["enumerate", "--shape", "right:3", "--class-of-word", "1", "--rank", "2"],
      "argument --class-of-word: not allowed with argument --shape"),
@@ -84,10 +79,64 @@ def exit_code(argv) -> int:
 def test_a_second_source_is_refused(argv, message, capsys, tmp_path):
     diamond = tmp_path / "diamond.txt"
     diamond.write_text("a < b\na < c\nb < d\nc < d\n")
-    assert exit_code([arg.format(diamond=diamond) for arg in argv]) == EXIT_USAGE
+    assert main([arg.format(diamond=diamond) for arg in argv]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbits", "--class-of-word", "1,2,1", "--rank", "3", "--sample", "5"],
+     "orbits --class-of-word does not take --sample\n"),
+    (["orbits", "--poset", "{diamond}", "--ideal", "a", "--sample", "3"],
+     "orbits --poset does not take --sample\n"),
+    (["orbits", "--shape", "right:3,2,1", "--ideal", "a"], "orbits --shape does not take --ideal\n"),
+    (["orbits", "--shape", "right:3,2,1", "--rank", "9"], "orbits --shape does not take --rank\n"),
+    (["orbits", "--shape", "right:3,2,1", "--seed", "4", "--threads", "2"],
+     "orbits --shape does not take --seed\n"),
+    (["enumerate", "--shape", "right:3", "--rank", "3"], "enumerate --shape does not take --rank\n"),
+    (["verify", "reiner", "--n", "4", "--shape", "right:3,2,1"],
+     "unrecognized arguments: --shape right:3,2,1\n"),
+    (["verify", "braid-hooks", "--shape", "right:5,2,1", "--n", "9"],
+     "unrecognized arguments: --n 9\n"),
+    (["verify", "reiner", "--n", "4", "--poset", "nofile", "--ideal", "a"],
+     "unrecognized arguments: --poset nofile --ideal a\n"),
+    (["verify", "poset-edges", "--poset", "{diamond}", "--ideal", "a", "--group", "gyration"],
+     "unrecognized arguments: --group gyration\n"),
+    (["verify", "poset-edges", "--poset", "{diamond}", "--ideal", "a", "--count", "9"],
+     "verify poset-edges --poset does not take --count\n"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(argv, message, capsys, tmp_path):
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text("a < b\na < c\nb < d\nc < d\n")
+    assert main([arg.format(diamond=diamond) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message)  # names the flag, not a file it did not open
+
+
+def subcommands(parser) -> dict:
+    """The subparsers of ``parser`` by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_each_theorem_takes_exactly_its_flags():
+    theorems = subcommands(subcommands(build_parser())["verify"])
+    assert list(theorems) == list(VERIFIERS)
+    settable = 0
+    for theorem, (_, flags) in VERIFIERS.items():
+        help_action, *actions = theorems[theorem]._actions
+        assert help_action.option_strings == ["-h", "--help"]
+        assert [action.option_strings for action in actions] == [[flag] for flag in
+                                                                 [*flags, "--format"]]
+        settable += len(actions)
+    assert settable == 19
+
+
+def test_theorem_help_exits_zero(capsys):
+    assert main(["verify", "reiner", "-h"]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("usage: braidhooks verify reiner [-h] [--n N]")
 
 
 def test_a_sample_is_no_second_source(capsys):

@@ -4,9 +4,11 @@
 commands on two poset files: the diamond ``bot < a, b < top`` and the
 7-element poset ``bot < 0 < 1 < 4 < top``, ``bot < 2 < 3 < top``,
 ``2 < 4``, which is not graded.  Each proper nonempty ideal of each is
-pinned in all four groups and all three formats (``verify poset-edges``
-takes ``--group`` and ignores it).  Recorded at commit 757851c, before the
-descents of an ideal were counted as cover windows by ``orbits --poset``.
+pinned in all three formats, and for ``orbits`` in all four groups
+(``verify poset-edges`` takes no ``--group``).  Recorded at commit 757851c,
+before the descents of an ideal were counted as cover windows by ``orbits
+--poset``; the ``verify`` cases were recorded again without ``--group`` on
+top of commit 1c6dc25, each printing what its ``--group dihedral`` case did.
 
 Run this file as a script, with the package to record on the path, to
 write the golden again: ``PYTHONPATH=src python tests/test_golden_posets.py``.
@@ -29,6 +31,7 @@ POSETS = {
     "diamond": "bot < a\nbot < b\na < top\nb < top\n",
     "non-graded": "bot < 0\n0 < 1\n1 < 4\n4 < top\nbot < 2\n2 < 3\n3 < top\n2 < 4\n",
 }
+FORMATS = ("json", "table", "csv")
 
 
 def argvs() -> list[list[str]]:
@@ -39,12 +42,12 @@ def argvs() -> list[list[str]]:
         for ideal in order_ideals(poset):
             if not ideal or len(ideal) == poset.size:
                 continue
-            spec = ",".join(e for e in poset.elements if e in ideal)
-            for command in (["orbits"], ["verify", "poset-edges"]):
-                for group in MODES:
-                    for fmt in ("json", "table", "csv"):
-                        cases.append([*command, "--poset", "{" + name + "}", "--ideal", spec,
-                                      "--group", group, "--format", fmt])
+            source = ["--poset", "{" + name + "}", "--ideal",
+                      ",".join(e for e in poset.elements if e in ideal)]
+            for group in MODES:
+                cases += [["orbits", *source, "--group", group, "--format", fmt]
+                          for fmt in FORMATS]
+            cases += [["verify", "poset-edges", *source, "--format", fmt] for fmt in FORMATS]
     return cases
 
 
