@@ -4,11 +4,13 @@
 commands on two poset files: the diamond ``bot < a, b < top`` and the
 7-element poset ``bot < 0 < 1 < 4 < top``, ``bot < 2 < 3 < top``,
 ``2 < 4``, which is not graded.  Each proper nonempty ideal of each is
-pinned in all three formats, and for ``orbits`` in all four groups
-(``verify poset-edges`` takes no ``--group``).  Recorded at commit 757851c,
-before the descents of an ideal were counted as cover windows by ``orbits
---poset``; the ``verify`` cases were recorded again without ``--group`` on
-top of commit 1c6dc25, each printing what its ``--group dihedral`` case did.
+pinned in all three formats and all four groups.  ``verify poset-edges``
+takes no ``--group``: its cases with one pin the refusal (exit 2), and its
+cases without one pin the check.  Recorded at commit 757851c, before the
+descents of an ideal were counted as cover windows by ``orbits --poset``;
+the ``verify`` cases were recorded again on top of commit 1c6dc25, when
+``--group`` became a refused flag, each case without ``--group`` printing
+what its ``--group dihedral`` case did.
 
 Run this file as a script, with the package to record on the path, to
 write the golden again: ``PYTHONPATH=src python tests/test_golden_posets.py``.
@@ -16,6 +18,7 @@ write the golden again: ``PYTHONPATH=src python tests/test_golden_posets.py``.
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -32,6 +35,7 @@ POSETS = {
     "non-graded": "bot < 0\n0 < 1\n1 < 4\n4 < top\nbot < 2\n2 < 3\n3 < top\n2 < 4\n",
 }
 FORMATS = ("json", "table", "csv")
+COLUMNS = "80"  # argparse wraps a refusal's usage line to the terminal's width
 
 
 def argvs() -> list[list[str]]:
@@ -44,9 +48,10 @@ def argvs() -> list[list[str]]:
                 continue
             source = ["--poset", "{" + name + "}", "--ideal",
                       ",".join(e for e in poset.elements if e in ideal)]
-            for group in MODES:
-                cases += [["orbits", *source, "--group", group, "--format", fmt]
-                          for fmt in FORMATS]
+            for command in (["orbits"], ["verify", "poset-edges"]):
+                for group in MODES:
+                    cases += [[*command, *source, "--group", group, "--format", fmt]
+                              for fmt in FORMATS]
             cases += [["verify", "poset-edges", *source, "--format", fmt] for fmt in FORMATS]
     return cases
 
@@ -65,7 +70,8 @@ GOLDEN = json.loads(PATH.read_text()) if PATH.exists() else {"cases": []}
 
 
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
-def test_poset_output_is_unchanged(case, tmp_path, capsys):
+def test_poset_output_is_unchanged(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     paths = files(tmp_path)
     code = main([paths.get(arg, arg) for arg in case["argv"]])
     captured = capsys.readouterr()
@@ -92,6 +98,7 @@ def record(folder: Path) -> dict:
 if __name__ == "__main__":
     import tempfile
 
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as folder:
         golden = record(Path(folder))
     PATH.write_text(json.dumps(golden, indent=1) + "\n")
