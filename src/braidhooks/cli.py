@@ -47,13 +47,17 @@ class _UsageError(Exception):
     exits 2."""
 
 
-def parse_shape(spec: str) -> Shape:
-    """Parse right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1.  A field that is
-    empty or not an integer is a ``ShapeSpecError`` naming the spec; a skew
-    spec's inner part may be absent or empty."""
-    if ":" not in spec:
+def parse_shape(spec: str, mode: str | None = None) -> Shape:
+    """Parse right:4,3,2,1 | half:5,3,1 | skew:4,3,2,1/1, or a spec without
+    a prefix in ``mode``.  A field that is empty or not an integer is a
+    ``ShapeSpecError`` naming the spec; a skew spec's inner part may be
+    absent or empty."""
+    if ":" in spec:
+        mode, _, body = spec.partition(":")
+    elif mode is None:
         raise ShapeSpecError(f"shape spec {spec!r} needs a mode prefix like 'right:'")
-    mode, _, body = spec.partition(":")
+    else:
+        body = spec
 
     def parts(text: str) -> tuple[int, ...]:
         try:
@@ -179,7 +183,7 @@ def _verify_braid_hooks(args) -> dict:
 
 def _verify_half_right(args) -> dict:
     spec = args.shape if ":" in args.shape else f"half:{args.shape}"
-    shape = parse_shape(spec)
+    shape = parse_shape(args.shape, "half")
     if shape.mode != "half-right":
         raise ShapeConditionError(f"verify half-right needs a half-right shape, not {spec!r}")
     value = tableaux.expected_braid_hooks(shape, args.cap)
@@ -244,15 +248,15 @@ def _verify_poset_edges(args) -> dict:
     checked = 0
     for _ in range(count):
         poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size or 7))
-        for ideal in posets.order_ideals(poset, cap):
-            if not ideal or len(ideal) == poset.size:
-                continue
-            checked += 1
-            if not posets.verify_edges(poset, ideal, cap)["ok"]:
-                return {
-                    "checked": checked,
-                    "pass": False,
-                }
+        masks = posets._ideal_masks(poset, cap)
+        full = (1 << poset.size) - 1
+        failing = [mask for mask in masks
+                   if mask and mask != full and not posets._edge_check(poset, mask, cap)[0]]
+        if failing:
+            # the first failure in ``order_ideals`` order, where the empty ideal is 0
+            order = posets._ideal_order(poset, masks)
+            return {"checked": checked + min(map(order.index, failing)), "pass": False}
+        checked += len(masks) - 2  # every proper ideal: all but the empty and the full mask
     return {"posets": count, "checked": checked, "pass": True}
 
 
@@ -336,8 +340,8 @@ def _orbit_carrier(args, source: str, stat: str):
     ``--class-of-word``."""
     if source == "--poset":
         poset, ideal = _poset_and_ideal(args, "")
-        posets._require_proper(poset, ideal)
-        windows = posets._descent_windows(poset, ideal)
+        posets._require_proper(poset, len(ideal))
+        windows = posets._descent_windows(poset, posets._ideal_mask(poset, ideal))
         return (posets.linear_extensions(poset, args.cap),
                 homomesy._window_statistic(lambda chunk: windows))
     if source == "--class-of-word":

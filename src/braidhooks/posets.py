@@ -39,15 +39,20 @@ tails built plus the prefixes walked fewest, builds that level's tails once
 and walks the rest on an explicit stack, listing the chains as tuples; once
 it drops its tails, its ``_wrap`` makes the chains the caller's carriers in
 place, by chunks, through the class's slot setters.
-A ``Poset`` (a ``Shape`` too) keeps its down-set table, and
-``order_ideals`` returns its down-sets.  Covers, bounds and descents read
-the cover masks, and comparability (the toggle's commute test) the
-down-set masks.  Each statistic is a window, a label tuple that a carrier
-holds consecutively (an ideal descent's cover (p, q), a braid site's
-letters, a braid hook's cell ids), counted by the one ``_window_counts``.
-``_descent_windows`` lists an ideal's descent windows, the covers it cuts:
-``orbits --poset`` counts them, and ``verify_edges`` sums them from each
-orbit's cover-window counts, made once per poset.
+A ``Poset`` (a ``Shape`` too) keeps its down-set table: ``_ideal_masks``
+reads its down-set masks, and ``order_ideals`` returns them sorted, as
+frozensets.  Covers, bounds and descents read the cover masks, and
+comparability (the toggle's commute test) the down-set masks.  Each
+statistic is a window, a label tuple that a carrier holds consecutively (an
+ideal descent's cover (p, q), a braid site's letters, a braid hook's cell
+ids), counted by the one ``_window_counts``.  An ideal is checked as a
+down-set mask (``_ideal_mask`` makes one from names, refusing a set that is
+not an order ideal), and ``_descent_windows`` lists its descent windows,
+the covers the mask cuts: ``orbits --poset`` counts them, and
+``_edge_check`` sums them from each orbit's cover-window counts, made once
+per poset, in integers.  The seeded ``verify poset-edges`` runs that check
+on every mask of each poset's table; ``verify_edges`` wraps it for a
+frozenset and adds the ``Fraction`` averages.
 """
 
 from __future__ import annotations
@@ -212,8 +217,8 @@ class Poset:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
         self._table = None  # ``_lattice`` of the order, built on first use
-        self._windows = None  # ``verify_edges``' per-orbit cover-window counts, once bounds pass
-        # each cover (p, q) as element ids, the windows ``verify_edges`` counts
+        self._windows = None  # ``_edge_check``'s orbit sizes and window counts, once bounds pass
+        # each cover (p, q) as element ids, the windows ``_edge_check`` counts
         self._cover_ids = [(j, i) for i, b in enumerate(self._below) for j in _bits(b)]
         names = self.elements
         self.covers = frozenset((names[p], names[q]) for p, q in self._cover_ids)
@@ -629,24 +634,39 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
 
 def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
     """All downward-closed subsets, from the empty set to the whole poset,
-    sorted by ``(len(s), sorted(map(str, s)))``: the down-sets of the
-    poset's table.  ``ExplosionGuardError`` when there are more than ``cap``."""
+    sorted by ``(len(s), sorted(map(str, s)))``: the down-set masks of the
+    poset's table (``_ideal_masks``) in that order (``_ideal_order``), each
+    made a frozenset.  ``ExplosionGuardError`` when there are more than
+    ``cap``.  The seeded ``verify poset-edges`` check reads the masks
+    themselves, in table order."""
     cap = default_cap() if cap is None else cap
+    names = poset.elements
+    return [frozenset([names[i] for i in _bits(mask)])
+            for mask in _ideal_order(poset, _ideal_masks(poset, cap))]
+
+
+def _ideal_masks(poset: Poset, cap: int) -> list[int]:
+    """The down-set masks of the poset's table, in table order (post-order:
+    the full mask first, the empty one last): ``ExplosionGuardError`` when
+    there are more than ``cap``."""
     masks = poset._downsets(cap, "order ideals", True)[0]
     if len(masks) > cap:
         raise ExplosionGuardError(cap, "order ideals")
-    names = poset.elements
-    labels = [str(e) for e in names]
-    by_label = sorted(range(len(names)), key=labels.__getitem__)
-    masks = sorted(masks, key=lambda m: (m.bit_count(), [labels[i] for i in by_label if m >> i & 1]))
-    return [frozenset([names[i] for i in _bits(mask)]) for mask in masks]
+    return masks
 
 
-def _descent_windows(poset: Poset, ideal: frozenset) -> list[tuple[int, int]]:
-    """The descent windows of ``ideal``: the covers (p, q), as element ids,
-    with p in the ideal and q outside it."""
-    inside = list(map(ideal.__contains__, poset.elements))
-    return [w for w in poset._cover_ids if inside[w[0]] and not inside[w[1]]]
+def _ideal_order(poset: Poset, masks: list[int]) -> list[int]:
+    """The down-set ``masks`` in ``order_ideals`` order, each element's
+    ``str`` label read once."""
+    labels = [str(e) for e in poset.elements]
+    by_label = sorted(range(poset.size), key=labels.__getitem__)
+    return sorted(masks, key=lambda m: (m.bit_count(), [labels[i] for i in by_label if m >> i & 1]))
+
+
+def _descent_windows(poset: Poset, mask: int) -> list[tuple[int, int]]:
+    """The descent windows of the ideal ``mask``: the covers (p, q), as
+    element ids, with p in the ideal and q outside it."""
+    return [w for w in poset._cover_ids if mask >> w[0] & 1 and not mask >> w[1] & 1]
 
 
 def descents(extension: LinearExtension, ideal: frozenset) -> set:
@@ -664,20 +684,21 @@ def tau_on_extension(extension: LinearExtension, i: int) -> LinearExtension:
     return extension.tau(i)
 
 
-def _require_bounds_and_proper(poset: Poset, ideal: frozenset) -> None:
+def _require_bounds_and_proper(poset: Poset, size: int) -> None:
     if poset.minimum() is None or poset.maximum() is None:
         raise PosetBoundsError("poset needs a unique minimum and maximum")
-    _require_proper(poset, ideal)
+    _require_proper(poset, size)
 
 
-def _require_proper(poset: Poset, ideal: frozenset) -> None:
-    if not ideal or len(ideal) == poset.size:
+def _require_proper(poset: Poset, size: int) -> None:
+    """An ideal of ``size`` elements is neither empty nor the whole poset."""
+    if not size or size == poset.size:
         raise TrivialIdealError("ideal must be proper and nonempty")
 
 
 def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> LinearExtension:
     """Phi(p, L) = L.tau_{o(L(p))} ... tau_{o(1)} for a descent p of L."""
-    _require_bounds_and_proper(extension.poset, ideal)
+    _require_bounds_and_proper(extension.poset, len(ideal))
     if p not in descents(extension, ideal):
         ideal_text = _ideal_text(extension.poset, ideal)
         raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {ideal_text}")
@@ -686,7 +707,7 @@ def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> Line
 
 def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Hashable, LinearExtension]:
     """Scan M, M.tau_{o(1)}, ... for the unique step leaving the ideal."""
-    _require_bounds_and_proper(extension.poset, ideal)
+    _require_bounds_and_proper(extension.poset, len(ideal))
     window = _window(extension)
     previous_element = next(window).element(1)
     for k, moved in zip(range(2, extension.size + 1), window):
@@ -700,42 +721,59 @@ def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Has
 def verify_edges(poset: Poset, ideal: frozenset, cap: int | None = None) -> dict:
     """Check |L(P)| = sum of descent counts, plus per-orbit averages of one.
 
+    ``ideal`` is made a down-set mask (``_ideal_mask``: a set that names an
+    element outside the poset or is not downward closed is a ``ValueError``)
+    and checked by ``_edge_check``, the integer check that the seeded
+    ``verify poset-edges`` runs on the masks themselves.  The report adds
+    each orbit's average, one ``Fraction``.
+    """
+    ok, lhs, rhs, sums = _edge_check(poset, _ideal_mask(poset, ideal), cap)
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "ok": ok,
+        "per_orbit": [
+            {"size": size, "average": Fraction(s, size)}
+            for size, s in zip(poset._windows[0], sums)
+        ],
+    }
+
+
+def _edge_check(poset: Poset, mask: int, cap: int | None) -> tuple[bool, int, int, list[int]]:
+    """The edge identity on the down-set ``mask``: whether it holds, the
+    number of linear extensions, the descents summed over them, and each
+    orbit's descent sum, all integers.
+
     A descent of the ideal is a window: p labelled right before q, q covering
     p, p in the ideal and q outside it (``_descent_windows``).  The extensions
     and their dihedral orbits do not depend on the ideal, so the first call on
     a ``Poset`` object closes the orbits once and counts, per orbit, each
-    cover's window (p, q), its q placed right after its p; those counts are
-    the poset's ``_windows``.  An orbit's descent sum is then the sum of its
-    counts over the ideal's descent windows.  Sums are integers; each orbit's
-    average is one ``Fraction``, for the report.  Only a call that passed the
-    bounds check stores those counts, so a later call on the same poset skips
-    that check.
+    cover's window (p, q), its q placed right after its p; the orbit sizes
+    and those counts are the poset's ``_windows``.  An orbit's descent sum is
+    then the sum of its counts over the ideal's descent windows, and the
+    identity holds when each orbit's sum is its size.  Only a call that
+    passed the bounds check stores those counts, so a later call on the same
+    poset skips that check.
     """
-    from .homomesy import dihedral_orbits
-
     windows = poset._windows
     if windows is None:
-        _require_bounds_and_proper(poset, ideal)
+        _require_bounds_and_proper(poset, mask.bit_count())
     else:
-        _require_proper(poset, ideal)
+        _require_proper(poset, mask.bit_count())
     extensions = linear_extensions(poset, cap)
     lhs = len(extensions)
     if windows is None:
-        windows = poset._windows = [
-            (orbit.size, _window_counts(orbit.members, lambda chunk: poset._cover_ids)[1])
-            for orbit in dihedral_orbits(extensions, "dihedral")]
-    cut = _descent_windows(poset, ideal)
-    sums = [sum(map(counts.__getitem__, cut)) for _, counts in windows]
+        from .homomesy import dihedral_orbits
+
+        orbits = dihedral_orbits(extensions, "dihedral")
+        windows = poset._windows = (
+            [orbit.size for orbit in orbits],
+            [_window_counts(orbit.members, lambda chunk: poset._cover_ids)[1] for orbit in orbits])
+    sizes, counts = windows
+    cut = _descent_windows(poset, mask)
+    sums = [sum(map(c.__getitem__, cut)) for c in counts]
     rhs = sum(sums)  # the orbits partition the extensions
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "ok": lhs == rhs and all(s == size for (size, _), s in zip(windows, sums)),
-        "per_orbit": [
-            {"size": size, "average": Fraction(s, size)}
-            for (size, _), s in zip(windows, sums)
-        ],
-    }
+    return lhs == rhs and sums == sizes, lhs, rhs, sums
 
 
 def chain_poset(n: int) -> Poset:
@@ -807,13 +845,22 @@ def _ideal_text(poset: Poset, ideal: frozenset) -> str:
 
 def parse_ideal(poset: Poset, text: str) -> frozenset:
     names = [part.strip() for part in text.split(",") if part.strip()]
-    missing = [n for n in names if n not in poset.elements]
+    _ideal_mask(poset, names)
+    return frozenset(names)
+
+
+def _ideal_mask(poset: Poset, names: Iterable[Hashable]) -> int:
+    """The down-set mask of the ideal ``names``.  A ``ValueError`` names the
+    elements outside the poset, or else the first element, in element order,
+    below one of them and not among them."""
+    names = list(names)
+    missing = [n for n in names if n not in poset._index]
     if missing:
         raise ValueError(f"unknown elements {missing}")
-    ideal = frozenset(names)
-    mask = sum(1 << poset._index[n] for n in ideal)
+    mask = reduce(or_, [1 << poset._index[n] for n in names], 0)
     lacking = reduce(or_, [poset._down[q] for q in _bits(mask)], 0) & ~mask
     if lacking:
         first = poset.elements[(lacking & -lacking).bit_length() - 1]
-        raise ValueError(f"{_ideal_text(poset, ideal)} is not downward closed (missing {first!r})")
-    return ideal
+        raise ValueError(f"{_ideal_text(poset, frozenset(names))} is not downward closed"
+                         f" (missing {first!r})")
+    return mask

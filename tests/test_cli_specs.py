@@ -164,6 +164,13 @@ def test_bad_shape_field_is_typed(spec, capsys):
     assert capsys.readouterr().err == f"error: shape spec {spec!r} is not comma-separated integers\n"
 
 
+@pytest.mark.parametrize("spec", ["", "x,y", "5,,1", "half:5,x"])
+def test_half_right_names_the_spec_it_was_given(spec, capsys):
+    # a spec without a prefix is read as half-right, and named as typed
+    assert main(["verify", "half-right", "--shape", spec]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: shape spec {spec!r} is not comma-separated integers\n"
+
+
 @pytest.mark.parametrize("spec, shape", [
     ("skew:4,3", Shape.skew_right((4, 3))),
     ("skew:4,3/", Shape.skew_right((4, 3))),
