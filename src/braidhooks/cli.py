@@ -5,7 +5,10 @@ error (argparse's refusals too, which ``main`` returns), 3 a state cap was
 exceeded or memory ran out.  All numbers are exact; averages print as
 fractions.  Output is deterministic for a fixed seed and flag set.  A
 ``verify`` result is its theorem's name followed by the fields its verifier
-returns; every command renders through ``_emit``.
+returns; every command renders through ``_emit``.  The seeded ``verify
+poset-edges`` keeps, for one run, each poset structure it has checked
+(``posets._Settled``, bounded): a draw whose elements and cover masks match
+an earlier draw's reuses its down-set table and orbit windows.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -45,6 +48,18 @@ EXIT_CAP = 3
 class _UsageError(Exception):
     """Flags a command cannot run with: ``main`` prints the message alone and
     exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses an argument it does not read with its own usage
+    line: argparse hands a subcommand's unread arguments back to the top
+    parser, whose usage shows none of the subcommand's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def parse_shape(spec: str, mode: str | None = None) -> Shape:
@@ -245,13 +260,10 @@ def _verify_poset_edges(args) -> dict:
     count = args.count or 50
     cap = default_cap() if args.cap is None else args.cap  # once, not per pair
     rng = random.Random(args.seed or 0)
-    checked = 0
+    checked, settled = 0, posets._Settled()  # a structure drawn again reuses its first draw's work
     for _ in range(count):
         poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size or 7))
-        masks = posets._ideal_masks(poset, cap)
-        full = (1 << poset.size) - 1
-        failing = [mask for mask in masks
-                   if mask and mask != full and not posets._edge_check(poset, mask, cap)[0]]
+        masks, failing = settled.check(poset, cap)
         if failing:
             # the first failure in ``order_ideals`` order, where the empty ideal is 0
             order = posets._ideal_order(poset, masks)
@@ -428,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="state cap for enumerations (default: BRAIDHOOKS_CAP or 10^8)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_enum = sub.add_parser("enumerate", help="list tableaux or a commutation class")
     sources = p_enum.add_mutually_exclusive_group()

@@ -51,8 +51,11 @@ not an order ideal), and ``_descent_windows`` lists its descent windows,
 the covers the mask cuts: ``orbits --poset`` counts them, and
 ``_edge_check`` sums them from each orbit's cover-window counts, made once
 per poset, in integers.  The seeded ``verify poset-edges`` runs that check
-on every mask of each poset's table; ``verify_edges`` wraps it for a
-frozenset and adds the ``Fraction`` averages.
+on every mask of each poset's table through ``_Settled``: a draw whose
+elements and cover masks match an earlier draw's of the same run reuses
+that draw's table and windows, in a store bounded by ``_SETTLED``.
+``verify_edges`` wraps the check for a frozenset and adds the ``Fraction``
+averages.
 """
 
 from __future__ import annotations
@@ -216,8 +219,9 @@ class Poset:
             except KeyError as exc:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
-        self._table = None  # ``_lattice`` of the order, built on first use
-        self._windows = None  # ``_edge_check``'s orbit sizes and window counts, once bounds pass
+        # built on first use, or given by a seeded run's ``_Settled``: ``_lattice`` of the
+        # order, and ``_edge_check``'s orbit sizes and window counts once bounds pass
+        self._table = self._windows = None
         # each cover (p, q) as element ids, the windows ``_edge_check`` counts
         self._cover_ids = [(j, i) for i, b in enumerate(self._below) for j in _bits(b)]
         names = self.elements
@@ -416,6 +420,7 @@ def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> t
 
 
 _CHUNK = 4096  # carriers per joined buffer (about 64 kB for S6's words) and per ``_wrap`` step
+_SETTLED = 1 << 15  # table states and window counts one seeded run keeps (``_Settled``): ~3 MB
 
 
 def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tuple, int]]:
@@ -645,7 +650,7 @@ def order_ideals(poset: Poset, cap: int | None = None) -> list[frozenset]:
             for mask in _ideal_order(poset, _ideal_masks(poset, cap))]
 
 
-def _ideal_masks(poset: Poset, cap: int) -> list[int]:
+def _ideal_masks(poset: Poset, cap: int) -> Sequence[int]:
     """The down-set masks of the poset's table, in table order (post-order:
     the full mask first, the empty one last): ``ExplosionGuardError`` when
     there are more than ``cap``."""
@@ -655,7 +660,7 @@ def _ideal_masks(poset: Poset, cap: int) -> list[int]:
     return masks
 
 
-def _ideal_order(poset: Poset, masks: list[int]) -> list[int]:
+def _ideal_order(poset: Poset, masks: Sequence[int]) -> list[int]:
     """The down-set ``masks`` in ``order_ideals`` order, each element's
     ``str`` label read once."""
     labels = [str(e) for e in poset.elements]
@@ -774,6 +779,49 @@ def _edge_check(poset: Poset, mask: int, cap: int | None) -> tuple[bool, int, in
     sums = [sum(map(c.__getitem__, cut)) for c in counts]
     rhs = sum(sums)  # the orbits partition the extensions
     return lhs == rhs and sums == sizes, lhs, rhs, sums
+
+
+class _Settled:
+    """One seeded run's store of the structures it has settled.  A structure,
+    a poset's elements and cover masks, maps to its first draw's down-set
+    table, frozen into tuples, and its ``_windows``: neither depends on the
+    ideal or on which ``Poset`` object holds them.  A state's options and
+    steps are short tuples that recur across states and structures (46
+    distinct among the 1,708 of the seed-0 benchmark run), so ``shared``
+    keeps each once.  ``held`` counts the tables' states and the windows'
+    counts, at most ``_SETTLED`` (a wide poset has many more orbits than
+    down-sets); a structure that does not fit is checked from scratch each
+    time it is drawn."""
+
+    __slots__ = ("known", "shared", "held")
+
+    def __init__(self):
+        self.known, self.shared, self.held = {}, {}, 0
+
+    def check(self, poset: Poset, cap: int) -> tuple[Sequence[int], list[int]]:
+        """The down-set masks of ``poset`` in table order, and its proper
+        ideals' masks that fail ``_edge_check``.  A structure met before
+        gives ``poset`` its table and windows first, so ``_lattice``,
+        ``dihedral_orbits`` and the window counts run once per structure;
+        ``_edge_check`` still takes the extensions once per pair."""
+        key = poset.elements, tuple(poset._below)
+        known = self.known.get(key)
+        if known is not None:
+            poset._table, poset._windows = known
+        masks = _ideal_masks(poset, cap)
+        full = (1 << poset.size) - 1
+        failing = [mask for mask in masks
+                   if mask and mask != full and not _edge_check(poset, mask, cap)[0]]
+        if known is None and not failing:
+            held = self.held + len(masks) + sum(map(len, poset._windows[1]))
+            if held <= _SETTLED:
+                states, count, options, up = poset._table
+                share = self.shared.setdefault
+                self.known[key] = ((tuple(states), tuple(count),
+                                    tuple([share(t, t) for t in map(tuple, options)]),
+                                    tuple([share(t, t) for t in map(tuple, up)])), poset._windows)
+                self.held = held
+        return masks, failing
 
 
 def chain_poset(n: int) -> Poset:

@@ -115,6 +115,23 @@ def test_a_flag_the_command_does_not_read_is_refused(argv, message, capsys, tmp_
     assert captured.err.endswith(message)  # names the flag, not a file it did not open
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["verify", "reiner", "--n", "4", "--shape", "right:3,2,1"], "braidhooks verify reiner"),
+    (["verify", "poset-edges", "--count", "3", "--group", "gyration"],
+     "braidhooks verify poset-edges"),
+    (["verify", "--bogus", "reiner"], "braidhooks verify"),
+    (["orbits", "--shape", "right:3,2,1", "--n", "4"], "braidhooks orbits"),
+    (["window", "--word", "1,2,1", "--rank", "3", "extra"], "braidhooks window"),
+])
+def test_an_unread_flag_is_refused_with_its_subcommand_usage(argv, prog, capsys):
+    # argparse alone would print the top-level usage, which lists none of these flags
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: unrecognized arguments: " in captured.err
+
+
 def subcommands(parser) -> dict:
     """The subparsers of ``parser`` by name."""
     return next(action.choices for action in parser._actions

@@ -7,7 +7,9 @@ descent sum.  ``verify_edges`` turns its frozenset into that mask, refusing a
 set that is not an order ideal of the poset, and wraps the check.  The check
 must give what the per-extension ``descents`` sums give, and a failing pair
 must be reported at its ``order_ideals`` position, counted over every
-earlier poset, although the loop walks the masks in table order.
+earlier poset, although the loop walks the masks in table order, and also
+on a draw that repeats an earlier draw's structure and so takes its table
+and windows.
 """
 
 import json
@@ -75,7 +77,8 @@ def drawn_posets():
     (8, [-1]),
     (8, [-1, 5]),
     (10, [12, 3]),
-    (11, [-1, 0, 7]),
+    (11, [-1, 0, 7]),  # draw 11 repeats draw 10's structure
+    (6, [-1, 1]),  # draw 6 repeats draw 2's
 ])
 def test_a_failing_pair_keeps_its_order_ideals_position(which, positions, monkeypatch, capsys):
     drawn = drawn_posets()
@@ -84,11 +87,12 @@ def test_a_failing_pair_keeps_its_order_ideals_position(which, positions, monkey
     # the earlier posets' proper ideals, then the first failure in ``order_ideals`` order
     expected = sum(len(proper_ideals(p)) for p in drawn[:which])
     expected += min(chosen.index(ideal) for ideal in failing) + 1
-    check, seen = posets._edge_check, []
+    check, seen, reused = posets._edge_check, [], []
 
     def failing_check(poset, mask, cap):
         if not seen or seen[-1] is not poset:
             seen.append(poset)
+            reused.append(poset._windows is not None)  # settled by an earlier draw
         result = check(poset, mask, cap)
         ideal = frozenset(poset.elements[i] for i in range(poset.size) if mask >> i & 1)
         if len(seen) - 1 == which and ideal in failing:
@@ -101,6 +105,8 @@ def test_a_failing_pair_keeps_its_order_ideals_position(which, positions, monkey
     assert json.loads(capsys.readouterr().out) == {
         "theorem": "poset-edges", "checked": expected, "pass": False}
     assert len(seen) == which + 1
+    structures = [(p.elements, p.covers) for p in drawn]
+    assert reused[which] == (structures[which] in structures[:which])
 
 
 def test_the_table_order_is_not_the_reported_order():

@@ -10,7 +10,10 @@ cases without one pin the check.  Recorded at commit 757851c, before the
 descents of an ideal were counted as cover windows by ``orbits --poset``;
 the ``verify`` cases were recorded again on top of commit 1c6dc25, when
 ``--group`` became a refused flag, each case without ``--group`` printing
-what its ``--group dihedral`` case did.
+what its ``--group dihedral`` case did.  The refusals' stderr was recorded
+once more when a subcommand came to refuse an argument it does not read
+with its own usage line (``usage: braidhooks verify poset-edges ...``), not
+the top-level one; their exit codes, stdout and error lines are unchanged.
 
 Run this file as a script, with the package to record on the path, to
 write the golden again: ``PYTHONPATH=src python tests/test_golden_posets.py``.
