@@ -1,8 +1,8 @@
 """Words, moves, commutation classes, and the heap rotation.
 
 Walks the word-side machinery at desk scale: the canonical staircase word,
-its moves, the reduced-word graph, and how dropping heaps turns the
-commutation class into standard fillings of the staircase shape.
+its moves, its commutation class, and how dropping heaps turns the class
+into standard fillings of the staircase shape.
 """
 
 from braidhooks import (
@@ -13,7 +13,6 @@ from braidhooks import (
     commutation_class,
     heap_poset,
     list_moves,
-    matsumoto_graph,
     nu,
     nu_inverse,
     staircase_word,
@@ -32,13 +31,6 @@ cls = commutation_class(w0)
 print(f"{len(cls)} words:", ", ".join(str(w) for w in cls))
 stats = braid_move_stats(cls)
 print(f"braid moves in the class: {stats['total']}  (mean {stats['mean']} per word)")
-
-print("\n== the full reduced-word graph for S4 ==")
-graph = matsumoto_graph(Permutation.longest(4))
-print(f"{len(graph.vertices)} words, {graph.braid_edge_count()} braid edges,",
-      "connected" if graph.is_connected() else "disconnected")
-print("as expected, braid edges = half the word count:",
-      2 * graph.braid_edge_count() == len(graph.vertices))
 
 print("\n== rotating the heap onto the staircase ==")
 shape = Shape.right((4, 3, 2, 1))

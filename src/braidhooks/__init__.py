@@ -24,10 +24,8 @@ from .errors import (
     ShapeConditionError,
     ShapeMismatchError,
     TrivialIdealError,
-    UnknownTheoremError,
 )
 from .heaps import (
-    build_order_extension,
     heap_poset,
     nu,
     nu_inverse,
@@ -58,7 +56,6 @@ from .posets import (
     poset_phi,
     poset_phi_inverse,
     random_bounded_poset,
-    tau_on_extension,
     verify_edges,
 )
 from .tableaux import (
@@ -84,11 +81,9 @@ from .tableaux import (
     psi,
     staircase_pair,
     standard_tableaux,
-    tau,
     updown_crossing_balance,
 )
 from .words import (
-    MatsumotoGraph,
     MoveSite,
     Permutation,
     Word,
@@ -100,7 +95,6 @@ from .words import (
     list_moves,
     make_reduced_word,
     make_word,
-    matsumoto_graph,
     staircase_word,
     trapezoid_word,
     word_to_permutation,

@@ -98,8 +98,3 @@ class WordSpecError(ValueError):
 class ShapeSpecError(ValueError):
     """Shape spec on the command line lacks a known mode or has a field that
     is empty or not an integer."""
-
-
-class UnknownTheoremError(ValueError):
-    """Verification id not recognised.  Nothing raises it any more: each
-    theorem is a ``verify`` subcommand, and argparse refuses any other id."""

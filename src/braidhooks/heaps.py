@@ -33,20 +33,16 @@ the check that the public constructors keep.
 
 from __future__ import annotations
 
-import json
-
 from .errors import QuadraticRuleError, ShapeMismatchError
-from .posets import LinearExtension, Poset, _bits, _build, transitive_reduction
+from .posets import Poset, _bits, _build, transitive_reduction
 from .tableaux import Shape, Tableau
 from .words import Word, _heap_order, _no_square
 
 __all__ = [
     "heap_poset",
-    "build_order_extension",
     "shape_poset",
     "nu",
     "nu_inverse",
-    "heap_to_json",
 ]
 
 
@@ -86,11 +82,6 @@ def heap_poset(word: Word) -> Poset:
     _, below = _heap_order(word.letters[::-1])
     return Poset(elements, [(elements[j], elements[i])
                             for i, b in enumerate(below) for j in _bits(b)])
-
-
-def build_order_extension(word: Word) -> LinearExtension:
-    """The extension of the word's heap that lists its pieces in drop order."""
-    return LinearExtension(heap_poset(word), tuple(_pieces(word)))
 
 
 def _shape_side(shape: Shape) -> tuple[list[list[int]], list[int], bool]:
@@ -162,16 +153,3 @@ def nu_inverse(t: Tableau) -> Word:
     if not heap:
         _no_square(letters)
     return _build(Word, len(table), letters)
-
-
-def heap_to_json(poset: Poset) -> str:
-    """A heap or shape poset: each element's index and column, and the
-    covers as index pairs."""
-    return json.dumps(
-        {
-            "elements": [
-                {"id": i, "column": column} for i, (column, _) in enumerate(poset.elements)
-            ],
-            "covers": sorted([j, i] for i, b in enumerate(poset._below) for j in _bits(b)),
-        }
-    )

@@ -83,7 +83,6 @@ __all__ = [
     "linear_extensions",
     "order_ideals",
     "descents",
-    "tau_on_extension",
     "poset_phi",
     "poset_phi_inverse",
     "verify_edges",
@@ -684,11 +683,6 @@ def descents(extension: LinearExtension, ideal: frozenset) -> set:
     }
 
 
-def tau_on_extension(extension: LinearExtension, i: int) -> LinearExtension:
-    """Swap labels i and i+1 when the two elements are incomparable."""
-    return extension.tau(i)
-
-
 def _require_bounds_and_proper(poset: Poset, size: int) -> None:
     if poset.minimum() is None or poset.maximum() is None:
         raise PosetBoundsError("poset needs a unique minimum and maximum")
@@ -703,7 +697,7 @@ def _require_proper(poset: Poset, size: int) -> None:
 
 def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> LinearExtension:
     """Phi(p, L) = L.tau_{o(L(p))} ... tau_{o(1)} for a descent p of L."""
-    _require_bounds_and_proper(extension.poset, len(ideal))
+    _require_bounds_and_proper(extension.poset, _ideal_mask(extension.poset, ideal).bit_count())
     if p not in descents(extension, ideal):
         ideal_text = _ideal_text(extension.poset, ideal)
         raise NotADescentError(f"{p!r} is not a descent of {extension.seq} for {ideal_text}")
@@ -712,7 +706,7 @@ def poset_phi(p: Hashable, extension: LinearExtension, ideal: frozenset) -> Line
 
 def poset_phi_inverse(extension: LinearExtension, ideal: frozenset) -> tuple[Hashable, LinearExtension]:
     """Scan M, M.tau_{o(1)}, ... for the unique step leaving the ideal."""
-    _require_bounds_and_proper(extension.poset, len(ideal))
+    _require_bounds_and_proper(extension.poset, _ideal_mask(extension.poset, ideal).bit_count())
     window = _window(extension)
     previous_element = next(window).element(1)
     for k, moved in zip(range(2, extension.size + 1), window):

@@ -18,7 +18,7 @@ places a random addable cell at each step; fillings are built unchecked by
 count with ``posets._window_sum``; ``braid_hooks`` lists one filling's.
 
 The operators here are all right actions: ``t.fg`` means apply ``f`` first.
-``tau(t, i)`` swaps the entries ``i`` and ``i+1`` when the result is again
+``t.tau(i)`` swaps the entries ``i`` and ``i+1`` when the result is again
 standard; partial promotion ``d_k = tau_k ... tau_{N-1}`` and partial
 inverse promotion ``d*_k = tau_{k-1} ... tau_1`` compose into the hook
 bijections ``phi`` and ``psi``.  Full promotion is also implemented by
@@ -51,7 +51,6 @@ __all__ = [
     "standard_tableaux",
     "random_standard_tableau",
     "braid_hooks",
-    "tau",
     "partial_promotion",
     "partial_inverse_promotion",
     "promotion",
@@ -314,11 +313,6 @@ def _hook_windows(chunk: list[Tableau]) -> list[tuple[int, int, int]]:
                         if (r, c + 1) in index and (r + 1, c + 1) in index
                         and (r + 1, c) not in index]
     return shape._hooks
-
-
-def tau(t: Tableau, i: int) -> Tableau:
-    """Swap entries i and i+1 when they share neither row nor column."""
-    return t.tau(i)
 
 
 def partial_promotion(t: Tableau, k: int) -> Tableau:

@@ -41,7 +41,6 @@ reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -60,7 +59,6 @@ __all__ = [
     "Word",
     "Permutation",
     "MoveSite",
-    "MatsumotoGraph",
     "COMMUTATION",
     "BRAID_UP",
     "BRAID_DOWN",
@@ -76,7 +74,6 @@ __all__ = [
     "braid_sites",
     "commutation_class",
     "all_reduced_words",
-    "matsumoto_graph",
     "braid_move_stats",
     "word_to_string",
     "word_from_string",
@@ -356,80 +353,6 @@ def all_reduced_words(perm: Permutation, cap: int | None = None) -> list[Word]:
     top = (0, *sorted(range(n), key=perm.images.__getitem__))
     return _extensions(_lattice(top, _descents, _swap, cap, "words"), range(n),
                        Word, n, cap, "words")
-
-
-@dataclass(frozen=True)
-class MatsumotoGraph:
-    """Graph on Red(w): vertices sorted words, undirected deduplicated edges.
-
-    Edge kinds collapse the braid direction: ``"braid"`` or ``"comm"``.
-    """
-
-    vertices: tuple[Word, ...]
-    edges: frozenset[tuple[int, int, str]]
-
-    def braid_edge_count(self) -> int:
-        return sum(1 for _, _, kind in self.edges if kind == "braid")
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
-        for i, j, _ in self.edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        seen, stack = {0}, [0]
-        while stack:
-            fresh = adjacency[stack.pop()] - seen
-            seen |= fresh
-            stack.extend(fresh)
-        return len(seen) == len(self.vertices)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": [word_to_string(w) for w in self.vertices],
-                "edges": sorted([i, j, kind] for i, j, kind in self.edges),
-            }
-        )
-
-    def to_dot(self) -> str:
-        lines = ["graph matsumoto {"]
-        for idx, word in enumerate(self.vertices):
-            lines.append(f'  v{idx} [label="{word_to_string(word)}"];')
-        for i, j, kind in sorted(self.edges):
-            style = "solid" if kind == "braid" else "dotted"
-            lines.append(f"  v{i} -- v{j} [style={style}];")
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def matsumoto_graph(perm: Permutation, cap: int | None = None) -> MatsumotoGraph:
-    """The full reduced-word graph of a permutation.
-
-    Vertices are indexed by their letter tuples.  One scan of each word
-    finds its moves, each neighbour being its letters with one factor
-    rewritten (``a b`` to ``b a``, ``a b a`` to ``b a b``).  A move's inverse
-    is a move of the same kind at the same position, so every edge is met
-    from both ends and is kept from its lower end.
-    """
-    vertices = all_reduced_words(perm, cap)
-    index = {w.letters: i for i, w in enumerate(vertices)}
-    edges = set()
-    for i, word in enumerate(vertices):
-        w = word.letters
-        last = len(w) - 2
-        for p in range(last + 1):
-            a, b = w[p], w[p + 1]
-            if a - b > 1 or b - a > 1:
-                j, kind = index[w[:p] + (b, a) + w[p + 2:]], "comm"
-            elif p < last and w[p + 2] == a and a != b:
-                j, kind = index[w[:p] + (b, a, b) + w[p + 3:]], "braid"
-            else:
-                continue
-            if i < j:
-                edges.add((i, j, kind))
-    return MatsumotoGraph(tuple(vertices), frozenset(edges))
 
 
 def braid_move_stats(words: Iterable[Word]) -> dict:

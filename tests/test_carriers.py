@@ -13,7 +13,7 @@ import pytest
 from braidhooks.heaps import nu_inverse, shape_poset
 from braidhooks.homomesy import tau_parity
 from braidhooks.posets import LinearExtension, _unwind
-from braidhooks.tableaux import Shape, standard_tableaux, tau
+from braidhooks.tableaux import Shape, standard_tableaux
 
 from helpers import diagonal_cells, partitions, skew_test_shapes, strict_partitions
 
@@ -50,7 +50,7 @@ def test_carriers_toggle_alike(family):
             ext = extension(t)
             word = nu_inverse(t)
             for i in range(1, n):
-                moved = tau(t, i)
+                moved = t.tau(i)
                 assert extension(moved) == ext.tau(i), (shape, t, i)
                 assert nu_inverse(moved) == word.tau(n - i), (shape, t, i)
             for x in (t, word, ext):

@@ -4,7 +4,8 @@
 ideal whose elements are the set bits of ``mask`` and returns integers: the
 verdict, the extensions, the descents summed over them and each orbit's
 descent sum.  ``verify_edges`` turns its frozenset into that mask, refusing a
-set that is not an order ideal of the poset, and wraps the check.  The check
+set that is not an order ideal of the poset, as ``poset_phi`` and
+``poset_phi_inverse`` do, and wraps the check.  The check
 must give what the per-extension ``descents`` sums give, and a failing pair
 must be reported at its ``order_ideals`` position, counted over every
 earlier poset, although the loop walks the masks in table order, and also
@@ -18,7 +19,7 @@ import random
 import pytest
 
 from braidhooks import posets
-from braidhooks.cli import EXIT_FAIL, main
+from braidhooks.cli import EXIT_FAIL, EXIT_PASS, main
 from braidhooks.homomesy import dihedral_orbits
 from braidhooks.posets import (
     Poset,
@@ -28,6 +29,8 @@ from braidhooks.posets import (
     linear_extensions,
     order_ideals,
     parse_ideal,
+    poset_phi,
+    poset_phi_inverse,
     random_bounded_poset,
     verify_edges,
 )
@@ -121,14 +124,55 @@ def test_the_table_order_is_not_the_reported_order():
     (diamond_poset(), {"left"}, "{'left'} is not downward closed (missing 'bot')"),
     (diamond_poset(), {"bot", "right", "top"}, "is not downward closed (missing 'left')"),
     (diamond_poset(), {"bot", "left", "right", "zzz"}, "unknown elements ['zzz']"),
+    (diamond_poset(), {"top"}, "{'top'} is not downward closed (missing 'bot')"),
+    (diamond_poset(), {"zzz"}, "unknown elements ['zzz']"),
     (antichain_poset(3), {5}, "unknown elements [5]"),  # before the bounds check
 ])
 def test_verify_edges_refuses_a_set_that_is_not_an_ideal(poset, ideal, message):
-    with pytest.raises(ValueError) as info:
-        verify_edges(poset, frozenset(ideal))
-    assert message in str(info.value)
+    ext = linear_extensions(poset)[0]
+    for refuse in (lambda s: verify_edges(poset, s), lambda s: poset_phi(ext.element(1), ext, s),
+                   lambda s: poset_phi_inverse(ext, s)):
+        with pytest.raises(ValueError) as info:
+            refuse(frozenset(ideal))
+        assert message in str(info.value)
     text = ",".join(map(str, sorted(ideal, key=str)))
     if all(isinstance(e, str) for e in ideal):  # the same words from ``parse_ideal``
         with pytest.raises(ValueError) as parsed:
             parse_ideal(poset, text)
         assert message in str(parsed.value)
+
+
+# Five extensions in two dihedral orbits, of sizes 3 and 2.
+SPLIT = "bot < 2\nbot < 3\n2 < 0\n2 < 1\n3 < 1\n0 < top\n1 < top\n"
+
+
+def plant_swapped_windows(poset):
+    """Settle the poset's windows, then swap its two orbits' counts: every
+    proper ideal keeps its descent total but not each orbit's sum."""
+    verify_edges(poset, frozenset({"bot"}))
+    sizes, counts = poset._windows
+    assert sorted(sizes) == [2, 3]
+    counts.reverse()
+    return poset
+
+
+def test_a_per_orbit_fault_fails_although_the_totals_agree():
+    poset = plant_swapped_windows(posets.poset_from_lines(SPLIT))
+    sizes = poset._windows[0]
+    for ideal in proper_ideals(poset):
+        report = verify_edges(poset, ideal)
+        sums = [o["average"] * o["size"] for o in report["per_orbit"]]
+        assert report["lhs"] == report["rhs"] == 5, ideal
+        assert sums == sizes[::-1], ideal
+        assert not report["ok"], ideal
+
+
+def test_the_command_exits_one_on_a_per_orbit_fault(tmp_path, monkeypatch):
+    poset_file = tmp_path / "F.txt"
+    poset_file.write_text(SPLIT)
+    args = ["verify", "poset-edges", "--poset", str(poset_file), "--ideal", "bot,2"]
+    assert main(args) == EXIT_PASS
+    parse = posets.poset_from_lines
+    monkeypatch.setattr(posets, "poset_from_lines",
+                        lambda text: plant_swapped_windows(parse(text)))
+    assert main(args) == EXIT_FAIL

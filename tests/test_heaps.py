@@ -1,20 +1,18 @@
 """Heap posets, shape posets, and the rotation bijection."""
 
 import itertools
-import json
 
 import pytest
 
+from braidhooks import heaps
 from braidhooks.errors import QuadraticRuleError, ShapeMismatchError
 from braidhooks.heaps import (
-    build_order_extension,
     heap_poset,
-    heap_to_json,
     nu,
     nu_inverse,
     shape_poset,
 )
-from braidhooks.posets import linear_extensions
+from braidhooks.posets import LinearExtension, linear_extensions
 from braidhooks.tableaux import Shape, braid_hooks, standard_tableaux
 from braidhooks.words import (
     Permutation,
@@ -60,30 +58,31 @@ class TestHeapConstruction:
         with pytest.raises(QuadraticRuleError):
             heap_poset(make_word([1, 3, 1], 4))
 
-    def test_json(self):
-        data = json.loads(heap_to_json(heap_poset(staircase_word(3))))
-        assert data["elements"] == [
-            {"id": 0, "column": 1},
-            {"id": 1, "column": 1},
-            {"id": 2, "column": 2},
-        ]
-        assert data["covers"] == [[0, 2], [2, 1]]
+    def test_columns_and_covers(self):
+        poset = heap_poset(staircase_word(3))
+        assert poset.elements == ((1, 1), (1, 2), (2, 1))
+        assert poset.covers == {((1, 1), (2, 1)), ((2, 1), (1, 2))}
+
+
+def drop_order(word):
+    """The extension of the word's heap that lists its pieces in drop order."""
+    return LinearExtension(heap_poset(word), tuple(heaps._pieces(word)))
 
 
 class TestBuildOrder:
     def test_single_element(self):
-        seq = build_order_extension(make_reduced_word([1], 2)).seq
+        seq = drop_order(make_reduced_word([1], 2)).seq
         assert seq == ((1, 1),)
 
     def test_distinct_words_get_distinct_labelings(self):
         words = commutation_class(staircase_word(5))
-        labelings = {build_order_extension(w).seq for w in words}
+        labelings = {drop_order(w).seq for w in words}
         assert len(labelings) == len(words)
 
     def test_labels_respect_covers(self):
         for word in commutation_class(staircase_word(5)):
             poset = heap_poset(word)
-            ext = build_order_extension(word)
+            ext = drop_order(word)
             for lo, hi in poset.covers:
                 assert ext.label(lo) < ext.label(hi)
 
@@ -179,7 +178,7 @@ class TestHeapsArePosets:
 
         extensions = linear_extensions(heap_poset(word))
         assert sorted(map(read, extensions)) == commutation_class(word), word
-        built = build_order_extension(word)
+        built = drop_order(word)
         assert built in extensions and read(built) == word, word
 
     def test_every_reduced_word_up_to_s5(self):

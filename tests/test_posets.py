@@ -26,7 +26,6 @@ from braidhooks.posets import (
     poset_phi,
     poset_phi_inverse,
     random_bounded_poset,
-    tau_on_extension,
     verify_edges,
 )
 from braidhooks.tableaux import Shape
@@ -130,18 +129,18 @@ class TestTau:
     def test_chain_is_rigid(self):
         ext = linear_extensions(chain_poset(4))[0]
         for i in range(1, 4):
-            assert tau_on_extension(ext, i) == ext
+            assert ext.tau(i) == ext
 
     def test_diamond_middle_swap(self):
         a, b = linear_extensions(diamond_poset())
-        assert tau_on_extension(a, 2) == b
-        assert tau_on_extension(b, 2) == a
+        assert a.tau(2) == b
+        assert b.tau(2) == a
 
     def test_involution(self):
         poset = random_bounded_poset(random.Random(11), 7)
         for ext in linear_extensions(poset):
             for i in range(1, poset.size):
-                assert tau_on_extension(tau_on_extension(ext, i), i) == ext
+                assert ext.tau(i).tau(i) == ext
 
 
 class TestPhi:

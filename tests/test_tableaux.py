@@ -31,7 +31,6 @@ from braidhooks.tableaux import (
     tableau_from_json,
     tableau_to_json,
     tableau_to_text,
-    tau,
     updown_crossing_balance,
 )
 
@@ -127,19 +126,19 @@ class TestTau:
         shape = Shape.right((5, 2, 1))
         for t in standard_tableaux(shape):
             for i in range(1, t.size):
-                assert tau(tau(t, i), i) == t
+                assert t.tau(i).tau(i) == t
         with pytest.raises(IndexError):
-            tau(standard_tableaux(shape)[0], 8)
+            standard_tableaux(shape)[0].tau(8)
 
     def test_swap_5_6(self):
         shape = Shape.right((5, 2, 1))
         a, b = standard_tableaux(shape)
-        assert tau(a, 5) == b
-        assert tau(b, 5) == a
+        assert a.tau(5) == b
+        assert b.tau(5) == a
 
     def test_same_row_blocks(self):
         t = standard_tableaux(Shape.right((2, 1)))[0]
-        assert tau(t, 1) == t
+        assert t.tau(1) == t
 
 
 class TestPartialPromotion:

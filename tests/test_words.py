@@ -1,4 +1,4 @@
-"""Words, moves, commutation classes, and the Matsumoto graph."""
+"""Words, moves, and commutation classes."""
 
 import itertools
 import pickle
@@ -31,7 +31,6 @@ from braidhooks.words import (
     list_moves,
     make_reduced_word,
     make_word,
-    matsumoto_graph,
     staircase_word,
     trapezoid_word,
     word_from_string,
@@ -241,37 +240,6 @@ class TestRedW:
             assert stats["total"] == len(red)
 
 
-class TestGraph:
-    def test_s3_graph(self):
-        graph = matsumoto_graph(Permutation.longest(3))
-        assert len(graph.vertices) == 2
-        assert graph.braid_edge_count() == 1
-
-    def test_s4_graph(self):
-        graph = matsumoto_graph(Permutation.longest(4))
-        assert len(graph.vertices) == 16
-        assert graph.braid_edge_count() == 8
-        assert graph.is_connected()
-
-    def test_connectivity_exhaustive(self):
-        for n in (2, 3, 4):
-            for perm in all_permutations(n):
-                assert matsumoto_graph(perm).is_connected()
-
-    def test_json_shape(self):
-        import json
-
-        data = json.loads(matsumoto_graph(Permutation.longest(3)).to_json())
-        assert data["vertices"] == ["121", "212"]
-        assert data["edges"] == [[0, 1, "braid"]]
-
-    def test_dot_export(self):
-        dot = matsumoto_graph(Permutation.longest(3)).to_dot()
-        assert dot.startswith("graph matsumoto {")
-        assert 'v0 [label="121"];' in dot
-        assert "v0 -- v1 [style=solid];" in dot
-
-
 class TestStats:
     def test_staircase_class_mean_is_one(self):
         stats = braid_move_stats(commutation_class(staircase_word(5)))
@@ -417,29 +385,6 @@ class TestClosureMatchesMoveReference:
         assert len(all_reduced_words(w0, cap=size)) == size
         with pytest.raises(ExplosionGuardError):
             all_reduced_words(w0, cap=size - 1)
-
-
-def reference_graph(perm: Permutation) -> tuple[list[Word], set[tuple[int, int, str]]]:
-    """The Matsumoto graph built only on ``list_moves`` and ``apply_move``."""
-    vertices = reference_closure(first_reduced_word(perm), ALL_KINDS)
-    index = {w: i for i, w in enumerate(vertices)}
-    edges = set()
-    for word in vertices:
-        i = index[word]
-        for site in list_moves(word):
-            j = index[apply_move(word, site)]
-            kind = "comm" if site.kind == COMMUTATION else "braid"
-            edges.add((min(i, j), max(i, j), kind))
-    return vertices, edges
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_matsumoto_graph_matches_move_reference(n):
-    for perm in all_permutations(n):
-        graph = matsumoto_graph(perm)
-        vertices, edges = reference_graph(perm)
-        assert list(graph.vertices) == vertices, perm
-        assert graph.edges == edges, perm
 
 
 def test_cap_error_names_words():
