@@ -387,6 +387,33 @@ class TestClosureMatchesMoveReference:
             all_reduced_words(w0, cap=size - 1)
 
 
+REVERSE_KIND = {COMMUTATION: COMMUTATION, BRAID_UP: BRAID_DOWN, BRAID_DOWN: BRAID_UP}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_braid_move_stats_count_the_move_graph(n):
+    """Red(perm) with an edge per move is an undirected graph: each move is
+    undone by the reverse move, so each braid edge is one up site at one end
+    and one down site at the other, and ``braid_move_stats`` counts both."""
+    for perm in all_permutations(n):
+        red = all_reduced_words(perm)
+        braid_edges = set()
+        up = down = 0
+        for word in red:
+            for site in list_moves(word):
+                other = apply_move(word, site)
+                assert apply_move(other, MoveSite(site.position, REVERSE_KIND[site.kind])) == word
+                if site.kind != COMMUTATION:
+                    braid_edges.add(frozenset((word, other)))
+                    up += site.kind == BRAID_UP
+                    down += site.kind == BRAID_DOWN
+        stats = braid_move_stats(red)
+        assert (stats["up"], stats["down"]) == (up, down), perm
+        assert up == down == len(braid_edges), perm
+        if n >= 3 and perm == Permutation.longest(n):
+            assert 2 * len(braid_edges) == len(red)  # Reiner: mean one braid site a word
+
+
 def test_cap_error_names_words():
     with pytest.raises(ExplosionGuardError) as raised:
         commutation_class(staircase_word(5), cap=2)
