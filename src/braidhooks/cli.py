@@ -6,9 +6,10 @@ exceeded or memory ran out.  All numbers are exact; averages print as
 fractions.  Output is deterministic for a fixed seed and flag set.  A
 ``verify`` result is its theorem's name followed by the fields its verifier
 returns; every command renders through ``_emit``.  The seeded ``verify
-poset-edges`` keeps, for one run, each poset structure it has checked
-(``posets._Settled``, bounded): a draw whose elements and cover masks match
-an earlier draw's reuses its down-set table and orbit windows.
+poset-edges`` keeps, for one run, the first poset of each structure it has
+checked (``posets._Settled``, bounded): a draw whose elements and cover masks
+match an earlier draw's is dropped, and the store's poset, which holds its
+down-set table and orbit windows, is checked in its place.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -260,10 +261,10 @@ def _verify_poset_edges(args) -> dict:
     count = args.count or 50
     cap = default_cap() if args.cap is None else args.cap  # once, not per pair
     rng = random.Random(args.seed or 0)
-    checked, settled = 0, posets._Settled()  # a structure drawn again reuses its first draw's work
+    checked, settled = 0, posets._Settled()  # a structure drawn again is checked as its first draw
     for _ in range(count):
         poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size or 7))
-        masks, failing = settled.check(poset, cap)
+        poset, masks, failing = settled.check(poset, cap)
         if failing:
             # the first failure in ``order_ideals`` order, where the empty ideal is 0
             order = posets._ideal_order(poset, masks)

@@ -52,8 +52,9 @@ the covers the mask cuts: ``orbits --poset`` counts them, and
 ``_edge_check`` sums them from each orbit's cover-window counts, made once
 per poset, in integers.  The seeded ``verify poset-edges`` runs that check
 on every mask of each poset's table through ``_Settled``: a draw whose
-elements and cover masks match an earlier draw's of the same run reuses
-that draw's table and windows, in a store bounded by ``_SETTLED``.
+elements and cover masks match an earlier draw's of the same run is checked
+as that earlier ``Poset``, which holds its table and windows, in a store
+bounded by ``_SETTLED``.
 ``verify_edges`` wraps the check for a frozenset and adds the ``Fraction``
 averages.
 """
@@ -218,8 +219,8 @@ class Poset:
             except KeyError as exc:
                 raise ValueError(f"cover element {exc.args[0]!r} is not in elements") from None
         self._below, self._down = transitive_reduction(given)
-        # built on first use, or given by a seeded run's ``_Settled``: ``_lattice`` of the
-        # order, and ``_edge_check``'s orbit sizes and window counts once bounds pass
+        # built on first use, by ``_downsets`` and ``_edge_check``: ``_lattice`` of the
+        # order, and the orbit sizes and window counts, stored once bounds pass
         self._table = self._windows = None
         # each cover (p, q) as element ids, the windows ``_edge_check`` counts
         self._cover_ids = [(j, i) for i, b in enumerate(self._below) for j in _bits(b)]
@@ -419,7 +420,7 @@ def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> t
 
 
 _CHUNK = 4096  # carriers per joined buffer (about 64 kB for S6's words) and per ``_wrap`` step
-_SETTLED = 1 << 15  # table states and window counts one seeded run keeps (``_Settled``): ~3 MB
+_SETTLED = 1 << 14  # table states and window counts one seeded run keeps (``_Settled``): ~3 MB
 
 
 def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tuple, int]]:
@@ -775,47 +776,31 @@ def _edge_check(poset: Poset, mask: int, cap: int | None) -> tuple[bool, int, in
     return lhs == rhs and sums == sizes, lhs, rhs, sums
 
 
-class _Settled:
-    """One seeded run's store of the structures it has settled.  A structure,
-    a poset's elements and cover masks, maps to its first draw's down-set
-    table, frozen into tuples, and its ``_windows``: neither depends on the
-    ideal or on which ``Poset`` object holds them.  A state's options and
-    steps are short tuples that recur across states and structures (46
-    distinct among the 1,708 of the seed-0 benchmark run), so ``shared``
-    keeps each once.  ``held`` counts the tables' states and the windows'
-    counts, at most ``_SETTLED`` (a wide poset has many more orbits than
-    down-sets); a structure that does not fit is checked from scratch each
-    time it is drawn."""
+class _Settled(dict):
+    """One seeded run's store: a structure, a poset's elements and cover
+    masks, maps to the first ``Poset`` drawn with it, which holds its
+    down-set table and ``_windows`` once checked (neither depends on the
+    ideal).  ``held`` counts their table states and window counts, at most
+    ``_SETTLED`` (a wide poset has many more orbits than down-sets); a
+    structure that does not fit is checked from scratch each time."""
 
-    __slots__ = ("known", "shared", "held")
+    held = 0
 
-    def __init__(self):
-        self.known, self.shared, self.held = {}, {}, 0
-
-    def check(self, poset: Poset, cap: int) -> tuple[Sequence[int], list[int]]:
-        """The down-set masks of ``poset`` in table order, and its proper
-        ideals' masks that fail ``_edge_check``.  A structure met before
-        gives ``poset`` its table and windows first, so ``_lattice``,
-        ``dihedral_orbits`` and the window counts run once per structure;
-        ``_edge_check`` still takes the extensions once per pair."""
+    def check(self, poset: Poset, cap: int) -> tuple[Poset, Sequence[int], list[int]]:
+        """The stored poset of the draw's structure, or else the draw; its
+        down-set masks in table order; and its proper ideals' masks that fail
+        ``_edge_check``, which still takes the extensions once per pair."""
         key = poset.elements, tuple(poset._below)
-        known = self.known.get(key)
-        if known is not None:
-            poset._table, poset._windows = known
+        poset = self.get(key, poset)
         masks = _ideal_masks(poset, cap)
         full = (1 << poset.size) - 1
         failing = [mask for mask in masks
                    if mask and mask != full and not _edge_check(poset, mask, cap)[0]]
-        if known is None and not failing:
+        if key not in self and not failing:
             held = self.held + len(masks) + sum(map(len, poset._windows[1]))
             if held <= _SETTLED:
-                states, count, options, up = poset._table
-                share = self.shared.setdefault
-                self.known[key] = ((tuple(states), tuple(count),
-                                    tuple([share(t, t) for t in map(tuple, options)]),
-                                    tuple([share(t, t) for t in map(tuple, up)])), poset._windows)
-                self.held = held
-        return masks, failing
+                self[key], self.held = poset, held
+        return poset, masks, failing
 
 
 def chain_poset(n: int) -> Poset:

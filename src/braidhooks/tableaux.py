@@ -87,6 +87,19 @@ def _check_partition(parts: Sequence[int], strict: bool = False) -> tuple[int, .
     return parts
 
 
+def _skew_parts(outer: Sequence[int], inner: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The parts, ``inner`` padded with zeros to ``outer``'s length, once
+    checked: ``ShapeConditionError`` unless inner is a partition inside outer."""
+    outer = _check_partition(outer)
+    inner = tuple(int(p) for p in inner)
+    if inner and any(b > a for a, b in zip(inner, inner[1:])):
+        raise ShapeConditionError(f"inner {inner} is not weakly decreasing")
+    inner = inner + (0,) * (len(outer) - len(inner))
+    if len(inner) > len(outer) or any(not 0 <= m <= l for l, m in zip(outer, inner)):
+        raise ShapeConditionError(f"inner {inner} not contained in {outer}")
+    return outer, inner
+
+
 class Shape(Poset):
     """A finite cell set in one of the justification modes, and its cell
     poset: the elements are the cells in ``cells`` order, and each cell
@@ -152,13 +165,7 @@ class Shape(Poset):
 
     @classmethod
     def skew_right(cls, outer: Sequence[int], inner: Sequence[int] = ()) -> "Shape":
-        outer = _check_partition(outer)
-        inner = tuple(int(p) for p in inner)
-        if inner and any(b > a for a, b in zip(inner, inner[1:])):
-            raise ShapeConditionError(f"inner {inner} is not weakly decreasing")
-        inner = inner + (0,) * (len(outer) - len(inner))
-        if len(inner) > len(outer) or any(m > l for l, m in zip(outer, inner)):
-            raise ShapeConditionError(f"inner {inner} not contained in {outer}")
+        outer, inner = _skew_parts(outer, inner)
         width = outer[0]
         cells = []
         for r, (length, cut) in enumerate(zip(outer, inner)):
@@ -641,6 +648,7 @@ def tableau_from_json(text: str) -> Tableau:
     elif mode in ("right", "half-right", "skew-right"):
         outer = _int_list(desc.get("outer"), "'outer'")
         inner = _int_list(desc.get("inner") or [], "'inner'") if mode == "skew-right" else []
+        _skew_parts(outer, inner)  # parts that fit, so their sums count the cells
         if sum(outer) - sum(inner) != len(values):  # checked before a huge shape is built
             raise ValueError(f"tableau JSON: the rows hold {len(values)} entries,"
                              f" the shape {sum(outer) - sum(inner)} cells")

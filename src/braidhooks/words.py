@@ -86,9 +86,13 @@ BRAID_DOWN = "braid-down"
 
 @dataclass(frozen=True, order=True)
 class Permutation:
-    """A permutation of ``1..n`` in one-line notation."""
+    """A permutation of ``1..n`` in one-line notation, each image once."""
 
     images: tuple[int, ...]
+
+    def __post_init__(self):
+        if set(self.images) != set(range(1, len(self.images) + 1)):
+            raise ValueError(f"images {self.images} are not 1..{len(self.images)}, each once")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

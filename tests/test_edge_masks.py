@@ -9,8 +9,8 @@ set that is not an order ideal of the poset, as ``poset_phi`` and
 must give what the per-extension ``descents`` sums give, and a failing pair
 must be reported at its ``order_ideals`` position, counted over every
 earlier poset, although the loop walks the masks in table order, and also
-on a draw that repeats an earlier draw's structure and so takes its table
-and windows.
+on a draw that repeats an earlier draw's structure and so is checked as
+that earlier draw's poset.
 """
 
 import json
@@ -90,26 +90,29 @@ def test_a_failing_pair_keeps_its_order_ideals_position(which, positions, monkey
     # the earlier posets' proper ideals, then the first failure in ``order_ideals`` order
     expected = sum(len(proper_ideals(p)) for p in drawn[:which])
     expected += min(chosen.index(ideal) for ideal in failing) + 1
-    check, seen, reused = posets._edge_check, [], []
+    check, draw, draws, checked = posets._edge_check, posets.random_bounded_poset, [], {}
+
+    def counted_draw(rng, size):
+        draws.append(draw(rng, size))
+        return draws[-1]
 
     def failing_check(poset, mask, cap):
-        if not seen or seen[-1] is not poset:
-            seen.append(poset)
-            reused.append(poset._windows is not None)  # settled by an earlier draw
+        checked[len(draws) - 1] = poset  # the drawn poset, or the stored one of its structure
         result = check(poset, mask, cap)
         ideal = frozenset(poset.elements[i] for i in range(poset.size) if mask >> i & 1)
-        if len(seen) - 1 == which and ideal in failing:
+        if len(draws) - 1 == which and ideal in failing:
             return (False, *result[1:])
         return result
 
+    monkeypatch.setattr(posets, "random_bounded_poset", counted_draw)
     monkeypatch.setattr(posets, "_edge_check", failing_check)
     argv = ["verify", "poset-edges", "--count", str(COUNT), "--seed", str(SEED)]
     assert main(argv) == EXIT_FAIL
     assert json.loads(capsys.readouterr().out) == {
         "theorem": "poset-edges", "checked": expected, "pass": False}
-    assert len(seen) == which + 1
+    assert len(draws) == which + 1
     structures = [(p.elements, p.covers) for p in drawn]
-    assert reused[which] == (structures[which] in structures[:which])
+    assert (checked[which] is not draws[which]) == (structures[which] in structures[:which])
 
 
 def test_the_table_order_is_not_the_reported_order():

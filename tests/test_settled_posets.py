@@ -2,12 +2,12 @@
 
 ``random_bounded_poset`` draws from few structures: the 2,145 draws of the
 seed-0 benchmark run hold 95 distinct labelled posets.  ``posets._Settled``
-keeps, for one run, each structure's first down-set table and orbit windows
-(``_windows``), and a later draw of the same elements and cover masks takes
-both before its first check.  Each draw stays its own ``Poset`` and every
-pair still asks ``linear_extensions``, so the benchmark's traced counts hold;
-the output must equal a loop that checks every draw afresh, whatever the
-store's bound ``posets._SETTLED``, and the store never holds more than it.
+keeps, for one run, the first ``Poset`` drawn of each structure, which holds
+its down-set table and orbit windows (``_windows``), and a later draw of the
+same elements and cover masks is checked as that poset.  Every pair still
+asks ``linear_extensions``, so the benchmark's traced counts hold; the output
+must equal a loop that checks every draw afresh, whatever the store's bound
+``posets._SETTLED``, and the store never holds more than it.
 """
 
 import gc
@@ -59,8 +59,8 @@ def structure(poset):
 
 def test_the_benchmark_goldens_hold(monkeypatch):
     # perfbench's traced seed-0 figures: a reuse that skips a pair's call fails here
-    calls, objects = [], set()
-    extensions = posets.linear_extensions
+    calls, objects, stores = [], set(), []
+    extensions, check = posets.linear_extensions, posets._Settled.check
 
     def counted(poset, cap=None):
         result = extensions(poset, cap)
@@ -68,10 +68,19 @@ def test_the_benchmark_goldens_hold(monkeypatch):
         objects.add(poset)
         return result
 
+    def watched(settled, poset, cap):
+        stores.append(settled)
+        return check(settled, poset, cap)
+
     monkeypatch.setattr(posets, "linear_extensions", counted)
+    monkeypatch.setattr(posets._Settled, "check", watched)
     code, out = run(seeded(2145, 6, 0))
     assert (code, json.loads(out)["checked"]) == (EXIT_PASS, 12_112)
-    assert (len(calls), sum(calls), len(objects)) == (12_112, 100_020, 2_145)
+    assert (len(calls), sum(calls)) == (12_112, 100_020)
+    # the distinct Poset objects checked are the 95 structures the store holds
+    settled = stores[0]
+    assert all(store is settled for store in stores)  # one store for the run
+    assert objects == set(settled.values())
     assert len({structure(poset) for poset in objects}) == 95
 
 
@@ -86,9 +95,10 @@ def test_reuse_changes_nothing(seed, max_size, monkeypatch):
 
 
 def held(settled) -> int:
-    """The table states and window counts ``settled`` keeps, counted afresh."""
-    return sum(len(table[0]) + sum(map(len, windows[1]))
-               for table, windows in settled.known.values())
+    """The table states and window counts of the posets ``settled`` keeps,
+    counted afresh."""
+    return sum(len(poset._table[0]) + sum(map(len, poset._windows[1]))
+               for poset in settled.values())
 
 
 def test_the_store_never_holds_more_than_its_bound(monkeypatch):
@@ -100,7 +110,8 @@ def test_the_store_never_holds_more_than_its_bound(monkeypatch):
     def watched(settled, poset, cap):
         result = check(settled, poset, cap)
         structures.add(structure(poset))
-        sizes.append((settled.held, held(settled), len(settled.known)))
+        assert all(structure(p) == key for key, p in settled.items())
+        sizes.append((settled.held, held(settled), len(settled)))
         return result
 
     monkeypatch.setattr(posets._Settled, "check", watched)

@@ -55,6 +55,12 @@ RIGHT_21 = {"mode": "right", "outer": [2, 1]}
     ({"shape": {"mode": "right", "outer": [1, 2]}, "rows": [[1], [2, 3]]}, "weakly decreasing"),
     ({"shape": {"mode": "skew-right", "outer": [2, 1], "inner": "1"}, "rows": [[1]]},
      "'inner' must be a list of integers"),
+    ({"shape": {"mode": "skew-right", "outer": [2, 1], "inner": [5]}, "rows": [[1]]},
+     "inner (5, 0) not contained in (2, 1)"),
+    ({"shape": {"mode": "skew-right", "outer": [2, 1], "inner": [1, 1, 1]}, "rows": [[1]]},
+     "inner (1, 1, 1) not contained in (2, 1)"),
+    ({"shape": {"mode": "skew-right", "outer": [2, 1], "inner": [-1]}, "rows": [[1]] * 4},
+     "inner (-1, 0) not contained in (2, 1)"),
     ({"shape": {"mode": "cells", "cells": [[1, 1], [1]]}, "rows": [[1, 2]]}, "'cells' must list"),
     ({"shape": {"mode": "cells", "cells": [[1, 1], [1, 1]]}, "rows": [[1, 2]]}, "duplicate cells"),
     ({"shape": {"mode": "cells"}, "rows": []}, "'cells' must list"),

@@ -109,6 +109,13 @@ class TestConstruction:
             make_word([1, 1, 2], 3)
 
 
+@pytest.mark.parametrize("images", [(3, 1), (2, 2), (0, 5, 9), (1, 2, 4), (0,)])
+def test_a_permutation_takes_only_1_to_n_each_once(images):
+    with pytest.raises(ValueError) as info:
+        Permutation(images)
+    assert str(info.value) == f"images {images} are not 1..{len(images)}, each once"
+
+
 class TestEvaluation:
     def test_empty_word_is_identity(self):
         assert word_to_permutation([], 4) == Permutation.identity(4)
