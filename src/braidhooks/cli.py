@@ -6,10 +6,11 @@ exceeded or memory ran out.  All numbers are exact; averages print as
 fractions.  Output is deterministic for a fixed seed and flag set.  A
 ``verify`` result is its theorem's name followed by the fields its verifier
 returns; every command renders through ``_emit``.  The seeded ``verify
-poset-edges`` keeps, for one run, the first poset of each structure it has
-checked (``posets._Settled``, bounded): a draw whose elements and cover masks
-match an earlier draw's is dropped, and the store's poset, which holds its
-down-set table and orbit windows, is checked in its place.
+poset-edges`` draws each poset as its elements and cover pairs and keeps,
+for one run, the poset built for each structure it has checked, with its
+linear extensions (``posets._Settled``, bounded): a draw that matches an
+earlier one builds nothing and walks nothing, and the store's poset, which
+holds its down-set table and orbit windows, is checked in its place.
 
 A command runs with the cycle collector paused; ``main`` restores the
 collector's state on every exit.  The package's results hold no reference
@@ -263,8 +264,8 @@ def _verify_poset_edges(args) -> dict:
     rng = random.Random(args.seed or 0)
     checked, settled = 0, posets._Settled()  # a structure drawn again is checked as its first draw
     for _ in range(count):
-        poset = posets.random_bounded_poset(rng, rng.randint(3, args.max_size or 7))
-        poset, masks, failing = settled.check(poset, cap)
+        elements, covers = posets._random_layers(rng, rng.randint(3, args.max_size or 7))
+        poset, masks, failing = settled.check(elements, covers, cap)
         if failing:
             # the first failure in ``order_ideals`` order, where the empty ideal is 0
             order = posets._ideal_order(poset, masks)
@@ -424,9 +425,11 @@ def cmd_window(args) -> int:
 
 
 # The least value of each numeric flag.  The identities are claimed from
-# rank n = 3, a random bounded poset has at least 3 elements, and a cap,
-# poset count, sample or worker pool of zero leaves nothing to check.
-FLAG_FLOORS = {"cap": 1, "n": 3, "count": 1, "max_size": 3, "sample": 1, "threads": 1}
+# rank n = 3, no word has a letter below rank 2, a random bounded poset has
+# at least 3 elements, and a cap, poset count, sample or worker pool of zero
+# leaves nothing to check.
+FLAG_FLOORS = {"cap": 1, "n": 3, "rank": 2, "count": 1, "max_size": 3, "sample": 1,
+               "threads": 1}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,8 @@ tau_{o(m)}...tau_{o(1)} in one ``taus`` pass.
 An order is kept only as integer masks: ``transitive_reduction`` returns
 lower-cover masks (bit j of ``below[i]`` set when i covers j) and strict
 down-set masks (bit j of ``down[i]`` when j < i); cover pairs exist only in
-``Poset(elements, covers)``, ``Poset.covers`` and, as id pairs read off the
-cover masks once, ``Poset._cover_ids``.  Every object counted
+``Poset(elements, covers)`` and, as id pairs read off the cover masks once,
+``Poset._cover_ids``, which ``Poset.covers`` names when asked.  Every object counted
 here is a maximal chain of a graded order: fillings, words of a commutation
 class and linear extensions of the down-sets of an order, reduced words
 (``words``) of the weak order.  ``_lattice`` is the one table builder: from
@@ -50,11 +50,12 @@ down-set mask (``_ideal_mask`` makes one from names, refusing a set that is
 not an order ideal), and ``_descent_windows`` lists its descent windows,
 the covers the mask cuts: ``orbits --poset`` counts them, and
 ``_edge_check`` sums them from each orbit's cover-window counts, made once
-per poset, in integers.  The seeded ``verify poset-edges`` runs that check
-on every mask of each poset's table through ``_Settled``: a draw whose
-elements and cover masks match an earlier draw's of the same run is checked
-as that earlier ``Poset``, which holds its table and windows, in a store
-bounded by ``_SETTLED``.
+per poset, in integers.  The seeded ``verify poset-edges`` draws each
+poset's elements and cover pairs (``_random_layers``) and runs that check on
+every mask of its table through ``_Settled``, which keys the draw before any
+``Poset`` is built: a repeat of an earlier draw of the run is checked as the
+``Poset`` built then, which holds its table and windows, with the extensions
+walked then, in a store bounded by ``_SETTLED``.
 ``verify_edges`` wraps the check for a frozenset and adds the ``Fraction``
 averages.
 """
@@ -203,8 +204,7 @@ def _unwind(x, m: int):
 class Poset:
     """A finite partial order given by its cover relation."""
 
-    __slots__ = ("elements", "covers", "_index", "_below", "_down", "_cover_ids", "_table",
-                 "_windows")
+    __slots__ = ("elements", "_index", "_below", "_down", "_cover_ids", "_table", "_windows")
 
     def __init__(self, elements: Sequence[Hashable],
                  covers: Iterable[tuple[Hashable, Hashable]]):
@@ -224,12 +224,16 @@ class Poset:
         self._table = self._windows = None
         # each cover (p, q) as element ids, the windows ``_edge_check`` counts
         self._cover_ids = [(j, i) for i, b in enumerate(self._below) for j in _bits(b)]
-        names = self.elements
-        self.covers = frozenset((names[p], names[q]) for p, q in self._cover_ids)
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @property
+    def covers(self) -> frozenset[tuple[Hashable, Hashable]]:
+        """The cover pairs (lower, upper) by name, read off ``_cover_ids``."""
+        names = self.elements
+        return frozenset((names[p], names[q]) for p, q in self._cover_ids)
 
     def _downsets(self, cap: int, what: str, ideals: bool = False) -> tuple:
         """The down-set table, built once: only ints and lists, so no cycle."""
@@ -420,7 +424,7 @@ def _lattice(root, labels, step, cap: int, what: str, ideals: bool = False) -> t
 
 
 _CHUNK = 4096  # carriers per joined buffer (about 64 kB for S6's words) and per ``_wrap`` step
-_SETTLED = 1 << 14  # table states and window counts one seeded run keeps (``_Settled``): ~3 MB
+_SETTLED = 1 << 14  # table states, window counts and extensions ``_Settled`` keeps: ~3 MB
 
 
 def _window_counts(carriers: Iterable, windows: Callable) -> tuple[int, dict[tuple, int]]:
@@ -622,7 +626,8 @@ def linear_extensions(poset: Poset, cap: int | None = None) -> list[LinearExtens
     extensions, or the walk's ``ExplosionGuardError`` when there are more
     than ``cap``; they are frozen, so no caller changes them for the next.
     Another poset drops them before its walk, and a capped walk stores
-    nothing: the module keeps one poset's extensions alive.
+    nothing: this cache holds one poset's extensions.  The seeded check's
+    store (``_Settled``) keeps others and puts them back here.
     """
     global _last
     cap = default_cap() if cap is None else cap
@@ -777,29 +782,37 @@ def _edge_check(poset: Poset, mask: int, cap: int | None) -> tuple[bool, int, in
 
 
 class _Settled(dict):
-    """One seeded run's store: a structure, a poset's elements and cover
-    masks, maps to the first ``Poset`` drawn with it, which holds its
-    down-set table and ``_windows`` once checked (neither depends on the
-    ideal).  ``held`` counts their table states and window counts, at most
-    ``_SETTLED`` (a wide poset has many more orbits than down-sets); a
-    structure that does not fit is checked from scratch each time."""
+    """One seeded run's store: a structure, a draw's elements and cover
+    pairs, maps to the ``Poset`` built from its first draw and that poset's
+    linear extensions.  The poset holds its down-set table and ``_windows``
+    once checked (none of the three depends on the ideal).  ``held`` counts
+    their table states, window counts and extensions, at most ``_SETTLED``
+    (a wide poset has many more orbits than down-sets); a structure that
+    does not fit is built and walked afresh each time."""
 
     held = 0
 
-    def check(self, poset: Poset, cap: int) -> tuple[Poset, Sequence[int], list[int]]:
-        """The stored poset of the draw's structure, or else the draw; its
-        down-set masks in table order; and its proper ideals' masks that fail
-        ``_edge_check``, which still takes the extensions once per pair."""
-        key = poset.elements, tuple(poset._below)
-        poset = self.get(key, poset)
+    def check(self, elements: Sequence[Hashable], covers: Iterable[tuple[Hashable, Hashable]],
+              cap: int) -> tuple[Poset, Sequence[int], list[int]]:
+        """The draw's poset, stored or else built now; its down-set masks in
+        table order; and its proper ideals' masks that fail ``_edge_check``.
+        A stored poset's extensions refill ``linear_extensions``' cache, so
+        each pair still takes a fresh list of them, but none is walked."""
+        global _last
+        key = tuple(elements), frozenset(covers)
+        stored = self.get(key)
+        poset, extensions = stored or (Poset(elements, covers), None)
+        if stored:
+            _last = {"poset": poset, "extensions": extensions}
         masks = _ideal_masks(poset, cap)
         full = (1 << poset.size) - 1
         failing = [mask for mask in masks
                    if mask and mask != full and not _edge_check(poset, mask, cap)[0]]
-        if key not in self and not failing:
-            held = self.held + len(masks) + sum(map(len, poset._windows[1]))
+        if stored is None and not failing:
+            extensions = _last["extensions"]  # the walk of this poset's first pair
+            held = self.held + len(masks) + sum(map(len, poset._windows[1])) + len(extensions)
             if held <= _SETTLED:
-                self[key], self.held = poset, held
+                self[key], self.held = (poset, extensions), held
         return poset, masks, failing
 
 
@@ -819,8 +832,9 @@ def diamond_poset() -> Poset:
     )
 
 
-def random_bounded_poset(rng, size: int) -> Poset:
-    """A random layered poset with forced bottom and top elements."""
+def _random_layers(rng, size: int) -> tuple[list[Hashable], list[tuple[Hashable, Hashable]]]:
+    """The elements and cover pairs of a random layered poset with forced
+    bottom and top elements, drawn before any ``Poset`` is built."""
     if size < 3:
         raise ValueError("need at least 3 elements for a bounded poset")
     middle = size - 2
@@ -840,8 +854,12 @@ def random_bounded_poset(rng, size: int) -> Poset:
                 covers.append((a, rng.choice(upper)))
     covers.extend(("bot", a) for a in layers[0])
     covers.extend((a, "top") for a in layers[-1])
-    elements = ["bot"] + list(range(middle)) + ["top"]
-    return Poset(elements, covers)
+    return ["bot", *range(middle), "top"], covers
+
+
+def random_bounded_poset(rng, size: int) -> Poset:
+    """A random layered poset with forced bottom and top elements."""
+    return Poset(*_random_layers(rng, size))
 
 
 def poset_from_lines(text: str) -> Poset:

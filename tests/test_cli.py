@@ -405,6 +405,16 @@ class TestFlagRanges:
     def test_commutation_class_n_below_three(self, capsys):
         self.usage_error(["verify", "commutation-class", "--n", "-3"], "--n", capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--class-of-word", "1", "--rank", "0"],
+        ["enumerate", "--class-of-word", "1", "--rank", "-3"],
+        ["orbits", "--class-of-word", "1", "--rank", "1"],
+        ["window", "--word", "1", "--rank", "1"],
+    ])
+    def test_rank_below_two(self, argv, capsys):
+        # no letter fits below rank 2: the floor speaks, not "outside 1..-1"
+        self.usage_error(argv, "--rank must be at least 2", capsys)
+
     def test_least_values_pass(self, capsys):
         assert main(["verify", "reiner", "--n", "3"]) == EXIT_PASS
         assert main(["verify", "commutation-class", "--n", "3"]) == EXIT_PASS

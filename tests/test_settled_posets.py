@@ -1,13 +1,16 @@
 """The seeded ``verify poset-edges`` settles each distinct structure once.
 
 ``random_bounded_poset`` draws from few structures: the 2,145 draws of the
-seed-0 benchmark run hold 95 distinct labelled posets.  ``posets._Settled``
-keeps, for one run, the first ``Poset`` drawn of each structure, which holds
-its down-set table and orbit windows (``_windows``), and a later draw of the
-same elements and cover masks is checked as that poset.  Every pair still
-asks ``linear_extensions``, so the benchmark's traced counts hold; the output
-must equal a loop that checks every draw afresh, whatever the store's bound
-``posets._SETTLED``, and the store never holds more than it.
+seed-0 benchmark run hold 95 distinct labelled posets.  The seeded check
+draws each poset's elements and cover pairs (``posets._random_layers``), and
+``posets._Settled`` keys them before any ``Poset`` is built: the first draw
+of a structure builds its ``Poset``, which holds its down-set table and
+orbit windows (``_windows``), and the store keeps it with its linear
+extensions, so a later draw of the same elements and covers is checked as
+that poset and walks nothing.  Every pair still asks ``linear_extensions``,
+which hands out a fresh list, so the benchmark's traced counts hold; the
+output must equal a loop that checks every draw afresh, whatever the store's
+bound ``posets._SETTLED``, and the store never holds more than it.
 """
 
 import gc
@@ -21,7 +24,13 @@ import pytest
 
 from braidhooks import posets
 from braidhooks.cli import EXIT_PASS, main
-from braidhooks.posets import Poset, order_ideals, random_bounded_poset, verify_edges
+from braidhooks.posets import (
+    Poset,
+    linear_extensions,
+    order_ideals,
+    random_bounded_poset,
+    verify_edges,
+)
 
 
 def run(argv) -> tuple[int, str]:
@@ -54,7 +63,7 @@ def reference(count, max_size, seed) -> str:
 
 
 def structure(poset):
-    return poset.elements, tuple(poset._below)
+    return poset.elements, poset.covers
 
 
 def test_the_benchmark_goldens_hold(monkeypatch):
@@ -68,9 +77,9 @@ def test_the_benchmark_goldens_hold(monkeypatch):
         objects.add(poset)
         return result
 
-    def watched(settled, poset, cap):
+    def watched(settled, elements, covers, cap):
         stores.append(settled)
-        return check(settled, poset, cap)
+        return check(settled, elements, covers, cap)
 
     monkeypatch.setattr(posets, "linear_extensions", counted)
     monkeypatch.setattr(posets._Settled, "check", watched)
@@ -80,8 +89,43 @@ def test_the_benchmark_goldens_hold(monkeypatch):
     # the distinct Poset objects checked are the 95 structures the store holds
     settled = stores[0]
     assert all(store is settled for store in stores)  # one store for the run
-    assert objects == set(settled.values())
+    assert objects == {poset for poset, _ in settled.values()}
     assert len({structure(poset) for poset in objects}) == 95
+
+
+def test_each_structure_is_built_and_walked_once(monkeypatch):
+    # the seed-0 benchmark run: 2,145 draws, 95 structures, each built and walked once
+    builds, walks = [], []
+    init, walk = Poset.__init__, posets._extensions
+
+    def built(poset, *args):
+        builds.append(poset)
+        init(poset, *args)
+
+    def walked(*args):
+        walks.append(args[3])  # the poset walked, the carriers' ambient
+        return walk(*args)
+
+    monkeypatch.setattr(Poset, "__init__", built)
+    monkeypatch.setattr(posets, "_extensions", walked)
+    code, out = run(seeded(2145, 6, 0))
+    assert (code, json.loads(out)["checked"]) == (EXIT_PASS, 12_112)
+    assert (len(builds), len(walks)) == (95, 95)
+    assert walks == builds
+
+
+def test_a_draw_is_the_poset_random_bounded_poset_builds():
+    # the seeded check and ``random_bounded_poset`` (the benchmark's own plan) draw alike
+    sizes, drawn, built = random.Random(38), random.Random(7), random.Random(7)
+    for _ in range(1000):
+        size = sizes.randint(3, 10)
+        elements, covers = posets._random_layers(drawn, size)
+        poset, twin = random_bounded_poset(built, size), Poset(elements, covers)
+        assert (poset.elements, poset.covers, poset._below) == (twin.elements, twin.covers,
+                                                                 twin._below)
+        # the drawn covers are already reduced: one key per structure
+        assert frozenset(covers) == twin.covers
+        assert drawn.getstate() == built.getstate()
 
 
 @pytest.mark.parametrize("max_size", range(3, 9))
@@ -95,23 +139,24 @@ def test_reuse_changes_nothing(seed, max_size, monkeypatch):
 
 
 def held(settled) -> int:
-    """The table states and window counts of the posets ``settled`` keeps,
+    """The table states, window counts and extensions ``settled`` keeps,
     counted afresh."""
-    return sum(len(poset._table[0]) + sum(map(len, poset._windows[1]))
-               for poset in settled.values())
+    return sum(len(poset._table[0]) + sum(map(len, poset._windows[1])) + len(extensions)
+               for poset, extensions in settled.values())
 
 
 def test_the_store_never_holds_more_than_its_bound(monkeypatch):
     argv = seeded(300, 8, 1)
     _, unbounded = run(argv)
-    sizes, structures = [], set()
+    sizes, structures, stores = [], set(), []
     check = posets._Settled.check
 
-    def watched(settled, poset, cap):
-        result = check(settled, poset, cap)
-        structures.add(structure(poset))
-        assert all(structure(p) == key for key, p in settled.items())
+    def watched(settled, elements, covers, cap):
+        result = check(settled, elements, covers, cap)
+        structures.add((tuple(elements), frozenset(covers)))
+        assert all(structure(p) == key for key, (p, _) in settled.items())
         sizes.append((settled.held, held(settled), len(settled)))
+        stores.append(settled)
         return result
 
     monkeypatch.setattr(posets._Settled, "check", watched)
@@ -119,6 +164,10 @@ def test_the_store_never_holds_more_than_its_bound(monkeypatch):
     assert run(argv) == (EXIT_PASS, unbounded)
     assert all(kept == recount <= 200 for kept, recount, _ in sizes)
     assert 0 < sizes[-1][2] < len(structures)  # it kept some, then turned others away
+    for poset, extensions in stores[-1].values():  # each kept list is its poset's walk
+        assert all(x.poset is poset for x in extensions)
+        fresh = linear_extensions(Poset(poset.elements, poset.covers))
+        assert [x.ids for x in extensions] == [x.ids for x in fresh]
 
 
 def traced_peak(argv) -> int:
